@@ -32,8 +32,8 @@ from .errors import InputError
 from .reconstruct import build_theta_grid
 from .spin_model import ModelKind, ModelParams, ObservableSpec, SpinConfig
 
-METROPOLIS_BURNIN_SWEEPS = 100  # per spin count N, before the first sample
-METROPOLIS_THIN_SWEEPS = 1      # per spin count N, between chained samples
+METROPOLIS_BURNIN_SWEEPS = 100  # sweeps of N proposed flips, before the first sample
+METROPOLIS_THIN_SWEEPS = 1      # sweeps of N proposed flips, between chained samples
 
 
 @dataclass(frozen=True)
@@ -185,9 +185,9 @@ class LongRangeMetropolisSampler:
     """Single-spin-flip Metropolis for the all-to-all model.
 
     Batches run one independent chain per requested sample, each burnt in for
-    METROPOLIS_BURNIN_SWEEPS * N sweeps (a sweep is N proposed flips), so the
-    draws are effectively independent; chained single draws reuse a warm
-    chain with N-sweep thinning.
+    METROPOLIS_BURNIN_SWEEPS sweeps (a sweep is N proposed flips, so 100 * N
+    proposals); chained single draws reuse a warm chain, thinned by
+    METROPOLIS_THIN_SWEEPS sweep between draws.
     """
 
     def __init__(self, model: ModelParams):

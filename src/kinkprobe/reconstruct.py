@@ -5,10 +5,13 @@ For an integer-valued observable the Fourier inversion
     P(x) = (1/2 pi) integral_0^{2 pi} F(theta) e^{-i x theta} d theta
 
 is realized exactly as a finite sum over M >= (support width) uniform phase
-points.  A miscalibrated controlled-rotation angle (eps' = (1 + eta) eps)
-stretches every accumulated phase by (1 + eta); the corrected inversion
-rescales the kernel accordingly and is exact again when the acquisition grid
-was pre-warped to t_j = theta_j / (2 eps (1 + eta)).
+points theta_j = 2 pi j / M.  That sum is an M-point discrete Fourier
+transform, computed as one FFT: P(x) = fft(F)[x mod M] / M.  A miscalibrated
+controlled-rotation angle (eps' = (1 + eta) eps) stretches every accumulated
+phase by (1 + eta).  The corrected inversion requires the rescaled phases
+theta_j (1 + eta) to sit on the standard grid; they do when the acquisition
+grid was pre-warped to t_j = theta_j / (2 eps (1 + eta)), and the
+reconstruction is then exact again.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .charfunc import CharFunctionSamples
+from .charfunc import CharFunctionSamples, _grid_offset
 from .distribution import (DistMeta, Distribution, DistributionReport,
                            charfunc_of_distribution, total_variation,
                            validate_distribution)
@@ -52,7 +55,7 @@ def build_theta_grid(obs: ObservableSpec, n: int, points: int | None = None) -> 
     return 2.0 * np.pi * np.arange(m) / m
 
 
-def _support_for(obs: ObservableSpec, n: int) -> np.ndarray:
+def _support_for(obs: ObservableSpec) -> np.ndarray:
     lo, hi = obs.value_bounds()
     return np.arange(lo, hi + 1)
 
@@ -66,43 +69,36 @@ def _resolve_obs(samples: CharFunctionSamples, obs, n):
     return obs, int(n)
 
 
-def _invert_core(values: np.ndarray, eff_theta: np.ndarray, support: np.ndarray,
-                 meta: DistMeta) -> Distribution:
-    m = values.size
-    amp = np.empty(support.size, dtype=complex)
-    block = max(1, (1 << 22) // m)  # bound the kernel block at ~64 MB
-    xs = support.astype(float)
-    for lo in range(0, support.size, block):
-        sl = slice(lo, lo + block)
-        amp[sl] = np.exp(-1j * np.outer(xs[sl], eff_theta)) @ values / m
-    return Distribution(support=support, probs=amp.real,
-                        residual_imag=float(np.abs(amp.imag).max()), meta=meta)
-
-
 def _check_standard_grid(eff_theta: np.ndarray):
-    m = eff_theta.size
-    expected = 2.0 * np.pi * np.arange(m) / m
-    if np.abs(eff_theta - expected).max() > 1e-9:
+    if _grid_offset(eff_theta) > 1e-9:
         raise GridMismatchError("samples do not sit on the uniform grid 2 pi j / M "
                                 "(after the gate-error rescaling, if any)")
 
 
+def _invert(samples: CharFunctionSamples, eta: float, obs, n, method: str) -> Distribution:
+    """M-point FFT inversion of samples whose phases theta_j (1 + eta) = 2 pi j / M."""
+    obs, n = _resolve_obs(samples, obs, n)
+    support = _support_for(obs)
+    m = samples.values.size
+    if m < support.size:
+        raise GridMismatchError("fewer samples than support points; inversion would alias")
+    _check_standard_grid(samples.theta * (1.0 + eta))
+    meta = DistMeta(obs_kind=obs.kind.value, n=n,
+                    model_kind=samples.model.kind.value if samples.model else None,
+                    method=f"{method}/{samples.provenance.value}")
+    amp = np.fft.fft(samples.values)[support % m] / m
+    return Distribution(support=support, probs=amp.real,
+                        residual_imag=float(np.abs(amp.imag).max()), meta=meta)
+
+
 def invert_dft(samples: CharFunctionSamples, obs: ObservableSpec | None = None,
                n: int | None = None) -> Distribution:
-    """Exact finite-sum Fourier inversion on the standard grid.
+    """Exact finite-sum Fourier inversion on the standard grid, as one FFT.
 
     The imaginary residue of each amplitude is recorded on the result and
     dropped; probabilities are returned unclipped.
     """
-    obs, n = _resolve_obs(samples, obs, n)
-    support = _support_for(obs, n)
-    if samples.theta.size < support.size:
-        raise GridMismatchError("fewer samples than support points; inversion would alias")
-    _check_standard_grid(samples.theta)
-    meta = DistMeta(obs_kind=obs.kind.value, n=n,
-                    model_kind=samples.model.kind.value if samples.model else None,
-                    method=f"dft/{samples.provenance.value}")
-    return _invert_core(samples.values, samples.theta, support, meta)
+    return _invert(samples, 0.0, obs, n, "dft")
 
 
 def invert_with_gate_error(samples: CharFunctionSamples, eta: float,
@@ -117,16 +113,7 @@ def invert_with_gate_error(samples: CharFunctionSamples, eta: float,
     """
     if eta <= -1.0:
         raise InputError("eta must exceed -1")
-    obs, n = _resolve_obs(samples, obs, n)
-    support = _support_for(obs, n)
-    if samples.theta.size < support.size:
-        raise GridMismatchError("fewer samples than support points; inversion would alias")
-    eff = samples.theta * (1.0 + eta)
-    _check_standard_grid(eff)
-    meta = DistMeta(obs_kind=obs.kind.value, n=n,
-                    model_kind=samples.model.kind.value if samples.model else None,
-                    method=f"dft-eta-corrected/{samples.provenance.value}")
-    return _invert_core(samples.values, eff, support, meta)
+    return _invert(samples, eta, obs, n, "dft-eta-corrected")
 
 
 def estimate_gate_error(record: "ProbeRecord") -> float:

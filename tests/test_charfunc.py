@@ -124,6 +124,48 @@ def test_longrange_magnetization_matches_deformed_partition(rng):
             num.ratio(den), abs=1e-12)
 
 
+def _longrange_mag_reference(n, g, m):
+    """F(2 pi j / M) in long double, every phase reduced in integers first."""
+    two_pi = 2 * np.arccos(np.longdouble(-1))
+    turn = np.arange(m, dtype=np.longdouble) * two_pi / m
+    cos, sin = np.cos(turn), np.sin(turn)
+    p = g.astype(np.longdouble)
+    p /= p.sum()
+    k = np.arange(n + 1)
+    out = np.empty(m, dtype=complex)
+    for j in range(m):
+        r = ((n - 2 * k) * j) % m
+        out[j] = complex(float(cos[r] @ p), float(sin[r] @ p))
+    return out
+
+
+@pytest.mark.parametrize("m", [2001, 1500, 2048])
+def test_longrange_magnetization_grid_route_accuracy_at_n1000(m):
+    from kinkprobe.charfunc import _longrange_g, _longrange_mag_dense
+
+    n = 1000
+    model = longrange(n, j=1.0, h=0.3, beta=0.5 / n)
+    logg = _longrange_g(model)
+    g = np.exp(logg - logg.max())
+    thetas = 2 * np.pi * np.arange(m) / m
+    f = charfunc_values(model, magnetization(n), thetas)
+    assert np.abs(f - _longrange_mag_reference(n, g, m)).max() <= 1e-13
+    # the direct sum rounds phases up to 2 N theta: good to about 4 pi N eps = 3e-12
+    dense = _longrange_mag_dense(n, g, thetas) / g.sum()
+    assert np.abs(f - dense).max() <= 5e-12
+
+
+def test_longrange_probe_phases_take_the_grid_route():
+    from kinkprobe.probe import GateErrorModel, default_time_grid, simulate_probe_shots
+
+    n, eps, eta = 300, 0.01, 0.02
+    model, obs = longrange(n, j=1.0, h=0.3, beta=0.5 / n), magnetization(n)
+    times = default_time_grid(obs, n, eps, eta=eta)
+    record = simulate_probe_shots(model, obs, eps, times, None, error_model=GateErrorModel(eta))
+    f = charfunc_values(model, obs, build_theta_grid(obs, n))
+    assert np.array_equal(record.sx, f.real) and np.array_equal(record.sy, f.imag)
+
+
 def test_charfunc_rejects_custom():
     with pytest.raises(DeformationError):
         charfunc(ring(4), custom_observable(0.0, 1.0, [(1, 2)]), 0.5)

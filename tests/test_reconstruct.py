@@ -5,7 +5,7 @@ import pytest
 
 from kinkprobe import (CharFunctionSamples, Distribution, DistMeta,
                        EstimationError, GridMismatchError, InputError,
-                       Provenance, build_theta_grid, charfunc_of_distribution,
+                       Provenance, build_theta_grid,
                        estimate_gate_error, exact_kink_mean, gaussian_approx,
                        invert_dft, invert_with_gate_error, kink_number,
                        magnetization, sample_charfunc, simulate_probe_shots,
@@ -59,22 +59,6 @@ def test_oversampled_grid_inversion_is_identical():
     a = invert_dft(sample_charfunc(model, obs))
     b = invert_dft(sample_charfunc(model, obs, points=64))
     np.testing.assert_allclose(b.probs, a.probs, atol=1e-12)
-
-
-def test_round_trip_distribution_to_f_and_back(rng):
-    support = np.arange(-7, 8)
-    for _ in range(5):
-        p = rng.random(support.size)
-        p /= p.sum()
-        dist = Distribution(support=support, probs=p,
-                            meta=DistMeta(obs_kind="custom", n=7, method="synthetic"))
-        thetas = 2 * np.pi * np.arange(support.size) / support.size
-        samples = CharFunctionSamples(theta=thetas,
-                                      values=charfunc_of_distribution(dist, thetas),
-                                      provenance=Provenance.ANALYTIC,
-                                      observable=magnetization(7), model=ring(7))
-        back = invert_dft(samples)
-        np.testing.assert_allclose(back.probs, p, atol=1e-12)
 
 
 def test_invert_requires_standard_grid():
