@@ -138,6 +138,9 @@ def deform_params(model: ModelParams, obs: ObservableSpec, theta: float) -> Comp
 
 
 def _check_magnitude(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise InputError("F is not finite here: the partition-function ratio cancelled "
+                         "or overflowed")
     worst = float(np.abs(values).max(initial=0.0))
     if worst > 1.0 + _ABS_F_SLACK:
         raise InputError(f"|F| = {worst} exceeds 1; characteristic-function engine broke")

@@ -305,7 +305,7 @@ def run_probe(cfg: RunConfig) -> int:
 
     for path in written:
         print(path)
-    if report.worst_defect() > _defect_tolerance(cfg.shots, times.size):
+    if not report.worst_defect() <= _defect_tolerance(cfg.shots, times.size):  # NaN fails
         print(f"validation defects above tolerance: {_report_payload(report)}",
               file=sys.stderr)
         return EXIT_VALIDATION
@@ -373,7 +373,7 @@ def run_sm_error(cfg: RunConfig) -> int:
     for path in written:
         print(path)
     report = validate_distribution(p_corrected)
-    if report.worst_defect() > EXACT_DEFECT_TOL:
+    if not report.worst_defect() <= EXACT_DEFECT_TOL:  # NaN fails
         print(f"validation defects above tolerance: {_report_payload(report)}",
               file=sys.stderr)
         return EXIT_VALIDATION

@@ -75,8 +75,9 @@ class DistributionReport:
     residual_imag: float
 
     def worst_defect(self) -> float:
-        return max(self.norm_defect, max(0.0, -self.min_prob),
-                   self.parity_violation_mass, self.residual_imag)
+        """Largest defect; NaN if any defect is NaN."""
+        return float(np.max([self.norm_defect, 0.0, -self.min_prob,
+                             self.parity_violation_mass, self.residual_imag]))
 
 
 def _forbidden_mask(dist: Distribution) -> np.ndarray:

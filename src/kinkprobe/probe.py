@@ -16,8 +16,10 @@ emulated here:
   rotation.
 
 Thermal configurations of the ring are drawn exactly by transfer-matrix
-conditionals; the long-range model falls back to single-spin-flip
-Metropolis chains.
+conditionals.  The long-range model draws from the exact law of a 100-sweep
+single-spin-flip Metropolis chain, computed once as a lumped chain on the
+up-count u = 0..N; in the ordered phase that law is still biased against
+the Boltzmann law, because the chain does not tunnel between the wells.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ import numpy as np
 
 from .charfunc import CharFunctionSamples, Provenance, charfunc_values
 from .errors import InputError
+from .partition import _log_binomials
 from .reconstruct import build_theta_grid
 from .spin_model import ModelKind, ModelParams, ObservableSpec, SpinConfig
 
 METROPOLIS_BURNIN_SWEEPS = 100  # sweeps of N proposed flips, before the first sample
-METROPOLIS_THIN_SWEEPS = 1      # sweeps of N proposed flips, between chained samples
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,8 @@ class RingGibbsSampler:
     The first spin is drawn from its marginal [T^N]_{ss} / tr T^N; spin k+1
     given spins 1..k follows T[s_k, s] [T^{N-k}]_{s, s_1} normalized over s.
     Matrix powers are renormalized at every step, which cancels in the
-    conditional ratios, so any beta >= 0 (including 0) is safe.
+    conditional ratios, so any beta >= 0 (including 0) is safe.  The
+    conditionals depend only on (k, s_k, s_1), so they are tabulated once.
     """
 
     def __init__(self, model: ModelParams):
@@ -154,77 +157,79 @@ class RingGibbsSampler:
         bj, bh = model.beta * model.J, model.beta * model.h
         s = np.array([1.0, -1.0])
         expo = bj * np.outer(s, s) + bh * 0.5 * (s[:, None] + s[None, :])
-        self._t = np.exp(expo - expo.max())
+        t = np.exp(expo - expo.max())
         powers = [np.eye(2)]
         for _ in range(n):
-            nxt = powers[-1] @ self._t
+            nxt = powers[-1] @ t
             powers.append(nxt / nxt.max())
-        self._powers = powers  # powers[r] proportional to T^r
+        # p_down[k, 2 * cur + first]: probability that spin k is down (1) given
+        # spin k-1 in state cur and spin 0 in state first (0 = up, 1 = down);
+        # row 0 holds the first spin's marginal
+        tail = np.array(powers)[n - 1:0:-1]            # tail[k - 1] ~ T^{N-k}
+        w0 = t[None, :, 0, None] * tail[:, None, 0, :]  # (k, cur, first)
+        w1 = t[None, :, 1, None] * tail[:, None, 1, :]
+        diag = np.diag(powers[n])
+        p_first = diag / diag.sum()
+        self._p_down = np.vstack([np.full(4, p_first[1]),
+                                  (w1 / (w0 + w1)).reshape(n - 1, 4)])
 
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """(count, N) array of +-1 spins, one exact draw per row."""
         n = self.model.N
-        diag = np.diag(self._powers[n])
-        p_first = diag / diag.sum()
-        first = (rng.random(count) < p_first[1]).astype(np.int8)  # 0 = up, 1 = down
-        out = np.empty((count, n), dtype=np.int8)
-        out[:, 0] = 1 - 2 * first
-        cur = first
+        out = np.empty((n, count), dtype=np.int8)  # site-major: one row per step
+        down = rng.random(count) < self._p_down[0, 0]
+        first = down.astype(np.intp)
+        out[0] = 1 - 2 * down.view(np.int8)
         for k in range(1, n):
-            tail = self._powers[n - k]
-            # unnormalized weights for the next spin being up (0) or down (1)
-            w0 = self._t[cur, 0] * tail[0, first]
-            w1 = self._t[cur, 1] * tail[1, first]
-            p_down = w1 / (w0 + w1)
-            cur = (rng.random(count) < p_down).astype(np.int8)
-            out[:, k] = 1 - 2 * cur
-        return out
+            down = rng.random(count) < self._p_down[k].take(first + 2 * down)
+            out[k] = 1 - 2 * down.view(np.int8)
+        return out.T
 
 
 class LongRangeMetropolisSampler:
-    """Single-spin-flip Metropolis for the all-to-all model.
+    """Exact law of a single-spin-flip Metropolis chain on the all-to-all model.
 
-    Batches run one independent chain per requested sample, each burnt in for
+    The chain starts from uniformly random spins and runs
     METROPOLIS_BURNIN_SWEEPS sweeps (a sweep is N proposed flips, so 100 * N
-    proposals); chained single draws reuse a warm chain, thinned by
-    METROPOLIS_THIN_SWEEPS sweep between draws.
+    proposals).  Its energy depends only on the up-count u and every site is
+    proposed with the same probability, so the chain lumps exactly onto a
+    birth-death chain on u = 0..N; given u the configuration is a uniform
+    u-subset.  The law of u after the burn-in is propagated once here, so a
+    draw needs no proposals.  That law is the chain's, not the Boltzmann law:
+    in the ordered phase the chain does not tunnel between wells in 100
+    sweeps, and the bias stays.
     """
 
     def __init__(self, model: ModelParams):
         if model.kind is not ModelKind.LONG_RANGE:
             raise InputError("LongRangeMetropolisSampler requires the long-range model")
         self.model = model
-        self._chain: np.ndarray | None = None
-
-    def _sweep_block(self, spins: np.ndarray, sweeps: int, rng: np.random.Generator):
-        """In-place Metropolis updates on a (chains, N) block."""
-        model = self.model
         n = model.N
-        chains = spins.shape[0]
-        mag = spins.sum(axis=1).astype(np.int64)
-        rows = np.arange(chains)
-        for _ in range(sweeps * n):
-            site = rng.integers(0, n, size=chains)
-            s = spins[rows, site].astype(np.int64)
-            # flipping s: Delta E = 2 J (M s - 1) + 2 h s
-            d_e = 2.0 * model.J * (mag * s - 1.0) + 2.0 * model.h * s
-            accept = rng.random(chains) < np.exp(-model.beta * np.maximum(d_e, 0.0))
-            flip = np.where(accept, -1, 1).astype(np.int8)
-            spins[rows, site] *= flip
-            mag = np.where(accept, mag - 2 * s, mag)
+        u = np.arange(n + 1)
+        m = 2.0 * u - n
+        # flipping s: Delta E = 2 J (M s - 1) + 2 h s; up flips have s = +1
+        cost_down = model.beta * np.maximum(2.0 * model.J * (m - 1.0) + 2.0 * model.h, 0.0)
+        cost_up = model.beta * np.maximum(2.0 * model.J * (-m - 1.0) - 2.0 * model.h, 0.0)
+        frac_up = u / n
+        down = frac_up * np.exp(-cost_down)        # P(u -> u - 1)
+        up = (1.0 - frac_up) * np.exp(-cost_up)    # P(u -> u + 1)
+        stay = -(frac_up * np.expm1(-cost_down) + (1.0 - frac_up) * np.expm1(-cost_up))
+        law = np.exp(_log_binomials(n) - n * np.log(2.0))
+        for _ in range(METROPOLIS_BURNIN_SWEEPS * n):
+            nxt = law * stay
+            nxt[:-1] += law[1:] * down[1:]
+            nxt[1:] += law[:-1] * up[:-1]
+            law = nxt
+        self.up_count_law = law  # P(u) after the burn-in
 
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """(count, N) array of +-1 spins: u from the chain's law, then a u-subset."""
         n = self.model.N
-        spins = np.where(rng.random((count, n)) < 0.5, 1, -1).astype(np.int8)
-        self._sweep_block(spins, METROPOLIS_BURNIN_SWEEPS, rng)
-        return spins
-
-    def sample_chained(self, rng: np.random.Generator) -> np.ndarray:
-        if self._chain is None:
-            self._chain = self.sample_batch(1, rng)
-        else:
-            self._sweep_block(self._chain, METROPOLIS_THIN_SWEEPS, rng)
-        return self._chain[0].copy()
+        cdf = np.cumsum(self.up_count_law)
+        u = np.minimum(np.searchsorted(cdf, rng.random(count) * cdf[-1], side="right"), n)
+        # the sites of the u smallest uniforms in a row form a uniform u-subset
+        ranks = rng.random((count, n)).argsort(axis=1).argsort(axis=1)
+        return np.where(ranks < u[:, None], 1, -1).astype(np.int8)
 
 
 def gibbs_sampler(model: ModelParams):

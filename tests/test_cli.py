@@ -2,11 +2,13 @@ import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from kinkprobe.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, PRESETS, main
+import kinkprobe.cli as cli
+from kinkprobe.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, PRESETS, main
 
 
 def _read_csv(path):
@@ -91,6 +93,24 @@ def test_uncorrected_gate_error_trips_validation(tmp_path):
                  "--beta", "1", "--h", "0.2", "--eps", "0.01", "--eta", "0.05",
                  "--correct-eta", "--outdir", str(tmp_path / "corrected")])
     assert code == EXIT_OK
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nonfinite_charfunc_is_input_error(tmp_path):
+    # a frustrated odd ring this cold cancels Z to 0, so F is 0/0
+    out = tmp_path / "nan"
+    code = main(["probe", "--model", "ring", "--N", "3", "--J", "-19", "--beta", "1",
+                 "--h", "0", "--outdir", str(out)])
+    assert code == EXIT_INPUT
+    assert not (out / "distribution.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["probe", "--N", "6"], ["repro", "sm-error"]])
+def test_nan_defect_trips_validation(tmp_path, monkeypatch, argv):
+    real = cli.validate_distribution
+    monkeypatch.setattr(cli, "validate_distribution",
+                        lambda dist: replace(real(dist), residual_imag=float("nan")))
+    assert main(argv + ["--outdir", str(tmp_path / "out")]) == EXIT_VALIDATION
 
 
 def test_repro_presets_exist_and_fig_preset_is_byte_stable(tmp_path):

@@ -5,11 +5,12 @@ import pytest
 import scipy.stats
 
 from kinkprobe import (GateErrorModel, InputError, SpinConfig, charfunc_values,
-                       circuit_phase, enumerate_oracle, gibbs_sample,
+                       circuit_phase, energy, enumerate_oracle, gibbs_sample,
                        gibbs_sampler, kink_number, magnetization,
                        observable_value, simulate_probe_exact,
                        simulate_probe_shots)
-from kinkprobe.probe import LongRangeMetropolisSampler, RingGibbsSampler, default_time_grid
+from kinkprobe.probe import (METROPOLIS_BURNIN_SWEEPS, LongRangeMetropolisSampler,
+                             RingGibbsSampler, default_time_grid)
 from conftest import longrange, ring
 
 
@@ -88,6 +89,95 @@ def test_ring_sampler_with_field_matches_oracle():
     rng = np.random.default_rng(19)
     m = RingGibbsSampler(model).sample_batch(400_000, rng).sum(axis=1)
     assert m.mean() == pytest.approx(oracle.mean(), abs=4 * oracle.variance() ** 0.5 / 600)
+
+
+def _ring_reference(model, count, rng):
+    """Per-site conditional recursion over the renormalized transfer-matrix powers."""
+    n = model.N
+    bj, bh = model.beta * model.J, model.beta * model.h
+    s = np.array([1.0, -1.0])
+    expo = bj * np.outer(s, s) + bh * 0.5 * (s[:, None] + s[None, :])
+    t = np.exp(expo - expo.max())
+    powers = [np.eye(2)]
+    for _ in range(n):
+        nxt = powers[-1] @ t
+        powers.append(nxt / nxt.max())
+    diag = np.diag(powers[n])
+    first = (rng.random(count) < diag[1] / diag.sum()).astype(np.int8)  # 1 = down
+    out = np.empty((count, n), dtype=np.int8)
+    out[:, 0] = 1 - 2 * first
+    cur = first
+    for k in range(1, n):
+        tail = powers[n - k]
+        w0 = t[cur, 0] * tail[0, first]
+        w1 = t[cur, 1] * tail[1, first]
+        cur = (rng.random(count) < w1 / (w0 + w1)).astype(np.int8)
+        out[:, k] = 1 - 2 * cur
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 50])
+@pytest.mark.parametrize("j, h, beta", [(1.0, 0.0, 0.0), (1.0, 4.0, 1.5), (-0.8, -3.0, 1.0)])
+def test_ring_sampler_draws_the_reference_bits(n, j, h, beta):
+    model = ring(n, j=j, h=h, beta=beta)
+    rng, ref_rng = np.random.default_rng(2024), np.random.default_rng(2024)
+    spins = RingGibbsSampler(model).sample_batch(3000, rng)
+    assert np.array_equal(spins, _ring_reference(model, 3000, ref_rng))
+    assert spins.dtype == np.int8
+    assert rng.random() == ref_rng.random()  # same number of uniforms consumed
+
+
+def _full_metropolis_law(model):
+    """Law over all 2^N states of the single-flip chain after the burn-in.
+
+    Built from the Hamiltonian: each site is proposed with probability 1/N
+    and accepted with min(1, exp(-beta Delta E)); the chain starts uniform.
+    """
+    n = model.N
+    states = (1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)).astype(np.int8)
+    energies = np.array([energy(model, SpinConfig(s)) for s in states])
+    kernel = np.zeros((2 ** n, 2 ** n))
+    for a in range(2 ** n):
+        for i in range(n):
+            b = a ^ (1 << i)
+            kernel[a, b] = min(1.0, math.exp(-model.beta * (energies[b] - energies[a]))) / n
+        kernel[a, a] = 1.0 - kernel[a].sum()
+    steps = METROPOLIS_BURNIN_SWEEPS * n
+    law = np.full(2 ** n, 2.0 ** -n) @ np.linalg.matrix_power(kernel, steps)
+    return states, law
+
+
+LONGRANGE_CHAIN_CASES = [
+    dict(n=6, j=0.5, h=0.0, beta=1.0),    # ordered: beta J N = 3
+    dict(n=5, j=-0.7, h=0.0, beta=1.0),   # antiferromagnetic
+    dict(n=6, j=0.3, h=0.4, beta=0.8),
+    dict(n=4, j=1.0, h=-0.5, beta=2.0),
+    dict(n=1, j=0.2, h=0.7, beta=1.3),
+]
+
+
+@pytest.mark.parametrize("case", LONGRANGE_CHAIN_CASES)
+def test_longrange_sampler_law_is_the_full_chain_law(case):
+    model = longrange(case["n"], j=case["j"], h=case["h"], beta=case["beta"])
+    states, law = _full_metropolis_law(model)
+    up = (states == 1).sum(axis=1)
+    marginal = np.bincount(up, weights=law, minlength=model.N + 1)
+    sampler = LongRangeMetropolisSampler(model)
+    np.testing.assert_allclose(sampler.up_count_law, marginal, rtol=0, atol=1e-12)
+    for u in range(model.N + 1):
+        sector = law[up == u]
+        assert sector.max() - sector.min() <= 1e-12
+
+
+def test_longrange_sampler_configurations_follow_the_chain_law():
+    # the magnetization depends only on the up-count; this checks the placement
+    model = longrange(4, j=0.6, h=0.3, beta=1.0)
+    states, law = _full_metropolis_law(model)
+    spins = LongRangeMetropolisSampler(model).sample_batch(160_000, np.random.default_rng(8))
+    cells = ((1 - spins) // 2).astype(np.int64) @ (1 << np.arange(4))
+    counts = np.bincount(cells, minlength=16)
+    assert np.array_equal(states[cells[:50]], spins[:50])
+    assert scipy.stats.chisquare(counts, 160_000 * law / law.sum()).pvalue > 0.001
 
 
 def test_longrange_metropolis_matches_oracle():
