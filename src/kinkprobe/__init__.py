@@ -13,8 +13,9 @@ Library layout:
 
 from .charfunc import (CharFunctionSamples, CumulantFlavor, CumulantSet,
                        Provenance, charfunc, charfunc_values, closed_cumulants,
-                       cumulant_context, deform_params, exact_kink_mean,
-                       joint_counts, numerical_cumulants, sample_charfunc)
+                       cumulant_context, deform_params, distribution_cumulants,
+                       exact_kink_mean, joint_counts, numerical_cumulants,
+                       sample_charfunc)
 from .distribution import (Distribution, DistributionReport, DistMeta,
                            charfunc_of_distribution, total_variation,
                            validate_distribution)
@@ -30,10 +31,10 @@ from .quantum import (DiagonalEnsemble, PauliObservable, QuantumRegister,
                       noncommuting_test_observable, quantum_probe,
                       thermal_diagonal_ensemble, trotter_error_probe)
 from .reconstruct import (build_theta_grid, estimate_gate_error, gaussian_approx,
-                          invert_dft, invert_with_gate_error)
+                          invert_dft)
 from .spin_model import (ModelKind, ModelParams, ObsKind, ObservableSpec,
                          OracleResult, SpinConfig, custom_observable, energy,
                          enumerate_oracle, kink_number, magnetization,
-                         observable_value)
+                         observable_value, term_sums)
 
 __version__ = "0.1.0"

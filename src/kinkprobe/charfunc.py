@@ -15,8 +15,8 @@ observable combinations are dispatched here:
                                           one FFT on the standard grid
   long-range + kinks                   -> reweighted joint (M, K) counts
 
-Closed-form cumulants (mean, variance, third cumulant) and a numerical
-moments-from-distribution route are also provided.
+Closed-form cumulants (mean, variance, third cumulant) and cumulants from
+the raw moments of a distribution are also provided.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distribution import Distribution
 from .errors import DeformationError, InputError, SizeError
 from .partition import ComplexParams, _log_binomials, _znn_scaled_arrays
 from .spin_model import ModelKind, ModelParams, ObservableSpec, ObsKind
 
 JOINT_COUNT_LIMIT = 64   # reweighting route for the long-range kink number
-_JOINT_DFT_LIMIT = 24    # float64 phase-grid inversion stays integer-exact here
 _ABS_F_SLACK = 1e-9      # |F| may exceed 1 by at most this much
 _GRID_ROUTE_TOL = 1e-12  # phases this close to 2 pi j / M take the FFT route
 
@@ -79,7 +79,6 @@ class CumulantSet:
     kappa2: float
     kappa3: float
     flavor: CumulantFlavor
-    higher: tuple = ()  # orders 4.. when a numerical route computed them
 
 
 @dataclass(frozen=True)
@@ -230,6 +229,9 @@ def charfunc_values(model: ModelParams, obs: ObservableSpec, thetas) -> np.ndarr
     if obs.kind is ObsKind.CUSTOM:
         raise DeformationError("custom observables have no analytic route; "
                                "use the enumeration oracle or the probe simulator")
+    if len(obs.terms) != model.N:
+        raise InputError(f"{obs.kind.value} observable covers {len(obs.terms)} sites, "
+                         f"the model has N={model.N}")
     if model.kind is ModelKind.RING:
         out = _ring_charfunc(model, obs, th)
     elif obs.kind is ObsKind.MAGNETIZATION:
@@ -263,57 +265,17 @@ def sample_charfunc(model: ModelParams, obs: ObservableSpec,
 _joint_cache: dict = {}
 
 
-def joint_counts(n: int, method: str = "auto") -> np.ndarray:
+def joint_counts(n: int) -> np.ndarray:
     """Q[m + N, k] = number of ring configurations with magnetization m and k kinks.
 
-    Two equivalent routes:
-
-    * ``dft``   -- a doubly-deformed 2x2 transfer matrix with unit-modulus
-      entries e^{i psi s s'} e^{i phi (s + s')/2}, traced to the N-th power
-      over a (2N+1) x (N+1) phase grid and inverted by a 2-d discrete
-      Fourier transform.  Exact up to float rounding; the integer residual
-      is asserted below 1e-6, which float64 supports up to N ~ 24.
-    * ``exact`` -- an integer dynamic program over sites (arbitrary N).
-
-    ``auto`` picks ``dft`` within its validated range and ``exact`` beyond.
-    Entries are non-negative integers (Python ints, dtype=object).
+    Computed once per N by an exact integer dynamic program over sites, then
+    cached.  Entries are non-negative integers (Python ints, dtype=object).
     """
     if n < 2:
         raise InputError("joint counts need N >= 2")
-    if method == "auto":
-        method = "dft" if n <= _JOINT_DFT_LIMIT else "exact"
-    if method not in ("dft", "exact"):
-        raise InputError(f"unknown joint-count method {method!r}")
-    key = (n, method)
-    if key not in _joint_cache:
-        _joint_cache[key] = _joint_dft(n) if method == "dft" else _joint_exact(n)
-    return _joint_cache[key].copy()
-
-
-def _joint_dft(n: int) -> np.ndarray:
-    phi = 2.0 * np.pi * np.arange(2 * n + 1) / (2 * n + 1)
-    psi = np.pi * np.arange(n + 1) / (n + 1)
-    ph, ps = np.meshgrid(phi, psi, indexing="ij")
-    # 2x2 matrix with entries e^{i psi s s'} e^{i phi (s+s')/2}: closed-form
-    # eigenvalues via trace and determinant
-    tau = 2.0 * np.exp(1j * ps) * np.cos(ph)
-    det = np.exp(2j * ps) - np.exp(-2j * ps)
-    root = np.sqrt(0.25 * tau * tau - det)
-    trace_pow = (0.5 * tau + root) ** n + (0.5 * tau - root) ** n
-    m = np.arange(-n, n + 1)
-    k = np.arange(n + 1)
-    em = np.exp(-1j * np.outer(phi, m))                     # invert the phi transform
-    ek = np.exp(1j * (2.0 * np.outer(psi, k) - n * psi[:, None]))  # bond sum -> kinks
-    q = np.einsum("pq,pm,qk->mk", trace_pow, em, ek) / ((2 * n + 1) * (n + 1))
-    rounded = np.round(q.real)
-    residual = float(np.abs(q - rounded).max())
-    if residual > 1e-6:
-        raise InputError(f"joint-count DFT residual {residual:.2e} exceeds 1e-6 at N={n}")
-    if rounded.min() < 0:
-        raise InputError("joint-count DFT produced a negative count")
-    out = np.empty(rounded.shape, dtype=object)
-    out[...] = rounded.astype(np.int64)
-    return out
+    if n not in _joint_cache:
+        _joint_cache[n] = _joint_exact(n)
+    return _joint_cache[n].copy()
 
 
 def _joint_exact(n: int) -> np.ndarray:
@@ -440,16 +402,18 @@ def closed_cumulants(model: ModelParams, obs: ObservableSpec,
                      "fall back to numerical_cumulants")
 
 
-def numerical_cumulants(samples: CharFunctionSamples, max_order: int = 3) -> CumulantSet:
-    """Cumulants from the reconstructed distribution behind F(theta).
+def distribution_cumulants(dist: Distribution) -> CumulantSet:
+    """kappa_1..3 of a distribution from its raw moments mu_1..3."""
+    mu1, mu2, mu3 = (dist.raw_moment(order) for order in (1, 2, 3))
+    return CumulantSet(kappa1=mu1, kappa2=mu2 - mu1 ** 2,
+                       kappa3=mu3 - 3 * mu1 * mu2 + 2 * mu1 ** 3,
+                       flavor=CumulantFlavor.NUMERICAL_FROM_F)
 
-    Raw moments come from the inverted distribution; the usual recursion
-    kappa_n = mu_n - sum_{j<n} C(n-1, j-1) kappa_j mu_{n-j} converts them.
-    """
+
+def numerical_cumulants(samples: CharFunctionSamples) -> CumulantSet:
+    """Cumulants from the reconstructed distribution behind F(theta)."""
     from .reconstruct import invert_dft
 
-    if max_order < 1:
-        raise InputError("max_order must be at least 1")
     # shot-sampled F(0) carries readout noise on its imaginary part
     norm_tol = 0.2 if samples.provenance is Provenance.PROBE_SHOTS else 1e-6
     if samples.theta.size == 0 or samples.theta[0] != 0.0 or abs(samples.values[0] - 1.0) > norm_tol:
@@ -459,17 +423,4 @@ def numerical_cumulants(samples: CharFunctionSamples, max_order: int = 3) -> Cum
     lo, hi = samples.observable.value_bounds()
     if samples.theta.size < hi - lo + 1:
         raise InputError("theta grid does not resolve the distribution support")
-    dist = invert_dft(samples)
-    mu = [1.0] + [dist.raw_moment(j) for j in range(1, max_order + 1)]
-    kappa = [0.0] * (max_order + 1)
-    for order in range(1, max_order + 1):
-        acc = mu[order]
-        for j in range(1, order):
-            acc -= math.comb(order - 1, j - 1) * kappa[j] * mu[order - j]
-        kappa[order] = acc
-    k1 = kappa[1]
-    k2 = kappa[2] if max_order >= 2 else math.nan
-    k3 = kappa[3] if max_order >= 3 else math.nan
-    return CumulantSet(kappa1=k1, kappa2=k2, kappa3=k3,
-                       flavor=CumulantFlavor.NUMERICAL_FROM_F,
-                       higher=tuple(kappa[4:]))
+    return distribution_cumulants(invert_dft(samples))

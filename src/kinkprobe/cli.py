@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -20,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import svgplot
-from .charfunc import CumulantFlavor, CumulantSet, closed_cumulants
+from .charfunc import closed_cumulants, distribution_cumulants
 from .distribution import total_variation, validate_distribution
 from .errors import InputError, KinkprobeError
 from .probe import (GateErrorModel, default_time_grid, simulate_probe_exact,
                     simulate_probe_shots)
-from .reconstruct import invert_dft, invert_with_gate_error, estimate_gate_error
+from .reconstruct import estimate_gate_error, invert_dft
 from .spin_model import (ModelKind, ModelParams, enumerate_oracle, kink_number,
                          magnetization)
 
@@ -57,7 +56,6 @@ class RunConfig:
     outdir: str = "kinkprobe-out"
     formats: tuple = ("csv", "json")
     oracle: bool = False
-    workers: int = 1
 
 
 PRESETS: dict[str, dict] = {
@@ -166,9 +164,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         merged["formats"] = tuple(f.strip() for f in merged["formats"].split(",") if f.strip())
     elif isinstance(merged.get("formats"), list):
         merged["formats"] = tuple(merged["formats"])
-    env_workers = os.environ.get("KINKPROBE_THREADS")
-    if env_workers:
-        merged["workers"] = max(1, min(int(env_workers), os.cpu_count() or 1))
     cfg = RunConfig(**merged)
     for fmt in cfg.formats:
         if fmt not in ("csv", "json", "svg"):
@@ -231,14 +226,6 @@ def _cumulant_payload(cs) -> dict:
             "kappa3": clean(cs.kappa3), "flavor": cs.flavor.value}
 
 
-def _cumulants_from_dist(dist, flavor=CumulantFlavor.NUMERICAL_FROM_F) -> CumulantSet:
-    mu1 = dist.raw_moment(1)
-    mu2 = dist.raw_moment(2)
-    mu3 = dist.raw_moment(3)
-    return CumulantSet(kappa1=mu1, kappa2=mu2 - mu1 ** 2,
-                          kappa3=mu3 - 3 * mu1 * mu2 + 2 * mu1 ** 3, flavor=flavor)
-
-
 def _defect_tolerance(shots, grid_points: int) -> float:
     """Exact runs must be clean; sampled runs get a gate well above their
     expected noise floor (parity mass scales like sqrt(M / shots)), so exit
@@ -258,20 +245,15 @@ def run_probe(cfg: RunConfig) -> int:
     times = default_time_grid(obs, cfg.N, cfg.epsilon, eta=warp_eta, points=cfg.grid)
     error_model = GateErrorModel(cfg.eta)
     record = simulate_probe_shots(model, obs, cfg.epsilon, times, cfg.shots,
-                                  error_model=error_model, seed=cfg.seed,
-                                  workers=cfg.workers)
-    samples = record.to_charfunc_samples()
-    if cfg.correct_eta:
-        raw = invert_with_gate_error(samples, cfg.eta, obs, cfg.N)
-    else:
-        raw = invert_dft(samples, obs, cfg.N)
+                                  error_model=error_model, seed=cfg.seed)
+    raw = invert_dft(record.to_charfunc_samples(), obs, cfg.N, eta=warp_eta)
     report = validate_distribution(raw)
     dist = raw.cleaned()
 
     payload = {
         "method": raw.meta.method,
         "validation": _report_payload(report),
-        "numerical": _cumulant_payload(_cumulants_from_dist(dist)),
+        "numerical": _cumulant_payload(distribution_cumulants(dist)),
     }
     try:
         payload["closed"] = _cumulant_payload(closed_cumulants(model, obs))
@@ -331,7 +313,7 @@ def run_sm_error(cfg: RunConfig) -> int:
     warped_times = default_time_grid(obs, cfg.N, cfg.epsilon, eta=eta, points=cfg.grid)
     warped = simulate_probe_shots(model, obs, cfg.epsilon, warped_times, None,
                                   error_model=GateErrorModel(eta))
-    p_corrected = invert_with_gate_error(warped.to_charfunc_samples(), eta, obs, cfg.N)
+    p_corrected = invert_dft(warped.to_charfunc_samples(), obs, cfg.N, eta=eta)
 
     # a long dense record exposes the shifted recurrence for the estimator
     span = 1.3 * math.pi / (cfg.epsilon * min(1.0, 1.0 + eta))
@@ -346,7 +328,7 @@ def run_sm_error(cfg: RunConfig) -> int:
         "tv_naive_vs_ideal": total_variation(p_naive.cleaned(), p_ideal.cleaned()),
         "tv_corrected_vs_ideal": total_variation(p_corrected.cleaned(), p_ideal.cleaned()),
         "validation": _report_payload(validate_distribution(p_corrected)),
-        "numerical": _cumulant_payload(_cumulants_from_dist(p_corrected.cleaned())),
+        "numerical": _cumulant_payload(distribution_cumulants(p_corrected.cleaned())),
         "closed": _cumulant_payload(closed_cumulants(model, obs)),
     }
 

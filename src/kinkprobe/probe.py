@@ -24,7 +24,6 @@ the Boltzmann law, because the chain does not tunnel between the wells.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ from .charfunc import CharFunctionSamples, Provenance, charfunc_values
 from .errors import InputError
 from .partition import _log_binomials
 from .reconstruct import build_theta_grid
-from .spin_model import ModelKind, ModelParams, ObservableSpec, SpinConfig
+from .spin_model import ModelKind, ModelParams, ObservableSpec, SpinConfig, term_sums
 
 METROPOLIS_BURNIN_SWEEPS = 100  # sweeps of N proposed flips, before the first sample
 
@@ -121,16 +120,7 @@ def circuit_phase(config: SpinConfig, obs: ObservableSpec, epsilon: float, t: fl
     once; with eta = 0 the result equals 2 eps t X(config) exactly.
     """
     eps_eff = epsilon if error_model is None else error_model.effective_epsilon(epsilon)
-    spins = config.spins
-    n = spins.size
-    signed = 0
-    for term in obs.terms:
-        if any(i > n for i in term):
-            raise InputError(f"term {term} out of range for N={n}")
-        prod = 1
-        for i in term:
-            prod *= int(spins[i - 1])
-        signed += prod
+    signed = int(term_sums(config.spins, obs.terms))
     return 2.0 * eps_eff * t * (obs.a + obs.b * signed)
 
 
@@ -260,23 +250,13 @@ def simulate_probe_exact(model: ModelParams, obs: ObservableSpec, epsilon: float
                        shots=None, eta=0.0, rng_seed=None, model=model, observable=obs)
 
 
-def _batch_signed_sums(spins: np.ndarray, obs: ObservableSpec) -> np.ndarray:
-    total = np.zeros(spins.shape[0], dtype=np.int64)
-    for term in obs.terms:
-        prod = np.ones(spins.shape[0], dtype=np.int64)
-        for i in term:
-            prod *= spins[:, i - 1]
-        total += prod
-    return total
-
-
 def _shots_at_time(obs, sampler, eps_eff, t, shots, seed, j):
     """Both readout pools at one time point; streams keyed by (seed, j, pool)."""
     values = np.empty(2)
     for pool in (0, 1):
         rng = np.random.default_rng(np.random.SeedSequence([seed, j, pool]))
         spins = sampler.sample_batch(shots, rng)
-        phases = 2.0 * eps_eff * t * (obs.a + obs.b * _batch_signed_sums(spins, obs))
+        phases = 2.0 * eps_eff * t * (obs.a + obs.b * term_sums(spins, obs.terms))
         wave = np.cos(phases) if pool == 0 else np.sin(phases)
         outcomes = np.where(rng.random(shots) < 0.5 * (1.0 + wave), 1.0, -1.0)
         values[pool] = outcomes.mean()
@@ -286,7 +266,7 @@ def _shots_at_time(obs, sampler, eps_eff, t, shots, seed, j):
 def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float,
                          time_grid, shots: int | None,
                          error_model: GateErrorModel | None = None,
-                         seed: int = 0, workers: int = 1) -> ProbeRecord:
+                         seed: int = 0) -> ProbeRecord:
     """Gate-level protocol with shot noise and optional angle miscalibration.
 
     Per time point and per shot: draw a thermal configuration, accumulate the
@@ -296,8 +276,9 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
     qubit cannot be read in two bases at once).  shots=None returns the
     exact expectations, i.e. F evaluated at the distorted phases.
 
-    Results are reproducible from (seed, time index, pool index) regardless
-    of ``workers``.
+    Every time point and pool draws from its own stream, keyed by (seed, time
+    index, pool index), so the record is bit-for-bit reproducible for a fixed
+    seed.  A term index above N raises InputError.
     """
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
@@ -314,15 +295,8 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
         raise InputError("shots must be at least 1")
 
     sampler = gibbs_sampler(model)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda j: _shots_at_time(obs, sampler, eps_eff, t[j], shots, seed, j),
-                range(t.size)))
-    else:
-        rows = [_shots_at_time(obs, sampler, eps_eff, t[j], shots, seed, j)
-                for j in range(t.size)]
-    arr = np.asarray(rows)
+    arr = np.asarray([_shots_at_time(obs, sampler, eps_eff, t[j], shots, seed, j)
+                      for j in range(t.size)])
     return ProbeRecord(epsilon=epsilon, time_grid=t, sx=arr[:, 0], sy=arr[:, 1],
                        shots=shots, eta=error_model.eta, rng_seed=seed,
                        model=model, observable=obs)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SizeError
-from .spin_model import ModelParams, ObservableSpec, energy, SpinConfig
+from .spin_model import ModelParams, ObservableSpec, SpinConfig, energy, term_sums
 
 QUANTUM_SITES_LIMIT = 14
 TROTTER_SITES_LIMIT = 6
@@ -149,22 +149,19 @@ def thermal_diagonal_ensemble(model: ModelParams) -> DiagonalEnsemble:
 def _diagonal_phase(obs: PauliObservable, theta: float, steps: int | None) -> np.ndarray:
     """Accumulated phase per basis state from the gate walk.
 
-    Each term contributes theta * b / m times its z-product, repeated for m
-    steps; for commuting diagonal terms any m reproduces e^{i theta X}
+    Each of the m steps contributes theta * b / m times the signed sum of the
+    z-products; for commuting diagonal terms any m reproduces e^{i theta X}
     exactly, which is asserted by tests rather than assumed here.
     """
-    spins = basis_spins(obs.n_sites).astype(np.float64)
     m = 1 if steps is None else int(steps)
     if m < 1:
         raise InputError("trotter steps must be at least 1")
-    phase = np.full(spins.shape[0], theta * obs.a)
+    signed = term_sums(basis_spins(obs.n_sites),
+                       [tuple(site for site, _ax in term) for term in obs.terms])
+    phase = np.full(signed.shape, theta * obs.a)
     step_angle = theta * obs.b / m
     for _ in range(m):
-        for term in obs.terms:
-            prod = np.ones(spins.shape[0])
-            for site, _ax in term:
-                prod = prod * spins[:, site - 1]
-            phase += step_angle * prod
+        phase += step_angle * signed
     return phase
 
 

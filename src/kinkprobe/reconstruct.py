@@ -8,7 +8,7 @@ is realized exactly as a finite sum over M >= (support width) uniform phase
 points theta_j = 2 pi j / M.  That sum is an M-point discrete Fourier
 transform, computed as one FFT: P(x) = fft(F)[x mod M] / M.  A miscalibrated
 controlled-rotation angle (eps' = (1 + eta) eps) stretches every accumulated
-phase by (1 + eta).  The corrected inversion requires the rescaled phases
+phase by (1 + eta).  Inverting with that eta requires the rescaled phases
 theta_j (1 + eta) to sit on the standard grid; they do when the acquisition
 grid was pre-warped to t_j = theta_j / (2 eps (1 + eta)), and the
 reconstruction is then exact again.
@@ -32,10 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .probe import ProbeRecord
 
 __all__ = [
-    "build_theta_grid", "invert_dft", "invert_with_gate_error",
-    "estimate_gate_error", "gaussian_approx", "validate_distribution",
-    "total_variation", "Distribution", "DistributionReport", "DistMeta",
-    "charfunc_of_distribution",
+    "build_theta_grid", "invert_dft", "estimate_gate_error", "gaussian_approx",
+    "validate_distribution", "total_variation", "Distribution",
+    "DistributionReport", "DistMeta", "charfunc_of_distribution",
 ]
 
 
@@ -75,45 +74,33 @@ def _check_standard_grid(eff_theta: np.ndarray):
                                 "(after the gate-error rescaling, if any)")
 
 
-def _invert(samples: CharFunctionSamples, eta: float, obs, n, method: str) -> Distribution:
-    """M-point FFT inversion of samples whose phases theta_j (1 + eta) = 2 pi j / M."""
+def invert_dft(samples: CharFunctionSamples, obs: ObservableSpec | None = None,
+               n: int | None = None, eta: float = 0.0) -> Distribution:
+    """Exact finite-sum Fourier inversion on the standard grid, as one FFT.
+
+    A gate error eta stretches the accumulated phases by (1 + eta), so the
+    samples must satisfy theta_j (1 + eta) = 2 pi j / M: acquisition times
+    pre-warped to t_j = theta_j / (2 eps (1 + eta)), or the plain grid when
+    eta = 0.  The result is labelled ``dft`` at eta = 0 and
+    ``dft-eta-corrected`` otherwise.  The imaginary residue of each amplitude
+    is recorded on the result and dropped; probabilities are returned
+    unclipped.
+    """
+    if eta <= -1.0:
+        raise InputError("eta must exceed -1")
     obs, n = _resolve_obs(samples, obs, n)
     support = _support_for(obs)
     m = samples.values.size
     if m < support.size:
         raise GridMismatchError("fewer samples than support points; inversion would alias")
     _check_standard_grid(samples.theta * (1.0 + eta))
+    method = "dft" if eta == 0.0 else "dft-eta-corrected"
     meta = DistMeta(obs_kind=obs.kind.value, n=n,
                     model_kind=samples.model.kind.value if samples.model else None,
                     method=f"{method}/{samples.provenance.value}")
     amp = np.fft.fft(samples.values)[support % m] / m
     return Distribution(support=support, probs=amp.real,
                         residual_imag=float(np.abs(amp.imag).max()), meta=meta)
-
-
-def invert_dft(samples: CharFunctionSamples, obs: ObservableSpec | None = None,
-               n: int | None = None) -> Distribution:
-    """Exact finite-sum Fourier inversion on the standard grid, as one FFT.
-
-    The imaginary residue of each amplitude is recorded on the result and
-    dropped; probabilities are returned unclipped.
-    """
-    return _invert(samples, 0.0, obs, n, "dft")
-
-
-def invert_with_gate_error(samples: CharFunctionSamples, eta: float,
-                           obs: ObservableSpec | None = None,
-                           n: int | None = None) -> Distribution:
-    """Gate-error-aware inversion: kernel phases rescaled by (1 + eta).
-
-    Expects samples whose nominal grid theta_j satisfies
-    theta_j (1 + eta) = 2 pi j / M, i.e. acquisition times pre-warped to
-    t_j = theta_j / (2 eps (1 + eta)); the reconstruction is then exact.
-    With eta = 0 this reduces bit-identically to invert_dft.
-    """
-    if eta <= -1.0:
-        raise InputError("eta must exceed -1")
-    return _invert(samples, eta, obs, n, "dft-eta-corrected")
 
 
 def estimate_gate_error(record: "ProbeRecord") -> float:

@@ -144,19 +144,28 @@ def custom_observable(a: float, b: float, terms) -> ObservableSpec:
     return ObservableSpec(a=a, b=b, terms=tuple(terms), kind=ObsKind.CUSTOM)
 
 
-def observable_value(config: SpinConfig, obs: ObservableSpec) -> float:
-    """Evaluate X on one configuration."""
-    spins = config.spins
-    n = spins.size
-    total = 0
-    for term in obs.terms:
+def term_sums(spins: np.ndarray, terms) -> np.ndarray:
+    """Sum over ``terms`` of the +-1 spin products, for each row of a (..., N) array.
+
+    Indices are 1-based; one above N raises InputError.  The sums are
+    integers, accumulated in int64 one term at a time, so no (rows, terms)
+    intermediate is ever built.
+    """
+    n = spins.shape[-1]
+    total = np.zeros(spins.shape[:-1], dtype=np.int64)
+    for term in terms:
         if any(i > n for i in term):
             raise InputError(f"term {term} out of range for N={n}")
-        prod = 1
+        prod = np.ones(spins.shape[:-1], dtype=np.int64)
         for i in term:
-            prod *= int(spins[i - 1])
+            prod *= spins[..., i - 1]
         total += prod
-    return obs.a + obs.b * total
+    return total
+
+
+def observable_value(config: SpinConfig, obs: ObservableSpec) -> float:
+    """Evaluate X on one configuration."""
+    return obs.a + obs.b * int(term_sums(config.spins, obs.terms))
 
 
 def energy(model: ModelParams, config: SpinConfig) -> float:
@@ -182,19 +191,6 @@ def _config_matrix(n: int, start: int, stop: int) -> np.ndarray:
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
     bits = (idx[:, None] >> shifts[None, :]) & 1
     return (1 - 2 * bits).astype(np.int8)
-
-
-def _batch_observable(spins: np.ndarray, obs: ObservableSpec) -> np.ndarray:
-    n = spins.shape[1]
-    total = np.zeros(spins.shape[0], dtype=np.int64)
-    for term in obs.terms:
-        if any(i > n for i in term):
-            raise InputError(f"term {term} out of range for N={n}")
-        prod = np.ones(spins.shape[0], dtype=np.int64)
-        for i in term:
-            prod *= spins[:, i - 1]
-        total += prod
-    return obs.a + obs.b * total
 
 
 def _batch_energy(model: ModelParams, spins: np.ndarray) -> np.ndarray:
@@ -243,7 +239,7 @@ def enumerate_oracle(model: ModelParams, obs: ObservableSpec) -> OracleResult:
     for start in range(0, total, _ENUM_CHUNK):
         spins = _config_matrix(n, start, min(start + _ENUM_CHUNK, total))
         e = _batch_energy(model, spins)
-        x = _batch_observable(spins, obs)
+        x = obs.a + obs.b * term_sums(spins, obs.terms)
         xi = np.rint(x).astype(np.int64)
         if np.abs(x - xi).max() > 1e-12:
             raise InputError("observable is not integer-valued on some configuration")

@@ -10,7 +10,7 @@ import pytest
 
 from kinkprobe import (build_theta_grid, charfunc_values, closed_cumulants,
                        enumerate_oracle, estimate_gate_error, exact_kink_mean,
-                       invert_dft, invert_with_gate_error, kink_number,
+                       invert_dft, kink_number,
                        loschmidt_amplitude, magnetization,
                        noncommuting_test_observable, quantum_probe,
                        sample_charfunc, simulate_probe_shots,
@@ -192,7 +192,7 @@ def test_criterion_07_gate_error_correction():
     warped_times = default_time_grid(obs, 20, eps, eta=eta)
     warped = simulate_probe_shots(model, obs, eps, warped_times, None,
                                   error_model=GateErrorModel(eta))
-    corrected = invert_with_gate_error(warped.to_charfunc_samples(), eta)
+    corrected = invert_dft(warped.to_charfunc_samples(), eta=eta)
     tv_corrected = total_variation(corrected.cleaned(), truth)
 
     est_times = np.linspace(0.0, 1.3 * math.pi / eps, 4096)

@@ -171,28 +171,32 @@ def test_charfunc_rejects_custom():
         charfunc(ring(4), custom_observable(0.0, 1.0, [(1, 2)]), 0.5)
 
 
+@pytest.mark.parametrize("model", [ring(4), longrange(4)])
+@pytest.mark.parametrize("obs", [magnetization(6), kink_number(6), magnetization(3)])
+def test_charfunc_rejects_observable_of_another_size(model, obs):
+    # a 4-spin F labelled as a 6-spin observable would invert to a wrong P
+    with pytest.raises(InputError, match="N=4"):
+        charfunc_values(model, obs, [0.0, 0.5])
+
+
 # ---------------------------------------------------------------------------
 # joint (m, k) counts
 # ---------------------------------------------------------------------------
 
 
 def _oracle_joint_counts(n):
-    from kinkprobe.spin_model import _batch_observable, _config_matrix
+    from kinkprobe.spin_model import _config_matrix
 
     spins = _config_matrix(n, 0, 1 << n)
-    m = _batch_observable(spins, magnetization(n)).astype(int)
-    k = _batch_observable(spins, kink_number(n)).astype(int)
-    q = np.zeros((2 * n + 1, n + 1), dtype=object)
-    for mi, ki in zip(m, k):
-        q[mi + n, ki] += 1
-    return q
+    m = spins.sum(axis=1, dtype=np.int64)
+    k = (spins != np.roll(spins, -1, axis=1)).sum(axis=1)  # ring bonds, wrap included
+    cells = np.bincount((m + n) * (n + 1) + k, minlength=(2 * n + 1) * (n + 1))
+    return cells.reshape(2 * n + 1, n + 1)
 
 
-@pytest.mark.parametrize("method", ["dft", "exact"])
-def test_joint_counts_match_enumeration(method):
-    for n in (2, 3, 4, 7, 10):
-        q = joint_counts(n, method=method)
-        assert (q == _oracle_joint_counts(n)).all()
+def test_joint_counts_match_enumeration():
+    for n in (2, 3, 4, 7, 10, 14, 16):
+        assert (joint_counts(n) == _oracle_joint_counts(n)).all()
 
 
 def test_joint_counts_basics():
@@ -204,13 +208,8 @@ def test_joint_counts_basics():
     assert joint_counts(4)[4, 2] == 4
 
 
-def test_joint_counts_dft_and_exact_agree_midsize():
-    for n in (14, 16):
-        assert (joint_counts(n, method="dft") == joint_counts(n, method="exact")).all()
-
-
 def test_joint_counts_large_n_exact_route():
-    q = joint_counts(40)  # beyond the float64 DFT validity range
+    q = joint_counts(40)  # 2^40 configurations: far beyond enumeration
     assert q.sum() == 2 ** 40
     assert q[80, 0] == 1
 

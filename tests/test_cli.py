@@ -82,6 +82,16 @@ def test_unknown_config_key_is_input_error(tmp_path):
     assert main(["probe", "--config", str(cfg), "--outdir", str(tmp_path / "o")]) == 1
 
 
+def test_workers_is_not_a_config_key(tmp_path, capsys):
+    # shot simulation runs on one thread, so there is no worker count to set
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 6, "shots": 100, "workers": 2}))
+    out = tmp_path / "o"
+    assert main(["probe", "--config", str(cfg), "--outdir", str(out)]) == EXIT_INPUT
+    assert "unknown config keys: ['workers']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_uncorrected_gate_error_trips_validation(tmp_path):
     # exact-mode acquisition with a miscalibrated angle and no correction:
     # the reconstruction is corrupted and the exact-run gate must flag it
@@ -149,22 +159,6 @@ def test_grid_override_densifies_traces(tmp_path):
     _, a = _read_csv(out_min / "distribution.csv")
     _, b = _read_csv(out_dense / "distribution.csv")
     np.testing.assert_allclose(a[:, 1], b[:, 1], atol=1e-12)  # inversion unchanged
-
-
-def test_threads_env_caps_workers(tmp_path, monkeypatch):
-    monkeypatch.setenv("KINKPROBE_THREADS", "3")
-    out = tmp_path / "threaded"
-    code = main(["probe", "--N", "6", "--h", "0.1", "--shots", "300",
-                 "--seed", "8", "--outdir", str(out)])
-    assert code == EXIT_OK
-    eff = json.loads((out / "effective-config.json").read_text())
-    assert 1 <= eff["workers"] <= 3
-    # worker count must not change the record
-    monkeypatch.setenv("KINKPROBE_THREADS", "1")
-    out2 = tmp_path / "serial"
-    assert main(["probe", "--N", "6", "--h", "0.1", "--shots", "300",
-                 "--seed", "8", "--outdir", str(out2)]) == EXIT_OK
-    assert (out / "coherence.csv").read_bytes() == (out2 / "coherence.csv").read_bytes()
 
 
 def test_console_entry_point(tmp_path):

@@ -247,16 +247,23 @@ def test_shot_record_converges_to_exact():
     assert abs(shots.sy[0] - exact.sy[0]) < 4e-3
 
 
-def test_shot_record_deterministic_under_seed_and_workers():
+def test_shot_record_deterministic_under_seed():
     model, obs = ring(6, h=0.1, beta=0.7), magnetization(6)
     times = default_time_grid(obs, 6, 0.01)
     a = simulate_probe_shots(model, obs, 0.01, times, shots=500, seed=42)
     b = simulate_probe_shots(model, obs, 0.01, times, shots=500, seed=42)
-    c = simulate_probe_shots(model, obs, 0.01, times, shots=500, seed=42, workers=4)
     assert np.array_equal(a.sx, b.sx) and np.array_equal(a.sy, b.sy)
-    assert np.array_equal(a.sx, c.sx) and np.array_equal(a.sy, c.sy)
     d = simulate_probe_shots(model, obs, 0.01, times, shots=500, seed=43)
     assert not np.array_equal(a.sx, d.sx)
+
+
+@pytest.mark.parametrize("shots", [None, 10])
+def test_shots_reject_observable_beyond_the_model(shots):
+    # a 6-site observable cannot be read on 4 sampled spins
+    obs = magnetization(6)
+    times = default_time_grid(obs, 6, 0.01)
+    with pytest.raises(InputError):
+        simulate_probe_shots(ring(4), obs, 0.01, times, shots=shots, seed=1)
 
 
 def test_exact_mode_with_gate_error_stretches_period():

@@ -7,7 +7,7 @@ from kinkprobe import (CharFunctionSamples, Distribution, DistMeta,
                        EstimationError, GridMismatchError, InputError,
                        Provenance, build_theta_grid,
                        estimate_gate_error, exact_kink_mean, gaussian_approx,
-                       invert_dft, invert_with_gate_error, kink_number,
+                       invert_dft, kink_number,
                        magnetization, sample_charfunc, simulate_probe_shots,
                        total_variation, validate_distribution)
 from kinkprobe.probe import GateErrorModel, default_time_grid, simulate_probe_exact
@@ -100,8 +100,9 @@ def test_gate_error_zero_is_bit_identical():
     model, obs = ring(12, h=0.15), magnetization(12)
     samples = sample_charfunc(model, obs)
     a = invert_dft(samples)
-    b = invert_with_gate_error(samples, 0.0)
+    b = invert_dft(samples, eta=0.0)
     assert np.array_equal(a.probs, b.probs)
+    assert a.meta.method == b.meta.method == "dft/analytic"
 
 
 @pytest.mark.parametrize("eta", [-0.1, -0.02, 0.02, 0.1])
@@ -109,8 +110,9 @@ def test_corrected_inversion_recovers_truth(eta):
     model, obs = ring(20, h=0.1), magnetization(20)
     truth = invert_dft(sample_charfunc(model, obs))
     _, warped = _records_for_eta(model, obs, 0.01, eta)
-    corrected = invert_with_gate_error(warped.to_charfunc_samples(), eta)
+    corrected = invert_dft(warped.to_charfunc_samples(), eta=eta)
     np.testing.assert_allclose(corrected.probs, truth.probs, atol=1e-10)
+    assert corrected.meta.method == "dft-eta-corrected/probe-exact"
 
 
 def test_naive_inversion_of_distorted_signal_is_wrong():
@@ -124,7 +126,7 @@ def test_naive_inversion_of_distorted_signal_is_wrong():
 def test_invert_with_gate_error_rejects_eta_below_minus_one():
     samples = sample_charfunc(ring(4), magnetization(4))
     with pytest.raises(InputError):
-        invert_with_gate_error(samples, -1.0)
+        invert_dft(samples, eta=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from kinkprobe import (InputError, SizeError, SpinConfig, custom_observable,
-                       energy, enumerate_oracle, kink_number, magnetization,
-                       observable_value)
+from kinkprobe import (InputError, QuantumRegister, SizeError, SpinConfig,
+                       circuit_phase, custom_observable, energy,
+                       enumerate_oracle, kink_number, magnetization,
+                       observable_value, quantum_probe, simulate_probe_shots,
+                       term_sums)
 from conftest import longrange, random_couplings, ring
 
 
@@ -127,3 +130,55 @@ def test_non_integer_custom_observable_rejected():
     obs = custom_observable(0.3, 1.0, [(1,)])
     with pytest.raises(InputError):
         enumerate_oracle(ring(2, beta=0.0), obs)
+
+
+# ragged terms of lengths 1, 2 and 3; site 3 appears twice in the last one
+_RAGGED = custom_observable(1.5, -0.5, [(2,), (1, 3), (3, 1, 3)])
+
+
+def _direct_value(spins):
+    return _RAGGED.a + _RAGGED.b * sum(math.prod(int(spins[i - 1]) for i in term)
+                                       for term in _RAGGED.terms)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_term_sums_match_direct_products_in_every_caller(n):
+    configs = [np.array(c, dtype=np.int8) for c in itertools.product((1, -1), repeat=n)]
+    eps, t, theta = 0.01, 7.3, 0.83
+    for spins in configs:
+        cfg = SpinConfig(spins)
+        x = _direct_value(spins)
+        assert observable_value(cfg, _RAGGED) == x
+        assert circuit_phase(cfg, _RAGGED, eps, t) == 2.0 * eps * t * x
+    # basis state s: site k sits on bit N - k, bit value 1 meaning spin down
+    for s in range(1 << n):
+        x = _direct_value([1 - 2 * ((s >> (n - k)) & 1) for k in range(1, n + 1)])
+        reg = QuantumRegister.from_basis_state(s, n)
+        for steps in (None, 3):
+            re, im = quantum_probe(reg, _RAGGED, theta, trotter_steps=steps)
+            assert re == pytest.approx(math.cos(theta * x), abs=1e-12)
+            assert im == pytest.approx(math.sin(theta * x), abs=1e-12)
+    for model in (ring(n, j=0.7, h=0.3, beta=0.9), longrange(n, j=-0.4, h=0.2, beta=1.3)):
+        weights = np.array([math.exp(-model.beta * energy(model, SpinConfig(c)))
+                            for c in configs])
+        values = np.array([_direct_value(c) for c in configs]).astype(int)
+        expect = np.bincount(values, weights=weights, minlength=4) / weights.sum()
+        dist = enumerate_oracle(model, _RAGGED).dist
+        assert dist.support.tolist() == [0, 1, 2, 3]
+        np.testing.assert_allclose(dist.probs, expect, rtol=0, atol=1e-12)
+
+
+def test_term_index_above_n_is_input_error_in_every_caller():
+    n = 2  # _RAGGED reaches site 3
+    with pytest.raises(InputError):
+        term_sums(np.ones((5, n), dtype=np.int8), _RAGGED.terms)
+    with pytest.raises(InputError):
+        observable_value(SpinConfig.all_up(n), _RAGGED)
+    with pytest.raises(InputError):
+        circuit_phase(SpinConfig.all_up(n), _RAGGED, 0.01, 1.0)
+    with pytest.raises(InputError):
+        enumerate_oracle(ring(n), _RAGGED)
+    with pytest.raises(InputError):
+        quantum_probe(QuantumRegister.from_basis_state(0, n), _RAGGED, 0.3)
+    with pytest.raises(InputError):
+        simulate_probe_shots(ring(n), _RAGGED, 0.01, [0.0, 1.0], shots=10, seed=1)
