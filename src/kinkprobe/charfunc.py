@@ -221,6 +221,13 @@ def _longrange_kink_charfunc(model: ModelParams, thetas: np.ndarray) -> np.ndarr
     return num / row.sum()
 
 
+def check_term_count(model: ModelParams, obs: ObservableSpec) -> None:
+    """A built-in observable must cover all N sites; custom ones are free."""
+    if obs.kind is not ObsKind.CUSTOM and len(obs.terms) != model.N:
+        raise InputError(f"{obs.kind.value} observable covers {len(obs.terms)} sites, "
+                         f"the model has N={model.N}")
+
+
 def charfunc_values(model: ModelParams, obs: ObservableSpec, thetas) -> np.ndarray:
     """F(theta) for an array of phases; dispatches on model and observable."""
     if model.beta <= 0:
@@ -229,9 +236,7 @@ def charfunc_values(model: ModelParams, obs: ObservableSpec, thetas) -> np.ndarr
     if obs.kind is ObsKind.CUSTOM:
         raise DeformationError("custom observables have no analytic route; "
                                "use the enumeration oracle or the probe simulator")
-    if len(obs.terms) != model.N:
-        raise InputError(f"{obs.kind.value} observable covers {len(obs.terms)} sites, "
-                         f"the model has N={model.N}")
+    check_term_count(model, obs)
     if model.kind is ModelKind.RING:
         out = _ring_charfunc(model, obs, th)
     elif obs.kind is ObsKind.MAGNETIZATION:

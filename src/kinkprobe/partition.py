@@ -21,6 +21,8 @@ import numpy as np
 from .errors import InputError
 from .spin_model import ModelKind, ModelParams
 
+_TINY_LOG_BRACKET = -40.0  # below this log|N (1 + r)|, the odd-N bracket is N (1 + r)
+
 
 @dataclass(frozen=True)
 class ComplexParams:
@@ -97,6 +99,20 @@ def _scaled_lambdas(A, B):
     return c, term + root, term - root
 
 
+def _scaled_term(A, B, c):
+    """term = e^{A - c} cosh B of _scaled_lambdas, and log(term).
+
+    lambda_pm = term +- root.  term underflows when A is very negative; its
+    logarithm stays finite.
+    """
+    A = np.asarray(A, dtype=complex)
+    B = np.asarray(B, dtype=complex)
+    re_b = np.abs(B.real)
+    cosh_s = 0.5 * (np.exp(B - re_b) + np.exp(-B - re_b))
+    with np.errstate(divide="ignore"):
+        return np.exp(A - c + re_b) * cosh_s, A - c + re_b + np.log(cosh_s)
+
+
 def transfer_spectrum(p: ComplexParams) -> TransferSpectrum:
     """Eigenvalues of the ring transfer matrix at (possibly complex) couplings.
 
@@ -110,8 +126,26 @@ def transfer_spectrum(p: ComplexParams) -> TransferSpectrum:
                             log_scale=float(c))
 
 
+def _log1p(z):
+    """log(1 + z) for complex z, accurate also for tiny |z| (Kahan's form).
+
+    numpy's complex log1p is not: it gives -1.1e-16 for -6e-17.
+    """
+    u = 1.0 + z
+    exact = u == 1.0
+    u = np.where(exact, 2.0, u)
+    return np.where(exact, z, np.log(u) * z / (u - 1.0))
+
+
 def _znn_scaled_arrays(n: int, A, B):
-    """Z = lambda_+^N + lambda_-^N in factored form; broadcasts over A, B."""
+    """Z = lambda_+^N + lambda_-^N in factored form; broadcasts over A, B.
+
+    Z = big^N (1 + r^N) with r = small / big.  For odd N and r near -1 (a
+    frustrated ring, beta J below about -18.5) the bracket cancels in that
+    form.  There it is built from 1 + r = 2 term / big, which does not
+    cancel, as 1 + r^N = -expm1(N log1p(-(1 + r))), and its logarithm is
+    folded into log_scale, so it cannot underflow for beta J down to -700.
+    """
     c, lp, lm = _scaled_lambdas(A, B)
     lp, lm, c = np.atleast_1d(lp), np.atleast_1d(lm), np.atleast_1d(c)
     plus_is_big = np.abs(lp) >= np.abs(lm)
@@ -122,8 +156,19 @@ def _znn_scaled_arrays(n: int, A, B):
     logbig = np.log(big)
     ratio_pow = (small / big) ** n
     log_scale = n * (c + logbig.real)
-    value = np.exp(1j * n * logbig.imag) * (1.0 + ratio_pow)
-    return log_scale, value
+    phase = n * logbig.imag
+    if n % 2 == 0:
+        return log_scale, np.exp(1j * phase) * (1.0 + ratio_pow)
+    term, log_term = _scaled_term(A, B, c)
+    w = 2.0 * term / big  # 1 + r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_w = np.log(2.0) + log_term - logbig
+        # log|N w| below -40: 1 - (1 - w)^N = N w to double precision
+        tiny = log_w.real + np.log(n) < _TINY_LOG_BRACKET
+        near = np.abs(w) < 0.5  # r near -1; elsewhere the plain bracket does not cancel
+        bracket = np.where(near, -np.expm1(n * _log1p(-w)), 1.0 + ratio_pow)
+        log_bracket = np.where(tiny, np.log(n) + log_w, np.log(bracket))
+    return log_scale + log_bracket.real, np.exp(1j * (phase + log_bracket.imag))
 
 
 def _znn_scaled(n: int, A, B) -> ScaledComplex:

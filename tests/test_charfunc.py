@@ -93,6 +93,21 @@ def test_charfunc_matches_oracle_all_routes(make, obs_builder, rng):
                                    _oracle_charfunc(model, obs, thetas), atol=1e-10)
 
 
+@pytest.mark.parametrize("bj", [-19.0, -300.0, -700.0])
+@pytest.mark.parametrize("make_obs", [magnetization, kink_number])
+def test_frustrated_ring_matches_oracle(bj, make_obs):
+    # for odd N, lambda_-/lambda_+ rounds to -1 here, and 1 + (lambda_-/lambda_+)^N
+    # must not cancel; the log scales reach N |beta J| ~ 8e3, hence ~1e-12
+    for n in range(1, 13):
+        for h in (0.0, 0.3):
+            model, obs = ring(n, j=bj, h=h, beta=1.0), make_obs(n)
+            grid = build_theta_grid(obs, n)
+            thetas = np.concatenate([grid, grid + 0.5 * grid[1]])
+            np.testing.assert_allclose(charfunc_values(model, obs, thetas),
+                                       _oracle_charfunc(model, obs, thetas),
+                                       rtol=0, atol=1e-11)
+
+
 def test_charfunc_periodicity_and_hermitian_symmetry(rng):
     model = ring(9, j=0.8, h=0.35, beta=1.1)
     obs = magnetization(9)

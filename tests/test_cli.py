@@ -6,9 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 import kinkprobe.cli as cli
+from kinkprobe import charfunc_of_distribution, enumerate_oracle, magnetization
 from kinkprobe.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, PRESETS, main
+from conftest import ring
 
 
 def _read_csv(path):
@@ -105,14 +108,36 @@ def test_uncorrected_gate_error_trips_validation(tmp_path):
     assert code == EXIT_OK
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_nonfinite_charfunc_is_input_error(tmp_path):
-    # a frustrated odd ring this cold cancels Z to 0, so F is 0/0
+def test_nonfinite_charfunc_is_input_error(tmp_path, monkeypatch):
+    # an F that cancelled or overflowed is refused before anything is inverted
+    charfunc_module = sys.modules["kinkprobe.charfunc"]
+    monkeypatch.setattr(charfunc_module, "_ring_charfunc",
+                        lambda model, obs, thetas: np.full(thetas.shape, np.nan + 0j))
     out = tmp_path / "nan"
-    code = main(["probe", "--model", "ring", "--N", "3", "--J", "-19", "--beta", "1",
-                 "--h", "0", "--outdir", str(out)])
+    code = main(["probe", "--model", "ring", "--N", "3", "--outdir", str(out)])
     assert code == EXIT_INPUT
     assert not (out / "distribution.csv").exists()
+
+
+@pytest.mark.parametrize("j", ["-19", "-700"])
+def test_frustrated_odd_ring_shot_run(tmp_path, j):
+    # N = 3 at beta J = -19 and -700: the run exits 0, and its shot record
+    # passes a chi-square test against the enumeration oracle's F
+    shots, out = 2000, tmp_path / "run"
+    code = main(["probe", "--model", "ring", "--obs", "magnetization", "--N", "3",
+                 "--J", j, "--beta", "1", "--h", "0", "--shots", str(shots),
+                 "--seed", "4", "--outdir", str(out)])
+    assert code == EXIT_OK
+    _, coh = _read_csv(out / "coherence.csv")
+    oracle = enumerate_oracle(ring(3, j=float(j), h=0.0, beta=1.0), magnetization(3)).dist
+    f = charfunc_of_distribution(oracle, coh[:, 1])
+    read = np.concatenate([coh[:, 2], coh[:, 3]])
+    mean = np.concatenate([f.real, f.imag])
+    var = (1.0 - mean ** 2) / shots
+    noisy = var > 1e-12
+    assert np.array_equal(read[~noisy], np.rint(mean[~noisy]))  # certain readouts
+    stat = float((((read - mean) ** 2)[noisy] / var[noisy]).sum())
+    assert chi2.sf(stat, int(noisy.sum())) > 1e-6
 
 
 @pytest.mark.parametrize("argv", [["probe", "--N", "6"], ["repro", "sm-error"]])

@@ -5,10 +5,11 @@ import pytest
 import scipy.stats
 
 from kinkprobe import (GateErrorModel, InputError, SpinConfig, charfunc_values,
-                       circuit_phase, energy, enumerate_oracle, gibbs_sample,
-                       gibbs_sampler, kink_number, magnetization,
+                       circuit_phase, custom_observable, energy, enumerate_oracle,
+                       gibbs_sample, gibbs_sampler, kink_number, magnetization,
                        observable_value, simulate_probe_exact,
                        simulate_probe_shots)
+import kinkprobe.probe as probe
 from kinkprobe.probe import (METROPOLIS_BURNIN_SWEEPS, LongRangeMetropolisSampler,
                              RingGibbsSampler, default_time_grid)
 from conftest import longrange, ring
@@ -264,6 +265,94 @@ def test_shots_reject_observable_beyond_the_model(shots):
     times = default_time_grid(obs, 6, 0.01)
     with pytest.raises(InputError):
         simulate_probe_shots(ring(4), obs, 0.01, times, shots=shots, seed=1)
+
+
+@pytest.mark.parametrize("model", [ring(4), longrange(4)], ids=["ring", "longrange"])
+@pytest.mark.parametrize("make_obs", [magnetization, kink_number])
+def test_shots_reject_partial_observable(model, make_obs):
+    # a 3-site observable on a 4-spin model is not the model's observable
+    obs = make_obs(3)
+    with pytest.raises(InputError, match="covers 3 sites, the model has N=4"):
+        simulate_probe_shots(model, obs, 0.01, default_time_grid(obs, 3, 0.01),
+                             shots=50, seed=1)
+
+
+def _refuse_sampling(model):
+    raise AssertionError("this record must not draw configurations")
+
+
+def test_shot_route_choice(monkeypatch):
+    # a ring with a built-in observable at beta > 0 reads its shots off the
+    # analytic F; every other job walks the gates over sampled configurations
+    monkeypatch.setattr(probe, "gibbs_sampler", _refuse_sampling)
+    for obs in (magnetization(5), kink_number(5)):
+        simulate_probe_shots(ring(5, h=0.2), obs, 0.01, [0.0, 3.0], shots=20, seed=1)
+    walked = custom_observable(0.0, 1.0, [(i,) for i in range(1, 6)])
+    for model, obs in ((ring(5, h=0.2), walked), (ring(5, beta=0.0), magnetization(5)),
+                       (longrange(5, beta=0.3), magnetization(5))):
+        with pytest.raises(AssertionError, match="must not draw"):
+            simulate_probe_shots(model, obs, 0.01, [0.0, 3.0], shots=20, seed=1)
+
+
+def test_binomial_route_has_the_gate_walk_law():
+    # the oracle is the gate walk on the magnetization's terms under the custom
+    # tag; over many seeds both routes' sx and sy must follow one law, which is
+    # checked through the first two moments at every (pool, time point)
+    n, shots, seeds, eps = 6, 40, 300, 0.01
+    model, obs = ring(n, j=0.7, h=0.3, beta=1.0), magnetization(n)
+    walked = custom_observable(0.0, 1.0, obs.terms)
+    times = default_time_grid(obs, n, eps)
+    f = charfunc_values(model, obs, 2.0 * eps * times)
+    mean = np.stack([f.real, f.imag])            # (pool, j)
+    var = (1.0 - mean ** 2) / shots               # of one record entry
+
+    def records(o):
+        recs = [simulate_probe_shots(model, o, eps, times, shots=shots, seed=s)
+                for s in range(seeds)]
+        return np.array([[r.sx, r.sy] for r in recs])  # (seed, pool, j)
+
+    binomial, walk = records(obs), records(walked)
+    noisy = var > 0
+    # where |F| = 1 the readout is certain: both routes give F exactly
+    certain = np.broadcast_to(mean[~noisy], binomial[:, ~noisy].shape)
+    assert np.array_equal(binomial[:, ~noisy], certain)
+    assert np.array_equal(walk[:, ~noisy], certain)
+    # every entry is 2 k / shots - 1 for an integer k
+    k = (binomial + 1.0) * shots / 2.0
+    np.testing.assert_allclose(k, np.rint(k), rtol=0, atol=1e-9)
+    # first moment: a two-sample z per (pool, j) from the exact variance
+    z = (binomial.mean(0) - walk.mean(0))[noisy] / np.sqrt(2.0 * var[noisy] / seeds)
+    assert np.abs(z).max() < 5.0
+    # second moment: (x - F)^2 / var has mean 1 under either route
+    ua = ((binomial - mean) ** 2 / np.where(noisy, var, 1.0))[:, noisy]
+    ub = ((walk - mean) ** 2 / np.where(noisy, var, 1.0))[:, noisy]
+    spread = math.sqrt((ua.var() + ub.var()) / ua.size)
+    assert abs(ua.mean() - ub.mean()) < 5.0 * spread
+    assert abs(ua.mean() - 1.0) < 5.0 * math.sqrt(ua.var() / ua.size)
+
+
+def test_binomial_record_at_theta_zero_reads_unit_sx():
+    obs = magnetization(9)
+    for seed in range(20):
+        record = simulate_probe_shots(ring(9, h=0.4), obs, 0.01, [0.0, 5.0], shots=7, seed=seed)
+        assert record.sx[0] == 1.0
+
+
+def test_binomial_record_clips_the_last_bit_of_f():
+    # |F| may exceed 1 by float rounding; the readout probability is clipped
+    f = np.array([1.0 + 1e-10 + 0j, -1.0 - 1e-10 + (1.0 + 1e-10) * 1j])
+    out = probe._binomial_record(f, 100, seed=3)
+    np.testing.assert_array_equal(out[:, 0], [1.0, -1.0])
+    assert out[1, 1] == 1.0
+
+
+def test_gate_walk_record_repeats_bit_for_bit():
+    # test_shot_record_deterministic_under_seed covers the binomial route
+    model, obs = longrange(5, beta=0.3), magnetization(5)
+    times = default_time_grid(obs, model.N, 0.01)
+    a = simulate_probe_shots(model, obs, 0.01, times, shots=300, seed=11)
+    b = simulate_probe_shots(model, obs, 0.01, times, shots=300, seed=11)
+    assert np.array_equal(a.sx, b.sx) and np.array_equal(a.sy, b.sy)
 
 
 def test_exact_mode_with_gate_error_stretches_period():

@@ -5,15 +5,16 @@ above the support width, and couplings with |beta J|, |beta h| <= 700.
 Examples are derandomized so the suite is reproducible.
 """
 
+import math
+
 import numpy as np
-import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kinkprobe import (CharFunctionSamples, Distribution, DistMeta, Provenance,
                        charfunc_values, charfunc_of_distribution,
-                       custom_observable, invert_dft, magnetization)
+                       custom_observable, invert_dft, kink_number, magnetization)
 from conftest import longrange, ring
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -68,9 +69,41 @@ def test_zero_field_longrange_magnetization_charfunc_is_real(n, m, c, data):
     np.testing.assert_allclose(f.imag, 0.0, rtol=0, atol=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.xfail(strict=True, reason="frustrated odd ring: 1 + (lambda_-/lambda_+)^N "
-                   "cancels to 0 below beta J of about -18.5, so F is 0/0")
+def _zero_field_kink_charfunc(n, bj, thetas):
+    """Ring kink F at h = 0 from the bonds alone.
+
+    At h = 0 the bond products are independent apart from their product
+    being 1, so P(K) is C(N, K) e^{-2 beta J K} on even K, normalized.
+    """
+    k = np.arange(0, n + 1, 2)
+    logw = np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                     for i in k]) - 2.0 * bj * k
+    w = np.exp(logw - logw.max())
+    return np.exp(1j * np.outer(thetas, k)) @ (w / w.sum())
+
+
+@PROPERTY
+@given(n=st.integers(1, 400), m=st.integers(1, 1000), c=couplings, kinks=st.booleans())
+@example(n=3, m=7, c=(-19.0, 0.0, 1.0), kinks=False)
+@example(n=3, m=7, c=(-700.0, 0.0, 1.0), kinks=True)
+@example(n=399, m=799, c=(-700.0, 0.0, 0.5), kinks=False)
+@example(n=400, m=401, c=(-700.0, 0.0, 0.5), kinks=True)
+def test_zero_field_ring_charfunc(n, m, c, kinks):
+    bj, _, beta = c
+    model = ring(n, j=bj / beta, h=0.0, beta=beta)
+    thetas = _grid(m)
+    tol = 1e-14 * n  # the deformed phases, up to N theta / 2, carry about N ulps
+    if kinks:
+        f = charfunc_values(model, kink_number(n), thetas)
+        np.testing.assert_allclose(f, _zero_field_kink_charfunc(n, bj, thetas),
+                                   rtol=0, atol=tol)
+    else:
+        # spin flip maps M to -M, so F is real
+        f = charfunc_values(model, magnetization(n), thetas)
+        assert f[0] == 1.0
+        np.testing.assert_allclose(f.imag, 0.0, rtol=0, atol=tol)
+
+
 def test_zero_field_frustrated_odd_ring_charfunc_is_real():
     f = charfunc_values(ring(3, j=-19.0, h=0.0, beta=1.0), magnetization(3), _grid(7))
     np.testing.assert_allclose(f.imag, 0.0, rtol=0, atol=1e-12)
