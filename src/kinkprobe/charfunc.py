@@ -11,9 +11,11 @@ coupling Jt = J - i theta / (2 beta) for the kink number.  Four model /
 observable combinations are dispatched here:
 
   ring + magnetization, ring + kinks   -> transfer-matrix ratio
-  long-range + magnetization           -> explicit sector sum over g(n),
-                                          one FFT on the standard grid
-  long-range + kinks                   -> reweighted joint (M, K) counts
+  long-range + magnetization           -> sector sum over the down-count k
+  long-range + kinks                   -> sector sum over the up-run count j
+
+Both long-range sums have integer values and real weights, so on the
+standard grid theta_j = 2 pi j / M each is one M-point inverse FFT.
 
 Closed-form cumulants (mean, variance, third cumulant) and cumulants from
 the raw moments of a distribution are also provided.
@@ -28,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import Distribution
-from .errors import DeformationError, InputError, SizeError
-from .partition import ComplexParams, _log_binomials, _znn_scaled_arrays
+from .errors import DeformationError, InputError
+from .partition import (ComplexParams, _log_binomials, _log_factorials, _longrange_log_g,
+                        _znn_scaled_arrays)
 from .spin_model import ModelKind, ModelParams, ObservableSpec, ObsKind
 
-JOINT_COUNT_LIMIT = 64   # reweighting route for the long-range kink number
 _ABS_F_SLACK = 1e-9      # |F| may exceed 1 by at most this much
 _GRID_ROUTE_TOL = 1e-12  # phases this close to 2 pi j / M take the FFT route
 
@@ -118,7 +120,7 @@ def deform_params(model: ModelParams, obs: ObservableSpec, theta: float) -> Comp
     Magnetization: ht = h + i theta / beta (either model).
     Kink number:   Jt = J - i theta / (2 beta), ring only -- for the
     long-range model only the adjacent-pair couplings deform, which a uniform
-    ComplexParams cannot represent (the joint-count route covers that case).
+    ComplexParams cannot represent (charfunc_values sums its run sectors).
     """
     if model.beta <= 0:
         raise InputError("beta must be positive")
@@ -128,7 +130,8 @@ def deform_params(model: ModelParams, obs: ObservableSpec, theta: float) -> Comp
     if obs.kind is ObsKind.KINKS:
         if model.kind is not ModelKind.RING:
             raise DeformationError(
-                "long-range kink deformation is bond-selective; use the joint-count route"
+                "long-range kink deformation is bond-selective; charfunc_values sums its "
+                "run sectors instead"
             )
         return ComplexParams(Jt=model.J - 0.5j * theta / model.beta, ht=complex(model.h),
                              beta=model.beta, N=model.N)
@@ -159,66 +162,72 @@ def _ring_charfunc(model: ModelParams, obs: ObservableSpec, thetas: np.ndarray) 
     return phase * np.exp(ls_num - ls_den[0]) * (v_num / v_den[0])
 
 
-def _longrange_g(model: ModelParams) -> np.ndarray:
-    """log g(n) with g(n) = C(N,n) e^{-2 beta h n} e^{2 beta J (n^2 - N n)}."""
-    n = model.N
-    k = np.arange(n + 1, dtype=float)
-    return (_log_binomials(n) - 2.0 * model.beta * model.h * k
-            + 2.0 * model.beta * model.J * (k * k - n * k))
-
-
 def _grid_offset(thetas: np.ndarray) -> float:
     """Largest distance of theta_j from the standard grid 2 pi j / M, M = len(thetas)."""
     m = thetas.size
     return float(np.abs(thetas - 2.0 * np.pi * np.arange(m) / m).max())
 
 
-def _longrange_mag_dense(n: int, g: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """e^{i N theta} sum_k g_k e^{-2 i theta k} at arbitrary phases, O(len(thetas) N)."""
-    k = np.arange(n + 1, dtype=float)
-    num = np.empty(thetas.size, dtype=complex)
-    block = max(1, (1 << 22) // (n + 1))  # bound the outer product at ~64 MB
-    for lo in range(0, thetas.size, block):
-        sl = slice(lo, lo + block)
-        num[sl] = np.exp(-2j * np.outer(thetas[sl], k)) @ g
-    return np.exp(1j * n * thetas) * num
+def _sector_charfunc(x: np.ndarray, logw: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """sum_s w_s e^{i theta x_s} / sum_s w_s for integer values x_s and log weights.
 
-
-def _longrange_mag_fft(n: int, g: np.ndarray, m: int) -> np.ndarray:
-    """The same sum on the grid theta_j = 2 pi j / M as one M-point FFT.
-
-    e^{-2 i theta_j k} = e^{-2 pi i j (2k mod M) / M}, so g_k folds into bin
-    2k mod M.  The prefactor phase is reduced in integers, (N j) mod M,
-    because e^{i N theta_j} in floats loses ~N * 1e-16.
+    On the grid theta_j = 2 pi j / M the phase x_s theta_j reduces in
+    integers, so w_s folds into bin x_s mod M and the sum is M times one
+    inverse FFT.  Other phases take the direct sum, O(len(thetas) len(x)).
     """
-    folded = np.bincount(2 * np.arange(n + 1) % m, weights=g, minlength=m)
-    j = np.arange(m)
-    return np.exp(2j * np.pi * ((n * j) % m) / m) * np.fft.fft(folded)
+    w = np.exp(logw - logw.max())
+    m = thetas.size
+    if m and _grid_offset(thetas) <= _GRID_ROUTE_TOL:
+        return m * np.fft.ifft(np.bincount(x % m, weights=w, minlength=m)) / w.sum()
+    num = np.empty(m, dtype=complex)
+    block = max(1, (1 << 22) // x.size)  # bound the outer product at ~64 MB
+    for lo in range(0, m, block):
+        sl = slice(lo, lo + block)
+        num[sl] = np.exp(1j * np.outer(thetas[sl], x)) @ w
+    return num / w.sum()
 
 
-def _longrange_mag_charfunc(model: ModelParams, thetas: np.ndarray) -> np.ndarray:
-    logg = _longrange_g(model)
-    g = np.exp(logg - logg.max())
-    if thetas.size and _grid_offset(thetas) <= _GRID_ROUTE_TOL:
-        num = _longrange_mag_fft(model.N, g, thetas.size)
-    else:
-        num = _longrange_mag_dense(model.N, g, thetas)
-    return num / g.sum()
+def _longrange_kink_log_rows(n: int, logg: np.ndarray) -> np.ndarray:
+    """log row[j] = log sum_k Q(k, j) w(k) for j = 0..N // 2, from log g(k).
+
+    w(k) = g(k) / C(N, k) weighs one configuration with k down spins, and
+    Q(k, j) counts the ring configurations with k down spins and j runs of
+    up spins, hence K = 2j kinks: Q(0, 0) = Q(N, 0) = 1, and for
+    1 <= j <= min(k, N - k) Q(k, j) = (N / j) C(k-1, j-1) C(N-k-1, j-1)
+    (Mood, Ann. Math. Stat. 11, 1940).  The sum over k is a log-sum-exp,
+    built in blocks of j so memory stays bounded at N = 1e4.
+    """
+    lf = _log_factorials(n)
+    # shift before the factorial terms join, so the dominant cells stay small:
+    # a large common offset would round every cell to its own last bit
+    logw = (logg - logg.max()) - _log_binomials(n)
+    rows = np.empty(n // 2 + 1)
+    rows[0] = np.logaddexp(logw[0], logw[n])
+    # log Q(k, j) w(k) = a_k - lf[k - j] - lf[N - k - j] + log N - lf[j] - lf[j - 1]
+    inner = np.arange(1, n)
+    a = np.full(n + 1, -np.inf)
+    a[inner] = logw[inner] + lf[inner - 1] + lf[n - 1 - inner]
+    # a negative index reads +inf from the tail, so a cell with k < j or
+    # k > N - j, which no configuration has, weighs 0
+    lf_tail = np.concatenate((lf, np.full(n, np.inf)))
+    block = max(1, (1 << 18) // n)  # (j, k) cells per block: 2 MB per temporary
+    for lo in range(1, n // 2 + 1, block):
+        j = np.arange(lo, min(lo + block, n // 2 + 1))[:, None]
+        k = np.arange(lo, n - lo + 1)  # every k that some j of the block allows
+        t = a[k] - lf_tail[k - j] - lf_tail[n - k - j]
+        top = t.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(t - top).sum(axis=1, keepdims=True)) + top
+        rows[lo:lo + j.size] = (lse + np.log(n) - lf[j] - lf[j - 1])[:, 0]
+    return rows
 
 
-def _longrange_kink_charfunc(model: ModelParams, thetas: np.ndarray) -> np.ndarray:
+def _longrange_charfunc(model: ModelParams, obs: ObservableSpec,
+                        thetas: np.ndarray) -> np.ndarray:
     n = model.N
-    if n > JOINT_COUNT_LIMIT:
-        raise SizeError(f"long-range kink route limited to N <= {JOINT_COUNT_LIMIT}")
-    q = joint_counts(n).astype(float)
-    m = np.arange(-n, n + 1, dtype=float)
-    logw = model.beta * (model.J * (m * m - n) / 2.0 + model.h * m)
-    present = q.sum(axis=1) > 0
-    shift = logw[present].max()
-    w = np.where(present, np.exp(logw - shift), 0.0)
-    row = w @ q  # weighted kink histogram, one entry per k
-    num = np.exp(1j * np.outer(thetas, np.arange(n + 1, dtype=float))) @ row.astype(complex)
-    return num / row.sum()
+    logg = _longrange_log_g(n, model.beta * model.J, model.beta * model.h)
+    if obs.kind is ObsKind.MAGNETIZATION:
+        return _sector_charfunc(n - 2 * np.arange(n + 1), logg, thetas)
+    return _sector_charfunc(2 * np.arange(n // 2 + 1), _longrange_kink_log_rows(n, logg), thetas)
 
 
 def check_term_count(model: ModelParams, obs: ObservableSpec) -> None:
@@ -239,10 +248,8 @@ def charfunc_values(model: ModelParams, obs: ObservableSpec, thetas) -> np.ndarr
     check_term_count(model, obs)
     if model.kind is ModelKind.RING:
         out = _ring_charfunc(model, obs, th)
-    elif obs.kind is ObsKind.MAGNETIZATION:
-        out = _longrange_mag_charfunc(model, th)
     else:
-        out = _longrange_kink_charfunc(model, th)
+        out = _longrange_charfunc(model, obs, th)
     return _check_magnitude(out)
 
 
@@ -267,38 +274,21 @@ def sample_charfunc(model: ModelParams, obs: ObservableSpec,
 # joint (magnetization, kink) configuration counts on the ring
 # ---------------------------------------------------------------------------
 
-_joint_cache: dict = {}
-
-
 def joint_counts(n: int) -> np.ndarray:
-    """Q[m + N, k] = number of ring configurations with magnetization m and k kinks.
+    """Q[m + N, K] = number of ring configurations with magnetization m and K kinks.
 
-    Computed once per N by an exact integer dynamic program over sites, then
-    cached.  Entries are non-negative integers (Python ints, dtype=object).
+    A configuration with u up spins and j up-runs on the cycle has K = 2j
+    kinks.  For 1 <= j <= min(u, N - u) there are (N / j) C(u-1, j-1)
+    C(N-u-1, j-1) of them (Mood, Ann. Math. Stat. 11, 1940); the two uniform
+    configurations have K = 0.  Entries are exact Python ints, dtype=object.
     """
     if n < 2:
         raise InputError("joint counts need N >= 2")
-    if n not in _joint_cache:
-        _joint_cache[n] = _joint_exact(n)
-    return _joint_cache[n].copy()
-
-
-def _joint_exact(n: int) -> np.ndarray:
-    """Site-by-site integer DP: state = (first spin, current spin, kinks, mag)."""
     q = np.zeros((2 * n + 1, n + 1), dtype=object)
-    for first in (1, -1):
-        # dp[cur][k][m + n] after placing sites 1..j
-        dp = {(first, 0, first): 1}
-        for _ in range(n - 1):
-            nxt: dict = {}
-            for (cur, kk, mag), cnt in dp.items():
-                for new in (1, -1):
-                    key = (new, kk + (new != cur), mag + new)
-                    nxt[key] = nxt.get(key, 0) + cnt
-            dp = nxt
-        for (cur, kk, mag), cnt in dp.items():
-            k_tot = kk + (cur != first)  # close the ring
-            q[mag + n, k_tot] += cnt
+    q[0, 0] = q[2 * n, 0] = 1
+    for u in range(1, n):
+        for j in range(1, min(u, n - u) + 1):
+            q[2 * u, 2 * j] = n * math.comb(u - 1, j - 1) * math.comb(n - u - 1, j - 1) // j
     return q
 
 
@@ -359,7 +349,7 @@ def _ring_kink_cumulants(model: ModelParams) -> CumulantSet:
 
 def _longrange_mag_cumulants(model: ModelParams) -> CumulantSet:
     """Exact long-range cumulants via G_a = sum_n n^a g(n) (shared log shift)."""
-    logg = _longrange_g(model)
+    logg = _longrange_log_g(model.N, model.beta * model.J, model.beta * model.h)
     g = np.exp(logg - logg.max())
     k = np.arange(model.N + 1, dtype=float)
     g0 = g.sum()

@@ -6,9 +6,11 @@ coupling Jt and field ht read
     lambda_pm = e^{A} cosh(B) +- e^{-A} sqrt(1 + e^{4A} sinh^2(B)),
 
 with A = beta*Jt and B = beta*ht, and Z = lambda_-^N + lambda_+^N.  The
-long-range model uses the explicit magnetization-sector sum.  All values are
-carried as (log_scale, value) pairs so that |beta*Jt|, |beta*ht| up to 700
-and N up to 1e4 never overflow; only ratios of partition functions are ever
+long-range model uses the explicit sum over the down-count sectors k; its
+log sector weights (_longrange_log_g) also give both long-range
+characteristic functions in charfunc.  All values are carried as
+(log_scale, value) pairs so that |beta*Jt|, |beta*ht| up to 700 and N up to
+1e4 never overflow; only ratios of partition functions are ever
 exponentiated without a scale.
 """
 
@@ -181,23 +183,36 @@ def partition_nn(p: ComplexParams) -> ScaledComplex:
     return _znn_scaled(p.N, p.beta * complex(p.Jt), p.beta * complex(p.ht))
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..N as cumulative sums of logs (no factorials)."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1, dtype=float)))))
+
+
 def _log_binomials(n: int) -> np.ndarray:
-    """log C(N, k) for k = 0..N via cumulative log-factorials (no factorials)."""
-    logs = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1, dtype=float)))))
+    """log C(N, k) for k = 0..N."""
+    logs = _log_factorials(n)
     k = np.arange(n + 1)
     return logs[n] - logs[k] - logs[n - k]
 
 
-def _zlr_scaled(n: int, A, B) -> ScaledComplex:
-    """Long-range Z as a stabilized sector sum.
+def _longrange_log_g(n: int, A, B) -> np.ndarray:
+    """log g(k) = log C(N,k) - 2Bk + 2A(k^2 - Nk) over the down-count k = 0..N.
 
-    Z = e^{N(N-1)A/2} e^{N B} sum_k C(N,k) e^{-2Bk} e^{2A(k^2 - Nk)},
-    with A = beta*J and B = beta*h (either may be complex).  Every term is
-    kept as log-magnitude plus phase and shifted by the max exponent.
+    g(k) e^{N(N-1)A/2 + NB} is the Boltzmann weight of the k-down sector of
+    the long-range model, A = beta*J and B = beta*h (either may be complex).
+    """
+    k = np.arange(n + 1, dtype=float)
+    return _log_binomials(n) - 2.0 * B * k + 2.0 * A * (k * k - n * k)
+
+
+def _zlr_scaled(n: int, A, B) -> ScaledComplex:
+    """Long-range Z = e^{N(N-1)A/2} e^{N B} sum_k g(k) as a stabilized sector sum.
+
+    Every term is kept as log-magnitude plus phase and shifted by the max
+    exponent.
     """
     A, B = complex(A), complex(B)
-    k = np.arange(n + 1, dtype=float)
-    expo = _log_binomials(n) - 2.0 * B * k + 2.0 * A * (k * k - n * k)
+    expo = _longrange_log_g(n, A, B)
     shift = float(expo.real.max())
     s = np.exp(expo - shift).sum()
     prefactor = 0.5 * n * (n - 1) * A + n * B

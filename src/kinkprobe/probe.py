@@ -245,13 +245,8 @@ def gibbs_sample(model: ModelParams, rng: np.random.Generator) -> SpinConfig:
 
 def simulate_probe_exact(model: ModelParams, obs: ObservableSpec, epsilon: float,
                          time_grid) -> ProbeRecord:
-    """Exact probe coherence: (sx + i sy)(t) = F(2 eps t), same code path."""
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
-    t = np.asarray(time_grid, dtype=float)
-    f = charfunc_values(model, obs, 2.0 * epsilon * t)
-    return ProbeRecord(epsilon=epsilon, time_grid=t, sx=f.real, sy=f.imag,
-                       shots=None, eta=0.0, rng_seed=None, model=model, observable=obs)
+    """Exact probe coherence: (sx + i sy)(t) = F(2 eps t), with no gate error."""
+    return simulate_probe_shots(model, obs, epsilon, time_grid, shots=None)
 
 
 def _binomial_record(f: np.ndarray, shots: int, seed: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SizeError
-from .spin_model import ModelParams, ObservableSpec, SpinConfig, energy, term_sums
+from .spin_model import ModelParams, ObservableSpec, _batch_energy, _config_matrix, term_sums
 
 QUANTUM_SITES_LIMIT = 14
 TROTTER_SITES_LIMIT = 6
@@ -127,21 +127,13 @@ class QuantumRegister:
         return cls.from_system_state(psi, n_sites)
 
 
-def basis_spins(n_sites: int) -> np.ndarray:
-    """(2^N, N) array of +-1 spin values; bit 0 of the index is site N."""
-    idx = np.arange(1 << n_sites, dtype=np.int64)
-    shifts = np.arange(n_sites - 1, -1, -1, dtype=np.int64)
-    return (1 - 2 * ((idx[:, None] >> shifts[None, :]) & 1)).astype(np.int8)
-
-
 def thermal_diagonal_ensemble(model: ModelParams) -> DiagonalEnsemble:
     """Gibbs weights of a diagonal Hamiltonian over the computational basis."""
     if model.N > QUANTUM_SITES_LIMIT:
         raise SizeError(f"dense thermal ensemble limited to N <= {QUANTUM_SITES_LIMIT}")
     if model.beta < 0:
         raise InputError("beta must be non-negative")
-    spins = basis_spins(model.N)
-    energies = np.array([energy(model, SpinConfig(row)) for row in spins])
+    energies = _batch_energy(model, _config_matrix(model.N, 0, 1 << model.N))
     w = np.exp(-model.beta * (energies - energies.min()))
     return DiagonalEnsemble(probs=w / w.sum(), n_sites=model.N)
 
@@ -156,7 +148,7 @@ def _diagonal_phase(obs: PauliObservable, theta: float, steps: int | None) -> np
     m = 1 if steps is None else int(steps)
     if m < 1:
         raise InputError("trotter steps must be at least 1")
-    signed = term_sums(basis_spins(obs.n_sites),
+    signed = term_sums(_config_matrix(obs.n_sites, 0, 1 << obs.n_sites),
                        [tuple(site for site, _ax in term) for term in obs.terms])
     phase = np.full(signed.shape, theta * obs.a)
     step_angle = theta * obs.b / m

@@ -174,15 +174,10 @@ def energy(model: ModelParams, config: SpinConfig) -> float:
     Ring: -J * sum over ring bonds (wrap included) - h * sum of spins.
     Long range: -J * sum over all pairs m < n - h * sum of spins.
     """
-    spins = config.spins.astype(np.int64)
-    if spins.size != model.N:
-        raise InputError(f"configuration has {spins.size} spins, model expects {model.N}")
-    m = int(spins.sum())
-    if model.kind is ModelKind.RING:
-        bonds = int((spins * np.roll(spins, -1)).sum())
-        return -model.J * bonds - model.h * m
-    pair_sum = (m * m - model.N) / 2.0
-    return -model.J * pair_sum - model.h * m
+    n = config.spins.size
+    if n != model.N:
+        raise InputError(f"configuration has {n} spins, model expects {model.N}")
+    return float(_batch_energy(model, config.spins[None, :])[0])
 
 
 def _config_matrix(n: int, start: int, stop: int) -> np.ndarray:
@@ -194,6 +189,7 @@ def _config_matrix(n: int, start: int, stop: int) -> np.ndarray:
 
 
 def _batch_energy(model: ModelParams, spins: np.ndarray) -> np.ndarray:
+    """Energy of each row of a (rows, N) array of +-1 spins."""
     m = spins.sum(axis=1, dtype=np.int64)
     if model.kind is ModelKind.RING:
         bonds = (spins.astype(np.int64) * np.roll(spins, -1, axis=1)).sum(axis=1)

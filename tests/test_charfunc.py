@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -155,18 +156,21 @@ def _longrange_mag_reference(n, g, m):
 
 
 @pytest.mark.parametrize("m", [2001, 1500, 2048])
-def test_longrange_magnetization_grid_route_accuracy_at_n1000(m):
-    from kinkprobe.charfunc import _longrange_g, _longrange_mag_dense
+def test_longrange_magnetization_grid_route_accuracy_at_n1000(m, monkeypatch):
+    from kinkprobe.partition import _longrange_log_g
+
+    cf = sys.modules["kinkprobe.charfunc"]  # the package exports a function of that name
 
     n = 1000
     model = longrange(n, j=1.0, h=0.3, beta=0.5 / n)
-    logg = _longrange_g(model)
+    logg = _longrange_log_g(n, model.beta * model.J, model.beta * model.h)
     g = np.exp(logg - logg.max())
     thetas = 2 * np.pi * np.arange(m) / m
     f = charfunc_values(model, magnetization(n), thetas)
     assert np.abs(f - _longrange_mag_reference(n, g, m)).max() <= 1e-13
     # the direct sum rounds phases up to 2 N theta: good to about 4 pi N eps = 3e-12
-    dense = _longrange_mag_dense(n, g, thetas) / g.sum()
+    monkeypatch.setattr(cf, "_GRID_ROUTE_TOL", -1.0)  # every phase takes the direct sum
+    dense = cf._sector_charfunc(n - 2 * np.arange(n + 1), logg, thetas)
     assert np.abs(f - dense).max() <= 5e-12
 
 
@@ -224,9 +228,30 @@ def test_joint_counts_basics():
 
 
 def test_joint_counts_large_n_exact_route():
-    q = joint_counts(40)  # 2^40 configurations: far beyond enumeration
-    assert q.sum() == 2 ** 40
-    assert q[80, 0] == 1
+    for n in (40, 200):  # 2^N configurations: far beyond enumeration
+        q = joint_counts(n)
+        assert q.sum() == 2 ** n
+        assert q[2 * n, 0] == 1 and q[0, 0] == 1
+
+
+@pytest.mark.parametrize("n", [20, 64, 200])
+def test_longrange_kink_rows_match_exact_joint_counts(n):
+    from kinkprobe.charfunc import _longrange_kink_log_rows
+    from kinkprobe.partition import _longrange_log_g
+
+    q = joint_counts(n)
+    for j, h, beta in [(1.0, 0.0, 0.5 / n), (-0.7, 0.2, 0.9), (0.6, 0.4, 0.05)]:
+        rows = _longrange_kink_log_rows(n, _longrange_log_g(n, beta * j, beta * h))
+        # row r: log sum_m Q[m + N, 2r] e^{-beta E(m)}, E from the magnetization m alone
+        m = np.arange(-n, n + 1)
+        logw = beta * (j * (m * m - n) / 2.0 + h * m)
+        expected = np.array([
+            np.logaddexp.reduce([math.log(c) + lw for c, lw in zip(q[:, 2 * r], logw) if c])
+            for r in range(n // 2 + 1)])
+        # log P(K = 2j); rounding in log space also scales with |log P| (rtol: ~5 ulps)
+        np.testing.assert_allclose(rows - np.logaddexp.reduce(rows),
+                                   expected - np.logaddexp.reduce(expected),
+                                   rtol=1e-15, atol=1e-12)
 
 
 def test_longrange_kink_charfunc_matches_oracle_at_n20():
@@ -235,6 +260,18 @@ def test_longrange_kink_charfunc_matches_oracle_at_n20():
     thetas = np.array([0.0, 0.45, 1.8, 3.3, 5.2])
     expected = _oracle_charfunc(model, obs, thetas)
     np.testing.assert_allclose(charfunc_values(model, obs, thetas), expected, atol=1e-10)
+    # small N, either sign of J, h = 0 and h != 0, on the standard grid and off it
+    for n in (1, 2, 3, 7, 12):
+        obs = kink_number(n)
+        for j, h, beta in [(1.0, 0.0, 0.3), (-0.8, 0.0, 1.1), (0.4, 0.5, 0.9), (-1.5, -0.3, 0.7)]:
+            model = longrange(n, j=j, h=h, beta=beta)
+            grid = 2 * np.pi * np.arange(n + 1) / (n + 1)
+            for thetas in (grid, np.array([0.0, 0.45, 1.8, 5.2])):
+                np.testing.assert_allclose(charfunc_values(model, obs, thetas),
+                                           _oracle_charfunc(model, obs, thetas), rtol=0, atol=1e-12)
+    # one spin has no kink: F = 1 everywhere
+    f = charfunc_values(longrange(1, h=0.3), kink_number(1), [0.0, 1.0])
+    assert np.array_equal(f, [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

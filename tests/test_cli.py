@@ -54,6 +54,16 @@ def test_probe_run_writes_files(tmp_path):
     assert json.loads((out / "effective-config.json").read_text())["N"] == 10
 
 
+def test_longrange_kink_run_at_n1000(tmp_path):
+    out = tmp_path / "run"
+    code = main(["probe", "--model", "longrange", "--obs", "kinks", "--N", "1000",
+                 "--beta", "0.0005", "--h", "0", "--outdir", str(out)])
+    assert code == EXIT_OK
+    _, dist = _read_csv(out / "distribution.csv")
+    assert dist[:, 1].sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.abs(dist[dist[:, 0] % 2 == 1, 1]).sum() <= 1e-9  # kinks come in pairs
+
+
 def test_probe_oracle_flag(tmp_path):
     out = tmp_path / "run"
     code = main(["probe", "--model", "ring", "--obs", "kinks", "--N", "8",

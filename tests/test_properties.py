@@ -48,11 +48,13 @@ def test_round_trip_on_any_grid_at_or_above_the_width(lo, width, extra, data):
 
 
 @PROPERTY
-@given(n=st.integers(1, 400), m=st.integers(1, 1000), c=couplings)
-def test_longrange_magnetization_on_the_grid_is_bounded_and_hermitian(n, m, c):
+@given(n=st.integers(1, 400), m=st.integers(1, 1000), c=couplings, kinks=st.booleans())
+def test_longrange_magnetization_on_the_grid_is_bounded_and_hermitian(n, m, c, kinks):
     bj, bh, beta = c
-    f = charfunc_values(longrange(n, j=bj / beta, h=bh / beta, beta=beta),
-                        magnetization(n), _grid(m))
+    model = longrange(n, j=bj / beta, h=bh / beta, beta=beta)
+    obs = kink_number(n) if kinks else magnetization(n)
+    assert charfunc_values(model, obs, _grid(0)).shape == (0,)
+    f = charfunc_values(model, obs, _grid(m))
     assert np.abs(f).max() <= 1.0 + 1e-9
     assert abs(f[0] - 1.0) <= 1e-12
     # theta_{M-j} = 2 pi - theta_j, so F there is the conjugate of F(theta_j)

@@ -8,7 +8,8 @@ from kinkprobe import (InputError, PauliObservable, QuantumRegister, SizeError,
                        noncommuting_test_observable, observable_value,
                        quantum_probe, thermal_diagonal_ensemble,
                        trotter_error_probe)
-from kinkprobe.quantum import DiagonalEnsemble, basis_spins
+from kinkprobe.quantum import DiagonalEnsemble
+from kinkprobe.spin_model import _config_matrix
 from conftest import ring
 
 
@@ -18,7 +19,7 @@ def test_basis_state_gives_pure_phase(rng):
     for _ in range(10):
         s = int(rng.integers(0, 1 << n))
         reg = QuantumRegister.from_basis_state(s, n)
-        x = observable_value(SpinConfig(basis_spins(n)[s]), obs)
+        x = observable_value(SpinConfig(_config_matrix(n, s, s + 1)[0]), obs)
         theta = float(rng.uniform(0, 2 * math.pi))
         re, im = quantum_probe(reg, obs, theta)
         assert re == pytest.approx(math.cos(theta * x), abs=1e-12)
@@ -45,7 +46,7 @@ def test_superposition_register_averages_diagonal_phases(rng):
     psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     psi /= np.linalg.norm(psi)
     reg = QuantumRegister.from_system_state(psi, n)
-    spins = basis_spins(n)
+    spins = _config_matrix(n, 0, 1 << n)
     x = spins.sum(axis=1)
     theta = 0.77
     expect = (np.abs(psi) ** 2 * np.exp(1j * theta * x)).sum()
