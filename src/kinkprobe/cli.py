@@ -84,10 +84,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _parse_shots(text: str):
     if text == "exact":
         return None
@@ -192,17 +188,14 @@ def _write(outdir: Path, name: str, text: str, paths: list):
 
 
 def _coherence_csv(record) -> str:
-    lines = ["t,theta,sx,sy"]
-    for t, th, sx, sy in zip(record.time_grid, record.nominal_theta, record.sx, record.sy):
-        lines.append(",".join(map(_fmt, (t, th, sx, sy))))
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack((record.time_grid, record.nominal_theta, record.sx, record.sy))
+    return "t,theta,sx,sy\n" + ("%.17g,%.17g,%.17g,%.17g\n" * len(rows)
+                                 % tuple(rows.ravel().tolist()))
 
 
 def _distribution_csv(dist) -> str:
-    lines = ["x,p"]
-    for x, p in zip(dist.support, dist.probs):
-        lines.append(f"{int(x)},{_fmt(p)}")
-    return "\n".join(lines) + "\n"
+    rows = zip(dist.support.tolist(), dist.probs.tolist())  # a float column would round x
+    return "x,p\n" + "".join(map("%d,%.17g\n".__mod__, rows))
 
 
 def _json_text(payload) -> str:
@@ -314,6 +307,7 @@ def run_sm_error(cfg: RunConfig) -> int:
     warped = simulate_probe_shots(model, obs, cfg.epsilon, warped_times, None,
                                   error_model=GateErrorModel(eta))
     p_corrected = invert_dft(warped.to_charfunc_samples(), obs, cfg.N, eta=eta)
+    corrected = p_corrected.cleaned()
 
     # a long dense record exposes the shifted recurrence for the estimator
     span = 1.3 * math.pi / (cfg.epsilon * min(1.0, 1.0 + eta))
@@ -326,9 +320,9 @@ def run_sm_error(cfg: RunConfig) -> int:
         "eta_true": eta,
         "eta_estimate": eta_hat,
         "tv_naive_vs_ideal": total_variation(p_naive.cleaned(), p_ideal.cleaned()),
-        "tv_corrected_vs_ideal": total_variation(p_corrected.cleaned(), p_ideal.cleaned()),
+        "tv_corrected_vs_ideal": total_variation(corrected, p_ideal.cleaned()),
         "validation": _report_payload(validate_distribution(p_corrected)),
-        "numerical": _cumulant_payload(distribution_cumulants(p_corrected.cleaned())),
+        "numerical": _cumulant_payload(distribution_cumulants(corrected)),
         "closed": _cumulant_payload(closed_cumulants(model, obs)),
     }
 
@@ -338,8 +332,7 @@ def run_sm_error(cfg: RunConfig) -> int:
         _write(outdir, "coherence-distorted.csv", _coherence_csv(distorted), written)
         _write(outdir, "distribution.csv", _distribution_csv(p_ideal.cleaned()), written)
         _write(outdir, "distribution-naive.csv", _distribution_csv(p_naive.cleaned()), written)
-        _write(outdir, "distribution-corrected.csv",
-               _distribution_csv(p_corrected.cleaned()), written)
+        _write(outdir, "distribution-corrected.csv", _distribution_csv(corrected), written)
     if "json" in cfg.formats:
         _write(outdir, "cumulants.json", _json_text(payload), written)
     if "svg" in cfg.formats:
@@ -348,7 +341,7 @@ def run_sm_error(cfg: RunConfig) -> int:
             [("<sigma_x> ideal", ideal.sx), ("<sigma_y> ideal", ideal.sy),
              ("<sigma_x> distorted", distorted.sx), ("<sigma_y> distorted", distorted.sy)],
             title=f"gate-error demonstration (eta={eta})", x_label="t", y_label="coherence")
-        bars = svgplot.bar_chart(p_corrected.cleaned().support, p_corrected.cleaned().probs,
+        bars = svgplot.bar_chart(corrected.support, corrected.probs,
                                  title="corrected P(m)", x_label="m", y_label="P")
         _write(outdir, "plot.svg", svgplot.stack_svgs([traces, bars]), written)
 

@@ -95,21 +95,21 @@ class ObservableSpec:
     kind: ObsKind = ObsKind.CUSTOM
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "terms", tuple(tuple(int(i) for i in t) for t in self.terms)
-        )
-        for t in self.terms:
-            if len(t) == 0 or any(i < 1 for i in t):
-                raise InputError("each term needs at least one 1-based spin index")
         n = len(self.terms)
+        builtin = _builtin_terms(self.kind, n)
+        if builtin is not None and tuple(map(tuple, self.terms)) == builtin:
+            object.__setattr__(self, "terms", builtin)  # one comparison checks every term
+        else:
+            object.__setattr__(self, "terms", tuple(tuple(int(i) for i in t) for t in self.terms))
+            for t in self.terms:
+                if len(t) == 0 or any(i < 1 for i in t):
+                    raise InputError("each term needs at least one 1-based spin index")
         if self.kind is ObsKind.MAGNETIZATION:
-            if (self.a, self.b) != (0.0, 1.0) or self.terms != tuple(
-                    (i,) for i in range(1, n + 1)):
+            if (self.a, self.b) != (0.0, 1.0) or self.terms != builtin:
                 raise InputError("magnetization tag requires a=0, b=1 and one "
                                  "singleton per site")
         elif self.kind is ObsKind.KINKS:
-            if (self.a, self.b) != (n / 2.0, -0.5) or self.terms != tuple(
-                    (i, i % n + 1) for i in range(1, n + 1)):
+            if (self.a, self.b) != (n / 2.0, -0.5) or self.terms != builtin:
                 raise InputError("kink tag requires a=N/2, b=-1/2 and the ring "
                                  "bond list including the wrap bond")
 
@@ -123,11 +123,19 @@ class ObservableSpec:
         return int(round(lo)), int(round(hi))
 
 
+def _builtin_terms(kind: ObsKind, n: int) -> tuple | None:
+    """Terms of a built-in observable on N sites, the wrap bond (N, 1) last; None if custom."""
+    if kind is ObsKind.MAGNETIZATION:
+        return tuple(zip(range(1, n + 1)))
+    if kind is ObsKind.KINKS:
+        return tuple(zip(range(1, n + 1), [*range(2, n + 1), 1]))
+    return None
+
+
 def magnetization(n: int) -> ObservableSpec:
     """M = sum of all spins; integer values in [-N, N] with the parity of N."""
-    return ObservableSpec(
-        a=0.0, b=1.0, terms=tuple((i,) for i in range(1, n + 1)), kind=ObsKind.MAGNETIZATION
-    )
+    return ObservableSpec(a=0.0, b=1.0, terms=_builtin_terms(ObsKind.MAGNETIZATION, n),
+                          kind=ObsKind.MAGNETIZATION)
 
 
 def kink_number(n: int) -> ObservableSpec:
@@ -136,8 +144,8 @@ def kink_number(n: int) -> ObservableSpec:
     The wrap bond (N, 1) is always included, so K is an even integer on the
     periodic ring for every configuration.
     """
-    terms = tuple((i, i % n + 1) for i in range(1, n + 1))
-    return ObservableSpec(a=n / 2.0, b=-0.5, terms=terms, kind=ObsKind.KINKS)
+    return ObservableSpec(a=n / 2.0, b=-0.5, terms=_builtin_terms(ObsKind.KINKS, n),
+                          kind=ObsKind.KINKS)
 
 
 def custom_observable(a: float, b: float, terms) -> ObservableSpec:

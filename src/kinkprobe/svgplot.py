@@ -47,10 +47,10 @@ def line_chart(x, series, title="", x_label="", y_label="") -> str:
     pad = 0.05 * (y_hi - y_lo or 1.0)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     parts = _axes(title, x_label, y_label, float(x.min()), float(x.max()), y_lo, y_hi)
+    xp = _scale(x, x.min(), x.max(), _MARGIN, _W - 12)
     for i, (label, y) in enumerate(series):
-        xp = _scale(x, x.min(), x.max(), _MARGIN, _W - 12)
         yp = _scale(ys[i], y_lo, y_hi, _H - _MARGIN, 12)
-        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(xp, yp))
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(xp.tolist(), yp.tolist())))
         color = _COLORS[i % len(_COLORS)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>')
         parts.append(f'<text x="{_W - 140}" y="{28 + 16 * i}" font-size="12" '
@@ -68,10 +68,10 @@ def bar_chart(x, heights, title="", x_label="", y_label="") -> str:
     xp = _scale(x, x.min() - 0.5, x.max() + 0.5, _MARGIN, _W - 12)
     width = max(1.0, 0.8 * (_W - 12 - _MARGIN) / max(x.size, 1))
     base = _H - _MARGIN
-    for xi, hi in zip(xp, h):
-        top = _scale([max(hi, 0.0)], 0.0, y_hi, base, 12)[0]
-        parts.append(f'<rect x="{xi - width / 2:.2f}" y="{top:.2f}" width="{width:.2f}" '
-                     f'height="{base - top:.2f}" fill="#1f77b4"/>')
+    tops = _scale(np.maximum(h, 0.0), 0.0, y_hi, base, 12)
+    bar = f'<rect x="%.2f" y="%.2f" width="{width:.2f}" height="%.2f" fill="#1f77b4"/>'
+    parts += map(bar.__mod__, zip((xp - width / 2).tolist(), tops.tolist(),
+                                  (base - tops).tolist()))
     body = "\n".join(parts)
     return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
             f'viewBox="0 0 {_W} {_H}">\n{body}\n</svg>\n')

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from kinkprobe import (InputError, QuantumRegister, SizeError, SpinConfig,
-                       circuit_phase, custom_observable, energy,
+from kinkprobe import (InputError, ObservableSpec, ObsKind, QuantumRegister, SizeError,
+                       SpinConfig, circuit_phase, custom_observable, energy,
                        enumerate_oracle, kink_number, magnetization,
                        observable_value, quantum_probe, simulate_probe_shots,
                        term_sums)
@@ -182,3 +182,63 @@ def test_term_index_above_n_is_input_error_in_every_caller():
         quantum_probe(QuantumRegister.from_basis_state(0, n), _RAGGED, 0.3)
     with pytest.raises(InputError):
         simulate_probe_shots(ring(n), _RAGGED, 0.01, [0.0, 1.0], shots=10, seed=1)
+
+
+_MAG_REFUSAL = "magnetization tag requires"
+_KINK_REFUSAL = "kink tag requires"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_tagged_specs_from_lists_and_numpy_ints_equal_the_builtins(n):
+    sites = np.arange(1, n + 1)
+    bonds = np.column_stack((sites, np.roll(sites, -1)))
+    for terms in ([[i] for i in range(1, n + 1)], sites[:, None],
+                  [(np.int64(i),) for i in range(1, n + 1)]):
+        spec = ObservableSpec(0.0, 1.0, terms, ObsKind.MAGNETIZATION)
+        assert spec == magnetization(n)
+        assert all(type(i) is int for t in spec.terms for i in t)
+    for terms in (bonds.tolist(), bonds, [tuple(b) for b in bonds]):
+        spec = ObservableSpec(n / 2.0, -0.5, terms, ObsKind.KINKS)
+        assert spec == kink_number(n)
+        assert all(type(i) is int for t in spec.terms for i in t)
+
+
+def test_tagged_specs_refuse_wrong_coefficients_and_terms():
+    n = 5
+    mag, kinks = magnetization(n), kink_number(n)
+    bad = [
+        (0.5, 1.0, mag.terms, ObsKind.MAGNETIZATION, _MAG_REFUSAL),       # wrong a
+        (0.0, -1.0, mag.terms, ObsKind.MAGNETIZATION, _MAG_REFUSAL),      # wrong b
+        (0.0, 1.0, mag.terms[::-1], ObsKind.MAGNETIZATION, _MAG_REFUSAL),  # permuted
+        (0.0, 1.0, mag.terms[:2] + mag.terms[3:], ObsKind.MAGNETIZATION, _MAG_REFUSAL),
+        (0.0, -0.5, kinks.terms, ObsKind.KINKS, _KINK_REFUSAL),           # wrong a
+        (n / 2.0, 0.5, kinks.terms, ObsKind.KINKS, _KINK_REFUSAL),        # wrong b
+        (n / 2.0, -0.5, kinks.terms[:-1], ObsKind.KINKS, _KINK_REFUSAL),  # no wrap bond
+        ((n - 1) / 2.0, -0.5, kinks.terms[:-1], ObsKind.KINKS, _KINK_REFUSAL),
+        (n / 2.0, -0.5, kinks.terms[1:] + kinks.terms[:1], ObsKind.KINKS, _KINK_REFUSAL),
+        (n / 2.0, -0.5, tuple(b[::-1] for b in kinks.terms), ObsKind.KINKS, _KINK_REFUSAL),
+    ]
+    for a, b, terms, kind, refusal in bad:
+        with pytest.raises(InputError, match=refusal):
+            ObservableSpec(a, b, terms, kind)
+        with pytest.raises(InputError, match=refusal):
+            ObservableSpec(a, b, [list(t) for t in terms], kind)
+
+
+def test_terms_need_a_one_based_index():
+    for terms in ([(0,)], [(1, 0)], [()], [(1,), ()], [(-2, 3)]):
+        with pytest.raises(InputError, match="1-based spin index"):
+            custom_observable(0.0, 1.0, terms)
+    with pytest.raises(InputError, match="1-based spin index"):
+        ObservableSpec(0.0, 1.0, [(0,), (2,)], ObsKind.MAGNETIZATION)
+    assert custom_observable(0.0, 1.0, [[np.int64(2), 1.0]]).terms == ((2, 1),)
+
+
+def test_one_and_two_site_rings_build():
+    assert magnetization(1).terms == ((1,),)
+    assert kink_number(1).terms == ((1, 1),)
+    assert kink_number(2).terms == ((1, 2), (2, 1))
+    # one site bonds to itself, so K = 0; two sites have K in {0, 2}
+    assert enumerate_oracle(ring(1), kink_number(1)).dist.probs.tolist() == [1.0, 0.0]
+    assert enumerate_oracle(ring(2), kink_number(2)).dist.probs[1] == 0.0
+    assert enumerate_oracle(ring(2), magnetization(2)).dist.support.tolist() == [-2, -1, 0, 1, 2]
