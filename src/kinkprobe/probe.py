@@ -250,18 +250,14 @@ def simulate_probe_exact(model: ModelParams, obs: ObservableSpec, epsilon: float
 
 
 def _binomial_record(f: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """(M, 2) shot record read off the exact F; streams keyed by (seed, j, pool).
+    """(M, 2) shot record read off the exact F; all 2M pools from one stream keyed by seed.
 
     A pool of iid shots reads +1 with probability (1 + Re F_j)/2 for sigma_x
     and (1 + Im F_j)/2 for sigma_y, so its mean is 2 Binomial(shots, p)/shots
     - 1.  p is clipped to [0, 1], which absorbs the last-bit excess of |F|.
     """
     p = np.clip(0.5 * (1.0 + np.stack([f.real, f.imag], axis=1)), 0.0, 1.0)
-    out = np.empty(p.shape)
-    for (j, pool), pj in np.ndenumerate(p):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, j, pool]))
-        out[j, pool] = 2.0 * rng.binomial(shots, pj) / shots - 1.0
-    return out
+    return 2.0 * np.random.default_rng(seed).binomial(shots, p) / shots - 1.0
 
 
 def _shots_at_time(obs, sampler, eps_eff, t, shots, seed, j):
@@ -298,11 +294,12 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
     law.  shots=None returns the exact expectations, F at the distorted
     phases.
 
-    Every time point and pool draws from its own stream, keyed by (seed, time
-    index, pool index), so the record is bit-for-bit reproducible for a fixed
-    seed; the two routes give the same law, not the same bits.  A built-in
-    observable that does not cover all N sites, or a term index above N,
-    raises InputError.
+    The binomial route draws the whole record from one stream keyed by the
+    seed; the gate walk gives each time point and pool its own stream, keyed
+    by (seed, time index, pool index).  Either way a fixed seed repeats the
+    record bit for bit; the two routes give the same law, not the same bits.
+    A built-in observable that does not cover all N sites, or a term index
+    above N, raises InputError.
     """
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
