@@ -224,7 +224,7 @@ def _longrange_kink_log_rows(n: int, logg: np.ndarray) -> np.ndarray:
 def _longrange_charfunc(model: ModelParams, obs: ObservableSpec,
                         thetas: np.ndarray) -> np.ndarray:
     n = model.N
-    logg = _longrange_log_g(n, model.beta * model.J, model.beta * model.h)
+    logg, _ = _longrange_log_g(n, model.beta * model.J, model.beta * model.h)
     if obs.kind is ObsKind.MAGNETIZATION:
         return _sector_charfunc(n - 2 * np.arange(n + 1), logg, thetas)
     return _sector_charfunc(2 * np.arange(n // 2 + 1), _longrange_kink_log_rows(n, logg), thetas)
@@ -349,7 +349,7 @@ def _ring_kink_cumulants(model: ModelParams) -> CumulantSet:
 
 def _longrange_mag_cumulants(model: ModelParams) -> CumulantSet:
     """Exact long-range cumulants via G_a = sum_n n^a g(n) (shared log shift)."""
-    logg = _longrange_log_g(model.N, model.beta * model.J, model.beta * model.h)
+    logg, _ = _longrange_log_g(model.N, model.beta * model.J, model.beta * model.h)
     g = np.exp(logg - logg.max())
     k = np.arange(model.N + 1, dtype=float)
     g0 = g.sum()

@@ -195,29 +195,31 @@ def _log_binomials(n: int) -> np.ndarray:
     return logs[n] - logs[k] - logs[n - k]
 
 
-def _longrange_log_g(n: int, A, B) -> np.ndarray:
-    """log g(k) = log C(N,k) - 2Bk + 2A(k^2 - Nk) over the down-count k = 0..N.
+def _longrange_log_g(n: int, A, B) -> tuple[np.ndarray, complex]:
+    """Log sector weights over the down-count k = 0..N, centred on the heaviest sector.
 
-    g(k) e^{N(N-1)A/2 + NB} is the Boltzmann weight of the k-down sector of
-    the long-range model, A = beta*J and B = beta*h (either may be complex).
+    With M = N - 2k, A = beta*J and B = beta*h (either may be complex), the
+    k-down sector weighs C(N, k) e^{A(M^2 - N)/2 + BM} = g(k) e^c.  Returns
+    (log g, c): log g = log C(N, k) + (M - M0)(A(M + M0)/2 + B), where c is the
+    exponent of the sector M0 of largest real log weight.  The sectors near
+    M0, which carry the weight, are thus not rounded at the scale |A| N^2 / 2.
     """
-    k = np.arange(n + 1, dtype=float)
-    return _log_binomials(n) - 2.0 * B * k + 2.0 * A * (k * k - n * k)
+    m = n - 2.0 * np.arange(n + 1)
+    logc = _log_binomials(n)
+    m0 = m[np.argmax((logc + m * (0.5 * A * m + B)).real)]
+    return logc + (m - m0) * (0.5 * A * (m + m0) + B), 0.5 * A * (m0 * m0 - n) + B * m0
 
 
 def _zlr_scaled(n: int, A, B) -> ScaledComplex:
-    """Long-range Z = e^{N(N-1)A/2} e^{N B} sum_k g(k) as a stabilized sector sum.
+    """Long-range Z = e^c sum_k g(k) as a stabilized sector sum (see _longrange_log_g).
 
     Every term is kept as log-magnitude plus phase and shifted by the max
     exponent.
     """
-    A, B = complex(A), complex(B)
-    expo = _longrange_log_g(n, A, B)
+    expo, c = _longrange_log_g(n, complex(A), complex(B))
     shift = float(expo.real.max())
     s = np.exp(expo - shift).sum()
-    prefactor = 0.5 * n * (n - 1) * A + n * B
-    return ScaledComplex(log_scale=prefactor.real + shift,
-                         value=np.exp(1j * prefactor.imag) * s)
+    return ScaledComplex(log_scale=c.real + shift, value=np.exp(1j * c.imag) * s)
 
 
 def partition_longrange(n: int, J: float, ht: complex, beta: float) -> ScaledComplex:

@@ -1,3 +1,4 @@
+import decimal
 import math
 import sys
 
@@ -155,6 +156,34 @@ def _longrange_mag_reference(n, g, m):
     return out
 
 
+def _decimal_longrange_weights(n, bj, bh):
+    """Sector weights C(N, k) e^{-beta E} over the down-count k, from 40-digit decimals.
+
+    Normalized to the largest weight, then rounded once to float.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a, b = decimal.Decimal(bj), decimal.Decimal(bh)
+        logs, count = [], 1
+        for k in range(n + 1):
+            mag = n - 2 * k
+            logs.append(decimal.Decimal(count).ln() + a * (mag * mag - n) / 2 + b * mag)
+            count = count * (n - k) // (k + 1)
+        top = max(logs)
+        return np.array([float((x - top).exp()) for x in logs])
+
+
+@pytest.mark.parametrize("bj, bh", [(-1.0, 0.0), (-1.0, -300.0)])
+def test_longrange_magnetization_matches_a_decimal_reference_at_n1000(bj, bh):
+    # the sector exponents reach |beta J| N^2 / 2 = 5e5 here, so they must be
+    # formed relative to the heaviest sector (M = 0, then M = -300) for 1e-12
+    n, m = 1000, 2001
+    thetas = 2 * np.pi * np.arange(m) / m
+    f = charfunc_values(longrange(n, j=bj, h=bh, beta=1.0), magnetization(n), thetas)
+    ref = _longrange_mag_reference(n, _decimal_longrange_weights(n, bj, bh), m)
+    assert np.abs(f - ref).max() <= 1e-12
+
+
 @pytest.mark.parametrize("m", [2001, 1500, 2048])
 def test_longrange_magnetization_grid_route_accuracy_at_n1000(m, monkeypatch):
     from kinkprobe.partition import _longrange_log_g
@@ -163,7 +192,7 @@ def test_longrange_magnetization_grid_route_accuracy_at_n1000(m, monkeypatch):
 
     n = 1000
     model = longrange(n, j=1.0, h=0.3, beta=0.5 / n)
-    logg = _longrange_log_g(n, model.beta * model.J, model.beta * model.h)
+    logg, _ = _longrange_log_g(n, model.beta * model.J, model.beta * model.h)
     g = np.exp(logg - logg.max())
     thetas = 2 * np.pi * np.arange(m) / m
     f = charfunc_values(model, magnetization(n), thetas)
@@ -241,7 +270,7 @@ def test_longrange_kink_rows_match_exact_joint_counts(n):
 
     q = joint_counts(n)
     for j, h, beta in [(1.0, 0.0, 0.5 / n), (-0.7, 0.2, 0.9), (0.6, 0.4, 0.05)]:
-        rows = _longrange_kink_log_rows(n, _longrange_log_g(n, beta * j, beta * h))
+        rows = _longrange_kink_log_rows(n, _longrange_log_g(n, beta * j, beta * h)[0])
         # row r: log sum_m Q[m + N, 2r] e^{-beta E(m)}, E from the magnetization m alone
         m = np.arange(-n, n + 1)
         logw = beta * (j * (m * m - n) / 2.0 + h * m)
