@@ -12,7 +12,7 @@ Library layout:
 """
 
 from .charfunc import (CharFunctionSamples, CumulantFlavor, CumulantSet,
-                       Provenance, charfunc, charfunc_values, closed_cumulants,
+                       Provenance, charfunc_values, closed_cumulants,
                        cumulant_context, deform_params, distribution_cumulants,
                        exact_kink_mean, joint_counts, numerical_cumulants,
                        sample_charfunc)
@@ -25,8 +25,7 @@ from .partition import (ComplexParams, ScaledComplex, TransferSpectrum,
                         loschmidt_amplitude, partition_longrange, partition_nn,
                         transfer_spectrum)
 from .probe import (GateErrorModel, ProbeRecord, circuit_phase, default_time_grid,
-                    gate_count, gibbs_sample, gibbs_sampler, simulate_probe_exact,
-                    simulate_probe_shots)
+                    gate_count, gibbs_sampler, simulate_probe_shots)
 from .quantum import (DiagonalEnsemble, PauliObservable, QuantumRegister,
                       noncommuting_test_observable, quantum_probe,
                       thermal_diagonal_ensemble, trotter_error_probe)

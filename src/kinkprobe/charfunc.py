@@ -253,11 +253,6 @@ def charfunc_values(model: ModelParams, obs: ObservableSpec, thetas) -> np.ndarr
     return _check_magnitude(out)
 
 
-def charfunc(model: ModelParams, obs: ObservableSpec, theta: float) -> complex:
-    """F(theta) = e^{i theta a} Z(deformed) / Z(physical) at one phase."""
-    return complex(charfunc_values(model, obs, [theta])[0])
-
-
 def sample_charfunc(model: ModelParams, obs: ObservableSpec,
                     thetas=None, points: int | None = None) -> CharFunctionSamples:
     """Evaluate F on a grid (default: the minimal alias-free inversion grid)."""
@@ -364,29 +359,17 @@ def _longrange_mag_cumulants(model: ModelParams) -> CumulantSet:
     )
 
 
-def closed_cumulants(model: ModelParams, obs: ObservableSpec,
-                     flavor: CumulantFlavor | None = None) -> CumulantSet:
+def closed_cumulants(model: ModelParams, obs: ObservableSpec) -> CumulantSet:
     """Closed-form kappa_1..3 where a formula exists.
 
     Ring formulas keep only the dominant transfer eigenvalue and are accurate
     up to O((lambda_-/lambda_+)^N); the long-range magnetization formulas are
     exact.  The long-range kink number has no closed form -- use
-    numerical_cumulants on reconstructed samples instead.  Requesting
-    EXACT_SMALL_FORMULA returns the exact zero-field ring kink mean (kappa1
-    only; kappa2/kappa3 are NaN there).
+    numerical_cumulants on reconstructed samples instead.  The exact
+    zero-field ring kink mean is exact_kink_mean.
     """
     if model.beta <= 0:
         raise InputError("beta must be positive")
-    if flavor is CumulantFlavor.NUMERICAL_FROM_F:
-        raise InputError("numerical flavor is computed by numerical_cumulants")
-    if flavor is CumulantFlavor.EXACT_SMALL_FORMULA:
-        if model.kind is ModelKind.RING and obs.kind is ObsKind.KINKS:
-            return CumulantSet(kappa1=exact_kink_mean(model), kappa2=math.nan,
-                               kappa3=math.nan, flavor=flavor)
-        if model.kind is ModelKind.LONG_RANGE and obs.kind is ObsKind.MAGNETIZATION:
-            return _longrange_mag_cumulants(model)
-        raise InputError("no exact closed form for this combination; "
-                         "fall back to numerical_cumulants")
     if model.kind is ModelKind.RING and obs.kind is ObsKind.MAGNETIZATION:
         return _ring_mag_cumulants(model)
     if model.kind is ModelKind.RING and obs.kind is ObsKind.KINKS:

@@ -22,8 +22,7 @@ from . import svgplot
 from .charfunc import closed_cumulants, distribution_cumulants
 from .distribution import total_variation, validate_distribution
 from .errors import InputError, KinkprobeError
-from .probe import (GateErrorModel, default_time_grid, simulate_probe_exact,
-                    simulate_probe_shots)
+from .probe import GateErrorModel, default_time_grid, simulate_probe_shots
 from .reconstruct import estimate_gate_error, invert_dft
 from .spin_model import (ModelKind, ModelParams, enumerate_oracle, kink_number,
                          magnetization)
@@ -181,12 +180,6 @@ def _build_model_obs(cfg: RunConfig):
     return model, obs
 
 
-def _write(outdir: Path, name: str, text: str, paths: list):
-    path = outdir / name
-    path.write_text(text, encoding="utf-8")
-    paths.append(str(path))
-
-
 def _coherence_csv(record) -> str:
     rows = np.column_stack((record.time_grid, record.nominal_theta, record.sx, record.sy))
     return "t,theta,sx,sy\n" + ("%.17g,%.17g,%.17g,%.17g\n" * len(rows)
@@ -228,18 +221,42 @@ def _defect_tolerance(shots, grid_points: int) -> float:
     return 6.0 * math.sqrt(grid_points / shots)
 
 
-def run_probe(cfg: RunConfig) -> int:
-    model, obs = _build_model_obs(cfg)
+def _write_outputs(cfg: RunConfig, tables: list, payload: dict, plot, report,
+                   tolerance: float) -> int:
+    """The output tail shared by every command.
+
+    Writes effective-config.json, then the (name, text thunk) ``tables`` as
+    CSV, cumulants.json and the ``plot`` thunk's SVG as ``cfg.formats`` asks;
+    prints each path and returns EXIT_VALIDATION when the worst defect of
+    ``report`` exceeds ``tolerance`` (NaN included).
+    """
+    files = [("effective-config.json", lambda: _json_text(asdict(cfg)))]
+    if "csv" in cfg.formats:
+        files += tables
+    if "json" in cfg.formats:
+        files.append(("cumulants.json", lambda: _json_text(payload)))
+    if "svg" in cfg.formats:
+        files.append(("plot.svg", plot))
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written: list = []
+    for name, text in files:
+        (outdir / name).write_text(text(), encoding="utf-8")
+    for name, _ in files:
+        print(outdir / name)
+    if not report.worst_defect() <= tolerance:  # NaN fails
+        print(f"validation defects above tolerance: {_report_payload(report)}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
+    return EXIT_OK
 
+
+def run_probe(cfg: RunConfig) -> int:
+    model, obs = _build_model_obs(cfg)
     warp_eta = cfg.eta if cfg.correct_eta else 0.0
     times = default_time_grid(obs, cfg.N, cfg.epsilon, eta=warp_eta, points=cfg.grid)
-    error_model = GateErrorModel(cfg.eta)
     record = simulate_probe_shots(model, obs, cfg.epsilon, times, cfg.shots,
-                                  error_model=error_model, seed=cfg.seed)
-    raw = invert_dft(record.to_charfunc_samples(), obs, cfg.N, eta=warp_eta)
+                                  error_model=GateErrorModel(cfg.eta), seed=cfg.seed)
+    raw = invert_dft(record.to_charfunc_samples(), eta=warp_eta)
     report = validate_distribution(raw)
     dist = raw.cleaned()
 
@@ -263,79 +280,55 @@ def run_probe(cfg: RunConfig) -> int:
             "oracle_mean": oracle.dist.mean(),
         }
 
-    _write(outdir, "effective-config.json", _json_text(asdict(cfg)), written)
-    if "csv" in cfg.formats:
-        _write(outdir, "coherence.csv", _coherence_csv(record), written)
-        _write(outdir, "distribution.csv", _distribution_csv(dist), written)
-    if "json" in cfg.formats:
-        _write(outdir, "cumulants.json", _json_text(payload), written)
-    if "svg" in cfg.formats:
+    def plot():
         traces = svgplot.line_chart(record.time_grid,
                                     [("<sigma_x>", record.sx), ("<sigma_y>", record.sy)],
                                     title=f"probe coherence ({cfg.model}, {cfg.obs})",
                                     x_label="t", y_label="coherence")
         bars = svgplot.bar_chart(dist.support, dist.probs,
                                  title=f"P(x) for {cfg.obs}", x_label="x", y_label="P")
-        _write(outdir, "plot.svg", svgplot.stack_svgs([traces, bars]), written)
+        return svgplot.stack_svgs([traces, bars])
 
-    for path in written:
-        print(path)
-    if not report.worst_defect() <= _defect_tolerance(cfg.shots, times.size):  # NaN fails
-        print(f"validation defects above tolerance: {_report_payload(report)}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+    tables = [("coherence.csv", lambda: _coherence_csv(record)),
+              ("distribution.csv", lambda: _distribution_csv(dist))]
+    return _write_outputs(cfg, tables, payload, plot, report,
+                          _defect_tolerance(cfg.shots, times.size))
 
 
 def run_sm_error(cfg: RunConfig) -> int:
     """Gate-error demonstration: ideal vs distorted vs corrected reconstruction."""
     model, obs = _build_model_obs(cfg)
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written: list = []
     eta = cfg.eta
 
+    def record(times, error):
+        return simulate_probe_shots(model, obs, cfg.epsilon, times, None,
+                                    error_model=GateErrorModel(error))
+
     ideal_times = default_time_grid(obs, cfg.N, cfg.epsilon, points=cfg.grid)
-    ideal = simulate_probe_exact(model, obs, cfg.epsilon, ideal_times)
-    p_ideal = invert_dft(ideal.to_charfunc_samples(), obs, cfg.N)
-
-    distorted = simulate_probe_shots(model, obs, cfg.epsilon, ideal_times, None,
-                                     error_model=GateErrorModel(eta))
-    p_naive = invert_dft(distorted.to_charfunc_samples(), obs, cfg.N)
-
+    ideal = record(ideal_times, 0.0)
+    p_ideal = invert_dft(ideal.to_charfunc_samples()).cleaned()
+    distorted = record(ideal_times, eta)
+    p_naive = invert_dft(distorted.to_charfunc_samples()).cleaned()
     warped_times = default_time_grid(obs, cfg.N, cfg.epsilon, eta=eta, points=cfg.grid)
-    warped = simulate_probe_shots(model, obs, cfg.epsilon, warped_times, None,
-                                  error_model=GateErrorModel(eta))
-    p_corrected = invert_dft(warped.to_charfunc_samples(), obs, cfg.N, eta=eta)
+    p_corrected = invert_dft(record(warped_times, eta).to_charfunc_samples(), eta=eta)
+    report = validate_distribution(p_corrected)
     corrected = p_corrected.cleaned()
 
     # a long dense record exposes the shifted recurrence for the estimator
     span = 1.3 * math.pi / (cfg.epsilon * min(1.0, 1.0 + eta))
-    est_times = np.linspace(0.0, span, 4096)
-    est_record = simulate_probe_shots(model, obs, cfg.epsilon, est_times, None,
-                                      error_model=GateErrorModel(eta))
-    eta_hat = estimate_gate_error(est_record)
+    eta_hat = estimate_gate_error(record(np.linspace(0.0, span, 4096), eta))
 
     payload = {
         "eta_true": eta,
         "eta_estimate": eta_hat,
-        "tv_naive_vs_ideal": total_variation(p_naive.cleaned(), p_ideal.cleaned()),
-        "tv_corrected_vs_ideal": total_variation(corrected, p_ideal.cleaned()),
-        "validation": _report_payload(validate_distribution(p_corrected)),
+        "tv_naive_vs_ideal": total_variation(p_naive, p_ideal),
+        "tv_corrected_vs_ideal": total_variation(corrected, p_ideal),
+        "validation": _report_payload(report),
         "numerical": _cumulant_payload(distribution_cumulants(corrected)),
         "closed": _cumulant_payload(closed_cumulants(model, obs)),
     }
 
-    _write(outdir, "effective-config.json", _json_text(asdict(cfg)), written)
-    if "csv" in cfg.formats:
-        _write(outdir, "coherence.csv", _coherence_csv(ideal), written)
-        _write(outdir, "coherence-distorted.csv", _coherence_csv(distorted), written)
-        _write(outdir, "distribution.csv", _distribution_csv(p_ideal.cleaned()), written)
-        _write(outdir, "distribution-naive.csv", _distribution_csv(p_naive.cleaned()), written)
-        _write(outdir, "distribution-corrected.csv", _distribution_csv(corrected), written)
-    if "json" in cfg.formats:
-        _write(outdir, "cumulants.json", _json_text(payload), written)
-    if "svg" in cfg.formats:
+    def plot():
         traces = svgplot.line_chart(
             ideal.time_grid,
             [("<sigma_x> ideal", ideal.sx), ("<sigma_y> ideal", ideal.sy),
@@ -343,16 +336,14 @@ def run_sm_error(cfg: RunConfig) -> int:
             title=f"gate-error demonstration (eta={eta})", x_label="t", y_label="coherence")
         bars = svgplot.bar_chart(corrected.support, corrected.probs,
                                  title="corrected P(m)", x_label="m", y_label="P")
-        _write(outdir, "plot.svg", svgplot.stack_svgs([traces, bars]), written)
+        return svgplot.stack_svgs([traces, bars])
 
-    for path in written:
-        print(path)
-    report = validate_distribution(p_corrected)
-    if not report.worst_defect() <= EXACT_DEFECT_TOL:  # NaN fails
-        print(f"validation defects above tolerance: {_report_payload(report)}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+    tables = [("coherence.csv", lambda: _coherence_csv(ideal)),
+              ("coherence-distorted.csv", lambda: _coherence_csv(distorted)),
+              ("distribution.csv", lambda: _distribution_csv(p_ideal)),
+              ("distribution-naive.csv", lambda: _distribution_csv(p_naive)),
+              ("distribution-corrected.csv", lambda: _distribution_csv(corrected))]
+    return _write_outputs(cfg, tables, payload, plot, report, EXACT_DEFECT_TOL)
 
 
 def run(cfg: RunConfig) -> int:

@@ -45,12 +45,6 @@ class ComplexParams:
     def is_real(self) -> bool:
         return complex(self.Jt).imag == 0.0 and complex(self.ht).imag == 0.0
 
-    @classmethod
-    def from_model(cls, model: ModelParams) -> "ComplexParams":
-        if model.beta <= 0:
-            raise InputError("beta must be positive for partition-function work")
-        return cls(Jt=complex(model.J), ht=complex(model.h), beta=model.beta, N=model.N)
-
 
 @dataclass(frozen=True)
 class ScaledComplex:

@@ -232,21 +232,9 @@ def gibbs_sampler(model: ModelParams):
     return LongRangeMetropolisSampler(model)
 
 
-def gibbs_sample(model: ModelParams, rng: np.random.Generator) -> SpinConfig:
-    """One thermal draw; for repeated draws build a sampler once instead."""
-    sampler = gibbs_sampler(model)
-    return SpinConfig(sampler.sample_batch(1, rng)[0])
-
-
 # ---------------------------------------------------------------------------
 # probe records
 # ---------------------------------------------------------------------------
-
-
-def simulate_probe_exact(model: ModelParams, obs: ObservableSpec, epsilon: float,
-                         time_grid) -> ProbeRecord:
-    """Exact probe coherence: (sx + i sy)(t) = F(2 eps t), with no gate error."""
-    return simulate_probe_shots(model, obs, epsilon, time_grid, shots=None)
 
 
 def _binomial_record(f: np.ndarray, shots: int, seed: int) -> np.ndarray:

@@ -138,34 +138,20 @@ def thermal_diagonal_ensemble(model: ModelParams) -> DiagonalEnsemble:
     return DiagonalEnsemble(probs=w / w.sum(), n_sites=model.N)
 
 
-def _diagonal_phase(obs: PauliObservable, theta: float, steps: int | None) -> np.ndarray:
-    """Accumulated phase per basis state from the gate walk.
-
-    Each of the m steps contributes theta * b / m times the signed sum of the
-    z-products; for commuting diagonal terms any m reproduces e^{i theta X}
-    exactly, which is asserted by tests rather than assumed here.
-    """
-    m = 1 if steps is None else int(steps)
-    if m < 1:
-        raise InputError("trotter steps must be at least 1")
+def _diagonal_phase(obs: PauliObservable, theta: float) -> np.ndarray:
+    """Phase theta X per basis state, X from the signed sum of the z-products."""
     signed = term_sums(_config_matrix(obs.n_sites, 0, 1 << obs.n_sites),
                        [tuple(site for site, _ax in term) for term in obs.terms])
-    phase = np.full(signed.shape, theta * obs.a)
-    step_angle = theta * obs.b / m
-    for _ in range(m):
-        phase += step_angle * signed
-    return phase
+    return theta * obs.a + theta * obs.b * signed
 
 
-def quantum_probe(state, obs, theta: float,
-                  trotter_steps: int | None = None) -> tuple[float, float]:
+def quantum_probe(state, obs, theta: float) -> tuple[float, float]:
     """Ancilla readout (<sigma_z>, <sigma_y>) = (Re F, Im F) after the circuit.
 
     ``state`` is a QuantumRegister (ancilla included), a DiagonalEnsemble, or
     a plain system state vector.  ``obs`` may be an ObservableSpec (z-type by
     construction) or a diagonal PauliObservable; off-diagonal observables are
     outside this readout scheme (see the product-formula error probe).
-    ``trotter_steps=None`` applies the full controlled phase in one pass.
     """
     if isinstance(obs, ObservableSpec):
         n_sites = state.n_sites if hasattr(state, "n_sites") else None
@@ -180,13 +166,13 @@ def quantum_probe(state, obs, theta: float,
         raise SizeError(f"dense register limited to N <= {QUANTUM_SITES_LIMIT}")
 
     if isinstance(state, DiagonalEnsemble):
-        phase = _diagonal_phase(pauli, theta, trotter_steps)
+        phase = _diagonal_phase(pauli, theta)
         return (float(state.probs @ np.cos(phase)), float(state.probs @ np.sin(phase)))
 
     if not isinstance(state, QuantumRegister):
         state = QuantumRegister.from_system_state(np.asarray(state, dtype=complex),
                                                   pauli.n_sites)
-    phase = _diagonal_phase(pauli, theta, trotter_steps)
+    phase = _diagonal_phase(pauli, theta)
     dim = 1 << pauli.n_sites
     up = state.amplitudes[:dim] * np.exp(1j * phase)  # controlled phase on ancilla-up
     down = state.amplitudes[dim:]

@@ -22,20 +22,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .charfunc import CharFunctionSamples, _grid_offset
-from .distribution import (DistMeta, Distribution, DistributionReport,
-                           charfunc_of_distribution, total_variation,
-                           validate_distribution)
+from .distribution import DistMeta, Distribution
 from .errors import EstimationError, GridMismatchError, InputError
 from .spin_model import ModelKind, ModelParams, ObservableSpec, ObsKind, magnetization
 
 if TYPE_CHECKING:  # pragma: no cover
     from .probe import ProbeRecord
 
-__all__ = [
-    "build_theta_grid", "invert_dft", "estimate_gate_error", "gaussian_approx",
-    "validate_distribution", "total_variation", "Distribution",
-    "DistributionReport", "DistMeta", "charfunc_of_distribution",
-]
+__all__ = ["build_theta_grid", "invert_dft", "estimate_gate_error", "gaussian_approx"]
 
 
 def build_theta_grid(obs: ObservableSpec, n: int, points: int | None = None) -> np.ndarray:
@@ -59,23 +53,13 @@ def _support_for(obs: ObservableSpec) -> np.ndarray:
     return np.arange(lo, hi + 1)
 
 
-def _resolve_obs(samples: CharFunctionSamples, obs, n):
-    obs = obs if obs is not None else samples.observable
-    if obs is None:
-        raise InputError("no observable attached to the samples; pass one explicitly")
-    if n is None:
-        n = samples.model.N if samples.model is not None else len(obs.terms)
-    return obs, int(n)
-
-
 def _check_standard_grid(eff_theta: np.ndarray):
     if _grid_offset(eff_theta) > 1e-9:
         raise GridMismatchError("samples do not sit on the uniform grid 2 pi j / M "
                                 "(after the gate-error rescaling, if any)")
 
 
-def invert_dft(samples: CharFunctionSamples, obs: ObservableSpec | None = None,
-               n: int | None = None, eta: float = 0.0) -> Distribution:
+def invert_dft(samples: CharFunctionSamples, eta: float = 0.0) -> Distribution:
     """Exact finite-sum Fourier inversion on the standard grid, as one FFT.
 
     A gate error eta stretches the accumulated phases by (1 + eta), so the
@@ -84,11 +68,15 @@ def invert_dft(samples: CharFunctionSamples, obs: ObservableSpec | None = None,
     eta = 0.  The result is labelled ``dft`` at eta = 0 and
     ``dft-eta-corrected`` otherwise.  The imaginary residue of each amplitude
     is recorded on the result and dropped; probabilities are returned
-    unclipped.
+    unclipped.  The samples must carry their observable; N is the model's
+    when they carry one, else the observable's term count.
     """
     if eta <= -1.0:
         raise InputError("eta must exceed -1")
-    obs, n = _resolve_obs(samples, obs, n)
+    obs = samples.observable
+    if obs is None:
+        raise InputError("no observable attached to the samples")
+    n = samples.model.N if samples.model is not None else len(obs.terms)
     support = _support_for(obs)
     m = samples.values.size
     if m < support.size:

@@ -178,9 +178,9 @@ def test_repro_sm_error_outputs(tmp_path):
     assert payload["eta_estimate"] == pytest.approx(0.02, abs=1e-3)
     assert payload["tv_corrected_vs_ideal"] < 1e-9
     assert payload["tv_naive_vs_ideal"] > 0.01
-    for name in ("coherence.csv", "coherence-distorted.csv", "distribution.csv",
-                 "distribution-naive.csv", "distribution-corrected.csv", "plot.svg"):
-        assert (out / name).exists()
+    assert sorted(path.name for path in out.iterdir()) == [
+        "coherence-distorted.csv", "coherence.csv", "cumulants.json", "distribution-corrected.csv",
+        "distribution-naive.csv", "distribution.csv", "effective-config.json", "plot.svg"]
 
 
 def test_grid_override_densifies_traces(tmp_path):

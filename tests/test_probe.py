@@ -6,9 +6,8 @@ import scipy.stats
 
 from kinkprobe import (GateErrorModel, InputError, SpinConfig, charfunc_values,
                        circuit_phase, custom_observable, energy, enumerate_oracle,
-                       gibbs_sample, gibbs_sampler, kink_number, magnetization,
-                       observable_value, simulate_probe_exact,
-                       simulate_probe_shots)
+                       gibbs_sampler, kink_number, magnetization,
+                       observable_value, simulate_probe_shots)
 import kinkprobe.probe as probe
 from kinkprobe.probe import (METROPOLIS_BURNIN_SWEEPS, LongRangeMetropolisSampler,
                              RingGibbsSampler, default_time_grid)
@@ -195,9 +194,9 @@ def test_longrange_metropolis_matches_oracle():
 
 def test_gibbs_sample_single_draw_roundtrip():
     rng = np.random.default_rng(1)
-    cfg = gibbs_sample(ring(12, beta=0.5), rng)
-    assert isinstance(cfg, SpinConfig) and len(cfg) == 12
-    cfg2 = gibbs_sample(longrange(5, beta=0.3), rng)
+    cfg = SpinConfig(gibbs_sampler(ring(12, beta=0.5)).sample_batch(1, rng)[0])
+    assert len(cfg) == 12 and set(cfg.spins.tolist()) <= {-1, 1}
+    cfg2 = SpinConfig(gibbs_sampler(longrange(5, beta=0.3)).sample_batch(1, rng)[0])
     assert len(cfg2) == 5
     assert isinstance(gibbs_sampler(longrange(5)), LongRangeMetropolisSampler)
 
@@ -207,9 +206,17 @@ def test_gibbs_sample_single_draw_roundtrip():
 # ---------------------------------------------------------------------------
 
 
+def test_exact_record_has_one_entry_point():
+    import kinkprobe
+
+    # exact expectations are simulate_probe_shots(..., shots=None)
+    for name in ("simulate_probe_exact", "gibbs_sample"):
+        assert not hasattr(kinkprobe, name) and not hasattr(probe, name)
+
+
 def test_exact_record_starts_at_unit_coherence():
-    record = simulate_probe_exact(ring(10), magnetization(10), 0.01,
-                                  default_time_grid(magnetization(10), 10, 0.01))
+    record = simulate_probe_shots(ring(10), magnetization(10), 0.01,
+                                  default_time_grid(magnetization(10), 10, 0.01), None)
     assert record.sx[0] == pytest.approx(1.0, abs=1e-14)
     assert record.sy[0] == pytest.approx(0.0, abs=1e-14)
 
@@ -219,21 +226,21 @@ def test_exact_traces_decay_and_revive_at_zero_field():
     # from 1 and revives to 1 at accumulated phase pi (even support stride)
     model, obs = ring(50), magnetization(50)
     times = default_time_grid(obs, 50, 0.01, points=404)
-    record = simulate_probe_exact(model, obs, 0.01, times)
+    record = simulate_probe_shots(model, obs, 0.01, times, None)
     assert record.sx[0] == 1.0
     assert np.abs(record.sy).max() < 1e-10
     assert record.sx.min() < 0.05
     mid = np.argmin(np.abs(record.nominal_theta - np.pi))
     assert record.sx[mid] == pytest.approx(1.0, abs=1e-3)
     # a finite field puts weight into the imaginary trace
-    tilted = simulate_probe_exact(ring(50, h=0.2), obs, 0.01, times)
+    tilted = simulate_probe_shots(ring(50, h=0.2), obs, 0.01, times, None)
     assert np.abs(tilted.sy).max() > 0.1
 
 
 def test_exact_record_bit_consistent_with_charfunc():
     model, obs = ring(14, h=0.3, beta=0.9), kink_number(14)
     times = default_time_grid(obs, 14, 0.02)
-    record = simulate_probe_exact(model, obs, 0.02, times)
+    record = simulate_probe_shots(model, obs, 0.02, times, None)
     f = charfunc_values(model, obs, 2 * 0.02 * times)
     assert np.array_equal(record.sx, f.real)
     assert np.array_equal(record.sy, f.imag)
@@ -242,7 +249,7 @@ def test_exact_record_bit_consistent_with_charfunc():
 def test_shot_record_converges_to_exact():
     model, obs = ring(8, h=0.2, beta=1.0), magnetization(8)
     t = np.array([17.0])
-    exact = simulate_probe_exact(model, obs, 0.01, t)
+    exact = simulate_probe_shots(model, obs, 0.01, t, None)
     shots = simulate_probe_shots(model, obs, 0.01, t, shots=1_000_000, seed=2)
     assert abs(shots.sx[0] - exact.sx[0]) < 4e-3
     assert abs(shots.sy[0] - exact.sy[0]) < 4e-3
@@ -407,7 +414,7 @@ def test_custom_observable_through_shot_pipeline():
     obs = custom_observable(2.0, 1.0, [(1, 2, 3)])
     times = default_time_grid(obs, 4, 0.01)
     with pytest.raises(DeformationError):
-        simulate_probe_exact(ring(4, beta=1.0), obs, 0.01, times)
+        simulate_probe_shots(ring(4, beta=1.0), obs, 0.01, times, None)
     record = simulate_probe_shots(model, obs, 0.01, times, shots=20_000, seed=31)
     dist = invert_dft(record.to_charfunc_samples()).cleaned()
     oracle = enumerate_oracle(model, obs).dist

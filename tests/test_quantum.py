@@ -55,16 +55,11 @@ def test_superposition_register_averages_diagonal_phases(rng):
     assert im == pytest.approx(expect.imag, abs=1e-12)
 
 
-def test_trotterized_diagonal_observables_are_exact():
-    n = 6
-    model = ring(n, j=0.5, h=0.3, beta=1.1)
-    ensemble = thermal_diagonal_ensemble(model)
-    for obs in (magnetization(n), kink_number(n)):
-        exact = quantum_probe(ensemble, obs, 1.3)
-        for m in (1, 2, 4, 16):
-            stepped = quantum_probe(ensemble, obs, 1.3, trotter_steps=m)
-            assert stepped[0] == pytest.approx(exact[0], abs=1e-12)
-            assert stepped[1] == pytest.approx(exact[1], abs=1e-12)
+def test_quantum_probe_takes_no_step_count():
+    # a diagonal phase is exact in one pass; trotter_error_probe studies steps
+    ensemble = thermal_diagonal_ensemble(ring(4))
+    with pytest.raises(TypeError):
+        quantum_probe(ensemble, magnetization(4), 0.3, trotter_steps=2)
 
 
 def test_quantum_probe_rejects_offdiagonal_and_oversize():

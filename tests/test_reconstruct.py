@@ -10,7 +10,7 @@ from kinkprobe import (CharFunctionSamples, Distribution, DistMeta,
                        invert_dft, kink_number,
                        magnetization, sample_charfunc, simulate_probe_shots,
                        total_variation, validate_distribution)
-from kinkprobe.probe import GateErrorModel, default_time_grid, simulate_probe_exact
+from kinkprobe.probe import GateErrorModel, default_time_grid
 from conftest import ring
 
 
@@ -79,6 +79,19 @@ def test_invert_refuses_underresolved_grid():
                                   model=ring(4))
     with pytest.raises(GridMismatchError):
         invert_dft(samples)
+
+
+def test_invert_reads_the_observable_off_the_samples():
+    obs = magnetization(4)
+    thetas = build_theta_grid(obs, 4)
+    bare = CharFunctionSamples(theta=thetas, values=np.ones(9, dtype=complex),
+                               provenance=Provenance.PROBE_EXACT)
+    with pytest.raises(InputError, match="no observable"):
+        invert_dft(bare)
+    with pytest.raises(TypeError):
+        invert_dft(bare, obs, 4)
+    with pytest.raises(TypeError):
+        invert_dft(bare, obs=obs)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +170,7 @@ def test_estimate_gate_error_negative():
 def test_estimate_gate_error_needs_full_period():
     model, obs = ring(10, h=0.1), magnetization(10)
     times = np.linspace(0.0, 0.3 * math.pi / 0.01, 500)
-    record = simulate_probe_exact(model, obs, 0.01, times)
+    record = simulate_probe_shots(model, obs, 0.01, times, None)
     with pytest.raises(EstimationError):
         estimate_gate_error(record)
 

@@ -154,10 +154,9 @@ def test_term_sums_match_direct_products_in_every_caller(n):
     for s in range(1 << n):
         x = _direct_value([1 - 2 * ((s >> (n - k)) & 1) for k in range(1, n + 1)])
         reg = QuantumRegister.from_basis_state(s, n)
-        for steps in (None, 3):
-            re, im = quantum_probe(reg, _RAGGED, theta, trotter_steps=steps)
-            assert re == pytest.approx(math.cos(theta * x), abs=1e-12)
-            assert im == pytest.approx(math.sin(theta * x), abs=1e-12)
+        re, im = quantum_probe(reg, _RAGGED, theta)
+        assert re == pytest.approx(math.cos(theta * x), abs=1e-12)
+        assert im == pytest.approx(math.sin(theta * x), abs=1e-12)
     for model in (ring(n, j=0.7, h=0.3, beta=0.9), longrange(n, j=-0.4, h=0.2, beta=1.3)):
         weights = np.array([math.exp(-model.beta * energy(model, SpinConfig(c)))
                             for c in configs])
