@@ -18,14 +18,14 @@ Both long-range sums have integer values and real weights, so on the
 standard grid theta_j = 2 pi j / M each is one M-point inverse FFT.
 
 Closed-form cumulants (mean, variance, third cumulant) and cumulants from
-the raw moments of a distribution are also provided.
+the moments of a distribution about its mean are also provided.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -343,20 +343,12 @@ def _ring_kink_cumulants(model: ModelParams) -> CumulantSet:
 
 
 def _longrange_mag_cumulants(model: ModelParams) -> CumulantSet:
-    """Exact long-range cumulants via G_a = sum_n n^a g(n) (shared log shift)."""
-    logg, _ = _longrange_log_g(model.N, model.beta * model.J, model.beta * model.h)
-    g = np.exp(logg - logg.max())
-    k = np.arange(model.N + 1, dtype=float)
-    g0 = g.sum()
-    r1 = (k * g).sum() / g0
-    r2 = (k * k * g).sum() / g0
-    r3 = (k * k * k * g).sum() / g0
-    return CumulantSet(
-        kappa1=model.N - 2.0 * r1,
-        kappa2=4.0 * (r2 - r1 * r1),
-        kappa3=-8.0 * (r3 - 3.0 * r1 * r2 + 2.0 * r1 ** 3),
-        flavor=CumulantFlavor.EXACT_SMALL_FORMULA,
-    )
+    """Exact long-range cumulants of the sector law: M = N - 2k with weight g(k)."""
+    n = model.N
+    logg, _ = _longrange_log_g(n, model.beta * model.J, model.beta * model.h)
+    g = np.exp(logg[::-1] - logg.max())  # M = -N, -N + 2, ..., N
+    sectors = Distribution(support=np.arange(-n, n + 1, 2), probs=g / g.sum())
+    return replace(distribution_cumulants(sectors), flavor=CumulantFlavor.EXACT_SMALL_FORMULA)
 
 
 def closed_cumulants(model: ModelParams, obs: ObservableSpec) -> CumulantSet:
@@ -381,10 +373,15 @@ def closed_cumulants(model: ModelParams, obs: ObservableSpec) -> CumulantSet:
 
 
 def distribution_cumulants(dist: Distribution) -> CumulantSet:
-    """kappa_1..3 of a distribution from its raw moments mu_1..3."""
-    mu1, mu2, mu3 = (dist.raw_moment(order) for order in (1, 2, 3))
-    return CumulantSet(kappa1=mu1, kappa2=mu2 - mu1 ** 2,
-                       kappa3=mu3 - 3 * mu1 * mu2 + 2 * mu1 ** 3,
+    """kappa_1..3 of a distribution: its mean, then its moments about the mean.
+
+    Moments about zero would cancel: at mean ~ N the raw third moment is
+    ~ N^3 and kappa_3 ~ N, so the raw form keeps only ~ 16 - 2 log10(N) digits.
+    """
+    mu = dist.mean()
+    dev = dist.support - mu
+    return CumulantSet(kappa1=mu, kappa2=float(dist.probs @ dev ** 2),
+                       kappa3=float(dist.probs @ dev ** 3),
                        flavor=CumulantFlavor.NUMERICAL_FROM_F)
 
 

@@ -49,9 +49,6 @@ class Distribution:
         mu = self.mean()
         return float(self.probs @ (self.support - mu) ** 2)
 
-    def raw_moment(self, order: int) -> float:
-        return float(self.probs @ self.support.astype(float) ** order)
-
     def prob_of(self, x: int) -> float:
         idx = np.searchsorted(self.support, x)
         if idx >= self.support.size or self.support[idx] != x:

@@ -1,6 +1,5 @@
 import decimal
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -158,6 +157,17 @@ def _longrange_mag_reference(n, g, m):
     return out
 
 
+def _decimal_longrange_logs(n, bj, bh):
+    """log C(N, k) - beta E over the down-count k, in the current decimal precision."""
+    a, b = decimal.Decimal(bj), decimal.Decimal(bh)
+    logs, count = [], 1
+    for k in range(n + 1):
+        mag = n - 2 * k
+        logs.append(decimal.Decimal(count).ln() + a * (mag * mag - n) / 2 + b * mag)
+        count = count * (n - k) // (k + 1)
+    return logs
+
+
 def _decimal_longrange_weights(n, bj, bh):
     """Sector weights C(N, k) e^{-beta E} over the down-count k, from 40-digit decimals.
 
@@ -165,12 +175,7 @@ def _decimal_longrange_weights(n, bj, bh):
     """
     with decimal.localcontext() as ctx:
         ctx.prec = 40
-        a, b = decimal.Decimal(bj), decimal.Decimal(bh)
-        logs, count = [], 1
-        for k in range(n + 1):
-            mag = n - 2 * k
-            logs.append(decimal.Decimal(count).ln() + a * (mag * mag - n) / 2 + b * mag)
-            count = count * (n - k) // (k + 1)
+        logs = _decimal_longrange_logs(n, bj, bh)
         top = max(logs)
         return np.array([float((x - top).exp()) for x in logs])
 
@@ -190,7 +195,7 @@ def test_longrange_magnetization_matches_a_decimal_reference_at_n1000(bj, bh):
 def test_longrange_magnetization_grid_route_accuracy_at_n1000(m, monkeypatch):
     from kinkprobe.partition import _longrange_log_g
 
-    cf = sys.modules["kinkprobe.charfunc"]  # the package exports a function of that name
+    from kinkprobe import charfunc as cf
 
     n = 1000
     model = longrange(n, j=1.0, h=0.3, beta=0.5 / n)
@@ -378,6 +383,26 @@ def test_closed_cumulants_longrange_magnetization_exact(rng):
         assert cs.kappa1 == pytest.approx(dist.mean(), rel=1e-10, abs=1e-10)
         assert cs.kappa2 == pytest.approx(dist.variance(), rel=1e-10, abs=1e-10)
         assert cs.kappa3 == pytest.approx(mu3, rel=1e-9, abs=1e-9)
+
+
+def test_closed_longrange_cumulants_match_a_decimal_sector_sum_at_n4000():
+    # the mean of the down-count is ~N/2, so moments about zero would cancel
+    # in kappa_3 (~1e-5 here); moments about the mean keep it to ~5e-8
+    n, bj, bh = 4000, 1.25e-4, 1.25e-4
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        logs = _decimal_longrange_logs(n, bj, bh)
+        top = max(logs)
+        w = [(x - top).exp() for x in logs]
+        mags = [n - 2 * k for k in range(n + 1)]
+        z = sum(w)
+        mean = sum(wk * m for wk, m in zip(w, mags)) / z
+        k2, k3 = (float(sum(wk * (m - mean) ** r for wk, m in zip(w, mags)) / z)
+                  for r in (2, 3))
+    cs = closed_cumulants(longrange(n, j=1.0, h=1.0, beta=1.25e-4), magnetization(n))
+    assert abs(cs.kappa1 - float(mean)) <= 1e-10
+    assert abs(cs.kappa2 - k2) <= 1e-11 * k2
+    assert abs(cs.kappa3 - k3) <= 1e-7
 
 
 def test_closed_cumulants_longrange_kinks_unsupported():
