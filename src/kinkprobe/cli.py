@@ -130,6 +130,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# JSON types a config file may give for each declared RunConfig type;
+# formats may be "csv,json" or a list, shots may also be "exact"
+_CONFIG_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool,
+                 "None": type(None), "tuple": (str, list)}
+
+
+def _check_config_file(file_cfg) -> None:
+    """Refuse keys a config file may not set and values of the wrong type."""
+    if not isinstance(file_cfg, dict):
+        raise InputError("a config file holds one JSON object of RunConfig fields")
+    fields = RunConfig.__dataclass_fields__
+    unknown = set(file_cfg) - set(fields)
+    if unknown:
+        raise InputError(f"unknown config keys: {sorted(unknown)}")
+    fixed = {"command", "preset"} & set(file_cfg)
+    if fixed:
+        raise InputError(f"config keys {sorted(fixed)} are set by the subcommand, not a file")
+    for key, val in file_cfg.items():
+        declared = fields[key].type  # the annotation text, e.g. "int | None"
+        types = tuple(_CONFIG_TYPES[name] for name in declared.split(" | "))
+        if isinstance(val, bool) != (declared == "bool") or not (
+                isinstance(val, types) or (key == "shots" and val == "exact")):
+            raise InputError(f"config key {key!r} has the wrong type: {val!r}")
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """defaults < config file < explicit flags."""
     merged: dict = {}
@@ -137,9 +162,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(RunConfig.__dataclass_fields__)
-        if unknown:
-            raise InputError(f"unknown config keys: {sorted(unknown)}")
+        _check_config_file(file_cfg)
         merged.update(file_cfg)
     if args.command == "repro":
         merged.update(PRESETS[args.preset])
@@ -195,15 +218,6 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _report_payload(report) -> dict:
-    return {
-        "norm_defect": report.norm_defect,
-        "min_prob": report.min_prob,
-        "parity_violation_mass": report.parity_violation_mass,
-        "residual_imag": report.residual_imag,
-    }
-
-
 def _cumulant_payload(cs) -> dict:
     def clean(x):
         return None if (isinstance(x, float) and math.isnan(x)) else x
@@ -244,7 +258,7 @@ def _write_outputs(cfg: RunConfig, tables: list, payload: dict, plot, report,
     for name, _ in files:
         print(outdir / name)
     if not report.worst_defect() <= tolerance:  # NaN fails
-        print(f"validation defects above tolerance: {_report_payload(report)}",
+        print(f"validation defects above tolerance: {asdict(report)}",
               file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK
@@ -262,7 +276,7 @@ def run_probe(cfg: RunConfig) -> int:
 
     payload = {
         "method": raw.meta.method,
-        "validation": _report_payload(report),
+        "validation": asdict(report),
         "numerical": _cumulant_payload(distribution_cumulants(dist)),
     }
     try:
@@ -323,7 +337,7 @@ def run_sm_error(cfg: RunConfig) -> int:
         "eta_estimate": eta_hat,
         "tv_naive_vs_ideal": total_variation(p_naive, p_ideal),
         "tv_corrected_vs_ideal": total_variation(corrected, p_ideal),
-        "validation": _report_payload(report),
+        "validation": asdict(report),
         "numerical": _cumulant_payload(distribution_cumulants(corrected)),
         "closed": _cumulant_payload(closed_cumulants(model, obs)),
     }

@@ -105,6 +105,41 @@ def test_workers_is_not_a_config_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("preset", "fig2b"), ("command", "sm-error")])
+def test_config_file_cannot_choose_the_command(tmp_path, capsys, key, value):
+    # the subcommand picks the run; a file key would only be echoed back
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 6, key: value}))
+    out = tmp_path / "o"
+    assert main(["probe", "--config", str(cfg), "--outdir", str(out)]) == EXIT_INPUT
+    assert f"['{key}']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("file_cfg", [
+    {"N": "50"}, {"beta": "1"}, {"N": True}, {"N": 50.0}, {"seed": False},
+    {"oracle": 1}, {"shots": "100"}, {"shots": 1.5}, {"formats": 3}, {"grid": "64"},
+    {"model": 1}, [{"N": 6}],
+])
+def test_config_value_of_the_wrong_type_is_input_error(tmp_path, capsys, file_cfg):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_cfg))
+    assert main(["probe", "--config", str(cfg), "--outdir", str(tmp_path / "o")]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("kinkprobe: error: ")
+
+
+def test_config_values_of_every_accepted_type(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 6, "beta": 1, "h": 0.1, "shots": "exact", "grid": None,
+                               "formats": ["csv", "json"], "oracle": True, "model": "ring"}))
+    out = tmp_path / "o"
+    assert main(["probe", "--config", str(cfg), "--outdir", str(out)]) == EXIT_OK
+    eff = json.loads((out / "effective-config.json").read_text())
+    assert eff["shots"] is None and eff["formats"] == ["csv", "json"] and eff["oracle"]
+    cfg.write_text(json.dumps({"N": 6, "shots": 50, "formats": "csv"}))
+    assert main(["probe", "--config", str(cfg), "--outdir", str(tmp_path / "p")]) == EXIT_OK
+
+
 def test_uncorrected_gate_error_trips_validation(tmp_path):
     # exact-mode acquisition with a miscalibrated angle and no correction:
     # the reconstruction is corrupted and the exact-run gate must flag it
