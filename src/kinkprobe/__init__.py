@@ -2,13 +2,14 @@
 
 Library layout:
 
-* :mod:`kinkprobe.spin_model`  -- configurations, Hamiltonians, enumeration oracle
-* :mod:`kinkprobe.partition`   -- transfer-matrix / sector-sum partition functions
-* :mod:`kinkprobe.charfunc`    -- characteristic functions and cumulants
-* :mod:`kinkprobe.reconstruct` -- Fourier inversion, gate-error correction
-* :mod:`kinkprobe.probe`       -- protocol emulator (Gibbs sampling, shots, errors)
-* :mod:`kinkprobe.quantum`     -- state-vector variant and product-formula probe
-* :mod:`kinkprobe.cli`         -- command-line frontend and figure presets
+* :mod:`kinkprobe.spin_model`   -- configurations, Hamiltonians, enumeration oracle
+* :mod:`kinkprobe.partition`    -- transfer-matrix / sector-sum partition functions
+* :mod:`kinkprobe.charfunc`     -- F(theta) (charfunc_values) and cumulants
+* :mod:`kinkprobe.distribution` -- distributions, their validation and distances
+* :mod:`kinkprobe.reconstruct`  -- Fourier inversion (invert_dft), gate-error estimate
+* :mod:`kinkprobe.probe`        -- probe records (simulate_probe_shots; shots=None is exact)
+* :mod:`kinkprobe.quantum`      -- quantum_probe on a state vector, trotter_error_probe
+* :mod:`kinkprobe.cli`          -- command-line frontend and figure presets
 """
 
 from .charfunc import (CharFunctionSamples, CumulantFlavor, CumulantSet,

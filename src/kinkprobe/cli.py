@@ -314,23 +314,23 @@ def run_sm_error(cfg: RunConfig) -> int:
     model, obs = _build_model_obs(cfg)
     eta = cfg.eta
 
-    def record(times, error):
+    def exact_record(times, error):
         return simulate_probe_shots(model, obs, cfg.epsilon, times, None,
                                     error_model=GateErrorModel(error))
 
     ideal_times = default_time_grid(obs, cfg.N, cfg.epsilon, points=cfg.grid)
-    ideal = record(ideal_times, 0.0)
+    ideal = exact_record(ideal_times, 0.0)
     p_ideal = invert_dft(ideal.to_charfunc_samples()).cleaned()
-    distorted = record(ideal_times, eta)
+    distorted = exact_record(ideal_times, eta)
     p_naive = invert_dft(distorted.to_charfunc_samples()).cleaned()
     warped_times = default_time_grid(obs, cfg.N, cfg.epsilon, eta=eta, points=cfg.grid)
-    p_corrected = invert_dft(record(warped_times, eta).to_charfunc_samples(), eta=eta)
+    p_corrected = invert_dft(exact_record(warped_times, eta).to_charfunc_samples(), eta=eta)
     report = validate_distribution(p_corrected)
     corrected = p_corrected.cleaned()
 
     # a long dense record exposes the shifted recurrence for the estimator
     span = 1.3 * math.pi / (cfg.epsilon * min(1.0, 1.0 + eta))
-    eta_hat = estimate_gate_error(record(np.linspace(0.0, span, 4096), eta))
+    eta_hat = estimate_gate_error(exact_record(np.linspace(0.0, span, 4096), eta))
 
     payload = {
         "eta_true": eta,

@@ -48,17 +48,6 @@ def build_theta_grid(obs: ObservableSpec, n: int, points: int | None = None) -> 
     return 2.0 * np.pi * np.arange(m) / m
 
 
-def _support_for(obs: ObservableSpec) -> np.ndarray:
-    lo, hi = obs.value_bounds()
-    return np.arange(lo, hi + 1)
-
-
-def _check_standard_grid(eff_theta: np.ndarray):
-    if _grid_offset(eff_theta) > 1e-9:
-        raise GridMismatchError("samples do not sit on the uniform grid 2 pi j / M "
-                                "(after the gate-error rescaling, if any)")
-
-
 def invert_dft(samples: CharFunctionSamples, eta: float = 0.0) -> Distribution:
     """Exact finite-sum Fourier inversion on the standard grid, as one FFT.
 
@@ -77,11 +66,14 @@ def invert_dft(samples: CharFunctionSamples, eta: float = 0.0) -> Distribution:
     if obs is None:
         raise InputError("no observable attached to the samples")
     n = samples.model.N if samples.model is not None else len(obs.terms)
-    support = _support_for(obs)
+    lo, hi = obs.value_bounds()
+    support = np.arange(lo, hi + 1)
     m = samples.values.size
     if m < support.size:
         raise GridMismatchError("fewer samples than support points; inversion would alias")
-    _check_standard_grid(samples.theta * (1.0 + eta))
+    if _grid_offset(samples.theta * (1.0 + eta)) > 1e-9:
+        raise GridMismatchError("samples do not sit on the uniform grid 2 pi j / M "
+                                "(after the gate-error rescaling, if any)")
     method = "dft" if eta == 0.0 else "dft-eta-corrected"
     meta = DistMeta(obs_kind=obs.kind.value, n=n,
                     model_kind=samples.model.kind.value if samples.model else None,
