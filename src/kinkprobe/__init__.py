@@ -14,9 +14,8 @@ Library layout:
 
 from .charfunc import (CharFunctionSamples, CumulantFlavor, CumulantSet,
                        Provenance, charfunc_values, closed_cumulants,
-                       cumulant_context, deform_params, distribution_cumulants,
-                       exact_kink_mean, joint_counts, numerical_cumulants,
-                       sample_charfunc)
+                       deform_params, distribution_cumulants, exact_kink_mean,
+                       joint_counts, numerical_cumulants, sample_charfunc)
 from .distribution import (Distribution, DistributionReport, DistMeta,
                            charfunc_of_distribution, total_variation,
                            validate_distribution)

@@ -37,6 +37,8 @@ from .spin_model import ModelKind, ModelParams, ObservableSpec, ObsKind
 
 _ABS_F_SLACK = 1e-9      # |F| may exceed 1 by at most this much
 _GRID_ROUTE_TOL = 1e-12  # phases this close to 2 pi j / M take the FFT route
+_LOG2 = math.log(2.0)
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class Provenance(enum.Enum):
@@ -81,37 +83,6 @@ class CumulantSet:
     kappa2: float
     kappa3: float
     flavor: CumulantFlavor
-
-
-@dataclass(frozen=True)
-class CumulantContext:
-    """Shared quantities of the ring closed forms at the physical couplings.
-
-    u = sqrt(1 + e^{4 beta J} sinh^2(beta h))
-    v = 1 - e^{4 beta J} [2 + cosh(2 beta h)]
-    w = 1 - 8 e^{8 beta J} sinh^4(beta h)
-    """
-
-    u: float
-    v: float
-    w: float
-    lambda_plus: float
-    lambda_minus: float
-
-
-def cumulant_context(model: ModelParams) -> CumulantContext:
-    if model.kind is not ModelKind.RING:
-        raise InputError("cumulant context is defined for the ring model")
-    if model.beta <= 0:
-        raise InputError("beta must be positive")
-    bj, bh = model.beta * model.J, model.beta * model.h
-    u = math.sqrt(1.0 + math.exp(4 * bj) * math.sinh(bh) ** 2)
-    v = 1.0 - math.exp(4 * bj) * (2.0 + math.cosh(2 * bh))
-    w = 1.0 - 8.0 * math.exp(8 * bj) * math.sinh(bh) ** 4
-    root = math.exp(-bj) * u
-    lam_p = math.exp(bj) * math.cosh(bh) + root
-    lam_m = math.exp(bj) * math.cosh(bh) - root
-    return CumulantContext(u=u, v=v, w=w, lambda_plus=lam_p, lambda_minus=lam_m)
 
 
 def deform_params(model: ModelParams, obs: ObservableSpec, theta: float) -> ComplexParams:
@@ -312,34 +283,56 @@ def exact_kink_mean(model: ModelParams) -> float:
             * (1.0 - r ** (model.N - 1)) / (1.0 + r ** model.N))
 
 
+def _ring_log_ratios(model: ModelParams) -> tuple[float, float, float]:
+    """log y, log |p|, log z of the closed ring cumulants; A = beta J, B = beta h.
+
+    y = 1/u, p = e^{2A} sinh B / u, z = e^{2A} cosh B / u and
+    u = sqrt(1 + e^{4A} sinh^2 B) = sqrt(1 + e^{2t}), t = log(e^{2A} |sinh B|),
+    so y^2 + p^2 = 1 and no step overflows; log |p| = -inf at B = 0.
+    """
+    a, b = model.beta * model.J, abs(model.beta * model.h)
+    log_sinh = b - _LOG2 + math.log(-math.expm1(-2.0 * b)) if b else -math.inf
+    t = 2.0 * a + log_sinh
+    log_y = -0.5 * float(np.logaddexp(0.0, 2.0 * t))
+    log_cosh = b - _LOG2 + math.log1p(math.exp(-2.0 * b))
+    return log_y, -0.5 * float(np.logaddexp(0.0, -2.0 * t)), 2.0 * a + log_cosh + log_y
+
+
 def _ring_mag_cumulants(model: ModelParams) -> CumulantSet:
-    ctx = cumulant_context(model)
-    bj, bh = model.beta * model.J, model.beta * model.h
-    e2 = math.exp(2 * bj)
-    n = model.N
-    return CumulantSet(
-        kappa1=n * e2 * math.sinh(bh) / ctx.u,
-        kappa2=n * e2 * math.cosh(bh) / ctx.u ** 3,
-        kappa3=n * ctx.v * e2 * math.sinh(bh) / ctx.u ** 5,
-        flavor=CumulantFlavor.CLOSED_LARGE_N,
-    )
+    """kappa1 = N p, kappa2 = N z y^2, kappa3 = N p y^2 (1 - 3 z^2).
+
+    Products are exps of sums of logs: at h = 0, p = 0 keeps kappa1 and
+    kappa3 at 0.0 even where z overflows.
+    """
+    n, sign = model.N, math.copysign(1.0, model.h)
+    log_y, log_p, log_z = _ring_log_ratios(model)
+    log_k2 = math.log(n) + log_z + 2.0 * log_y
+    log_k3 = math.log(3.0 * n) + log_p + 2.0 * (log_y + log_z)  # its 3 N p y^2 z^2 term
+    for name, log_value in (("kappa2", log_k2), ("kappa3", log_k3)):
+        if log_value > _LOG_FLOAT_MAX:
+            raise InputError(f"the closed {name} exceeds the float range")
+    p = sign * math.exp(log_p)
+    return CumulantSet(kappa1=n * p, kappa2=math.exp(log_k2),
+                       kappa3=n * p * math.exp(2.0 * log_y) - sign * math.exp(log_k3),
+                       flavor=CumulantFlavor.CLOSED_LARGE_N)
 
 
 def _ring_kink_cumulants(model: ModelParams) -> CumulantSet:
-    ctx = cumulant_context(model)
-    bj, bh = model.beta * model.J, model.beta * model.h
-    n, u, w, lam_p, lam_m = model.N, ctx.u, ctx.w, ctx.lambda_plus, ctx.lambda_minus
-    kappa1 = n / (u * lam_p * math.exp(bj))
-    kappa2 = (n * (math.cosh(bh) + 2.0 * math.exp(3 * bj) * math.sinh(bh) ** 2 * lam_p)
-              / (u ** 3 * lam_p ** 2))
-    kappa3 = (n * math.exp(-bj)
-              * (5.0 * math.exp(2 * bj)
-                 - (2.0 + w) * math.exp(2 * bj) * math.cosh(2 * bh)
-                 - 2.0 * u * w * math.cosh(bh)
-                 + 4.0 * (u * u - 1.0) * lam_m * math.exp(bj) * math.cosh(bh))
-              / (2.0 * u ** 5 * lam_p ** 3))
-    return CumulantSet(kappa1=kappa1, kappa2=kappa2, kappa3=kappa3,
-                       flavor=CumulantFlavor.CLOSED_LARGE_N)
+    """Kink cumulants in y, p, zeta = 1/(1 + z) and z' = z/(1 + z).
+
+    All four lie in [0, 1], so no kink cumulant can overflow.
+    """
+    n = model.N
+    log_y, log_p, log_z = _ring_log_ratios(model)
+    y2, p2 = math.exp(2.0 * log_y), math.exp(2.0 * log_p)
+    zeta, zp = (math.exp(-np.logaddexp(0.0, x)) for x in (log_z, -log_z))
+    y6 = y2 ** 3
+    bracket = (y6 * (3.0 * zp ** 2 - 7.0 * p2 * zeta ** 2)
+               - (y6 - 8.0 * p2 ** 2 * y2) * (zp ** 2 + 2.0 * zp * zeta + p2 * zeta ** 2)
+               + 4.0 * p2 * y2 ** 2 * zp * (zp - zeta))
+    kappa1 = n * y2 * zeta
+    return CumulantSet(kappa1=kappa1, kappa2=kappa1 * (y2 * zp + 2.0 * p2),
+                       kappa3=0.5 * n * zeta * bracket, flavor=CumulantFlavor.CLOSED_LARGE_N)
 
 
 def _longrange_mag_cumulants(model: ModelParams) -> CumulantSet:
@@ -355,13 +348,15 @@ def closed_cumulants(model: ModelParams, obs: ObservableSpec) -> CumulantSet:
     """Closed-form kappa_1..3 where a formula exists.
 
     Ring formulas keep only the dominant transfer eigenvalue and are accurate
-    up to O((lambda_-/lambda_+)^N); the long-range magnetization formulas are
-    exact.  The long-range kink number has no closed form -- use
-    numerical_cumulants on reconstructed samples instead.  The exact
-    zero-field ring kink mean is exact_kink_mean.
+    up to O((lambda_-/lambda_+)^N); a ring cumulant beyond the float range
+    raises InputError.  The long-range magnetization formulas are exact.
+    The long-range kink number has no closed form -- use numerical_cumulants
+    on reconstructed samples instead.  The exact zero-field ring kink mean is
+    exact_kink_mean.
     """
     if model.beta <= 0:
         raise InputError("beta must be positive")
+    check_term_count(model, obs)
     if model.kind is ModelKind.RING and obs.kind is ObsKind.MAGNETIZATION:
         return _ring_mag_cumulants(model)
     if model.kind is ModelKind.RING and obs.kind is ObsKind.KINKS:

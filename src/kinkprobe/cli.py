@@ -226,6 +226,14 @@ def _cumulant_payload(cs) -> dict:
             "kappa3": clean(cs.kappa3), "flavor": cs.flavor.value}
 
 
+def _closed_block(model, obs) -> dict:
+    """The closed cumulants, or null and the reason where none can be given."""
+    try:
+        return {"closed": _cumulant_payload(closed_cumulants(model, obs))}
+    except InputError as exc:
+        return {"closed": None, "closed_unavailable": str(exc)}
+
+
 def _defect_tolerance(shots, grid_points: int) -> float:
     """Exact runs must be clean; sampled runs get a gate well above their
     expected noise floor (parity mass scales like sqrt(M / shots)), so exit
@@ -278,12 +286,8 @@ def run_probe(cfg: RunConfig) -> int:
         "method": raw.meta.method,
         "validation": asdict(report),
         "numerical": _cumulant_payload(distribution_cumulants(dist)),
+        **_closed_block(model, obs),
     }
-    try:
-        payload["closed"] = _cumulant_payload(closed_cumulants(model, obs))
-    except InputError as exc:
-        payload["closed"] = None
-        payload["closed_unavailable"] = str(exc)
     if cfg.oracle:
         if cfg.N > ORACLE_N_LIMIT:
             raise InputError(f"--oracle requires N <= {ORACLE_N_LIMIT}")
@@ -339,7 +343,7 @@ def run_sm_error(cfg: RunConfig) -> int:
         "tv_corrected_vs_ideal": total_variation(corrected, p_ideal),
         "validation": asdict(report),
         "numerical": _cumulant_payload(distribution_cumulants(corrected)),
-        "closed": _cumulant_payload(closed_cumulants(model, obs)),
+        **_closed_block(model, obs),
     }
 
     def plot():

@@ -76,7 +76,9 @@ def _scaled_lambdas(A, B):
     """Both transfer-matrix eigenvalues, scaled by exp(-c) with real c.
 
     c = max(Re A + |Re B|, -Re A) bounds every intermediate exponent by zero,
-    so the computation is overflow-free for |A|, |B| up to ~700.
+    so the computation is overflow-free for |A|, |B| up to ~700.  Returns c,
+    lambda_pm = term +- root, term = e^{A - c} cosh B and log(term), which
+    stays finite where term underflows (A very negative).
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -92,21 +94,9 @@ def _scaled_lambdas(A, B):
     soff = head * sinh_s  # e^{A - c} sinh B
     tail = np.exp(-A - c)  # exponent -Re A - c <= 0
     root = np.sqrt(tail * tail + soff * soff)  # principal branch
-    return c, term + root, term - root
-
-
-def _scaled_term(A, B, c):
-    """term = e^{A - c} cosh B of _scaled_lambdas, and log(term).
-
-    lambda_pm = term +- root.  term underflows when A is very negative; its
-    logarithm stays finite.
-    """
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    re_b = np.abs(B.real)
-    cosh_s = 0.5 * (np.exp(B - re_b) + np.exp(-B - re_b))
     with np.errstate(divide="ignore"):
-        return np.exp(A - c + re_b) * cosh_s, A - c + re_b + np.log(cosh_s)
+        log_term = A - c + re_b + np.log(cosh_s)
+    return c, term + root, term - root, term, log_term
 
 
 def transfer_spectrum(p: ComplexParams) -> TransferSpectrum:
@@ -117,7 +107,7 @@ def transfer_spectrum(p: ComplexParams) -> TransferSpectrum:
     symmetric under that swap.  The scaled eigenvalues have magnitude O(1),
     comfortably below the 1e300 cap.
     """
-    c, lp, lm = _scaled_lambdas(p.beta * complex(p.Jt), p.beta * complex(p.ht))
+    c, lp, lm, _, _ = _scaled_lambdas(p.beta * complex(p.Jt), p.beta * complex(p.ht))
     return TransferSpectrum(lambda_minus=complex(lm), lambda_plus=complex(lp),
                             log_scale=float(c))
 
@@ -142,7 +132,7 @@ def _znn_scaled_arrays(n: int, A, B):
     cancel, as 1 + r^N = -expm1(N log1p(-(1 + r))), and its logarithm is
     folded into log_scale, so it cannot underflow for beta J down to -700.
     """
-    c, lp, lm = _scaled_lambdas(A, B)
+    c, lp, lm, term, log_term = _scaled_lambdas(A, B)
     lp, lm, c = np.atleast_1d(lp), np.atleast_1d(lm), np.atleast_1d(c)
     plus_is_big = np.abs(lp) >= np.abs(lm)
     big = np.where(plus_is_big, lp, lm)
@@ -155,7 +145,6 @@ def _znn_scaled_arrays(n: int, A, B):
     phase = n * logbig.imag
     if n % 2 == 0:
         return log_scale, np.exp(1j * phase) * (1.0 + ratio_pow)
-    term, log_term = _scaled_term(A, B, c)
     w = 2.0 * term / big  # 1 + r
     with np.errstate(divide="ignore", invalid="ignore"):
         log_w = np.log(2.0) + log_term - logbig

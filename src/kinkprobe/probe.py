@@ -64,8 +64,6 @@ class ProbeRecord:
     sx: np.ndarray
     sy: np.ndarray
     shots: int | None  # None = exact expectations
-    eta: float = 0.0
-    rng_seed: int | None = None
     model: ModelParams | None = None
     observable: ObservableSpec | None = None
 
@@ -299,8 +297,7 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
     if shots is None:
         f = charfunc_values(model, obs, 2.0 * eps_eff * t)
         return ProbeRecord(epsilon=epsilon, time_grid=t, sx=f.real, sy=f.imag,
-                           shots=None, eta=error_model.eta, rng_seed=None,
-                           model=model, observable=obs)
+                           shots=None, model=model, observable=obs)
     if shots < 1:
         raise InputError("shots must be at least 1")
 
@@ -311,5 +308,4 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
         arr = np.asarray([_shots_at_time(obs, sampler, eps_eff, t[j], shots, seed, j)
                           for j in range(t.size)])
     return ProbeRecord(epsilon=epsilon, time_grid=t, sx=arr[:, 0], sy=arr[:, 1],
-                       shots=shots, eta=error_model.eta, rng_seed=seed,
-                       model=model, observable=obs)
+                       shots=shots, model=model, observable=obs)

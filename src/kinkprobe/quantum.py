@@ -145,19 +145,17 @@ def _diagonal_phase(obs: PauliObservable, theta: float) -> np.ndarray:
     return theta * obs.a + theta * obs.b * signed
 
 
-def quantum_probe(state, obs, theta: float) -> tuple[float, float]:
+def quantum_probe(state: QuantumRegister | DiagonalEnsemble, obs,
+                  theta: float) -> tuple[float, float]:
     """Ancilla readout (<sigma_z>, <sigma_y>) = (Re F, Im F) after the circuit.
 
-    ``state`` is a QuantumRegister (ancilla included), a DiagonalEnsemble, or
-    a plain system state vector.  ``obs`` may be an ObservableSpec (z-type by
-    construction) or a diagonal PauliObservable; off-diagonal observables are
-    outside this readout scheme (see the product-formula error probe).
+    ``state`` is a QuantumRegister (ancilla included) or a DiagonalEnsemble.
+    ``obs`` may be an ObservableSpec (z-type by construction) or a diagonal
+    PauliObservable; off-diagonal observables are outside this readout scheme
+    (see the product-formula error probe).
     """
     if isinstance(obs, ObservableSpec):
-        n_sites = state.n_sites if hasattr(state, "n_sites") else None
-        if n_sites is None:
-            raise InputError("pass a register or ensemble with n_sites")
-        pauli = PauliObservable.from_spec(obs, n_sites)
+        pauli = PauliObservable.from_spec(obs, state.n_sites)
     else:
         pauli = obs
     if not pauli.is_diagonal:
@@ -165,14 +163,9 @@ def quantum_probe(state, obs, theta: float) -> tuple[float, float]:
     if pauli.n_sites > QUANTUM_SITES_LIMIT:
         raise SizeError(f"dense register limited to N <= {QUANTUM_SITES_LIMIT}")
 
-    if isinstance(state, DiagonalEnsemble):
-        phase = _diagonal_phase(pauli, theta)
-        return (float(state.probs @ np.cos(phase)), float(state.probs @ np.sin(phase)))
-
-    if not isinstance(state, QuantumRegister):
-        state = QuantumRegister.from_system_state(np.asarray(state, dtype=complex),
-                                                  pauli.n_sites)
     phase = _diagonal_phase(pauli, theta)
+    if isinstance(state, DiagonalEnsemble):
+        return (float(state.probs @ np.cos(phase)), float(state.probs @ np.sin(phase)))
     dim = 1 << pauli.n_sites
     up = state.amplitudes[:dim] * np.exp(1j * phase)  # controlled phase on ancilla-up
     down = state.amplitudes[dim:]

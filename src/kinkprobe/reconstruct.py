@@ -119,7 +119,7 @@ def estimate_gate_error(record: "ProbeRecord") -> float:
     return t_ideal / t_meas - 1.0
 
 
-def gaussian_approx(model: ModelParams, n: int | None = None) -> Distribution:
+def gaussian_approx(model: ModelParams) -> Distribution:
     """Gaussian with the closed mean and variance, on the parity-correct support.
 
     P(m) = C exp[-(m - <M>)^2 / (2 Var M)] for m in [-N, N] with the parity
@@ -129,9 +129,8 @@ def gaussian_approx(model: ModelParams, n: int | None = None) -> Distribution:
 
     if model.kind is not ModelKind.RING:
         raise InputError("the Gaussian comparison curve is defined for the ring model")
-    n = model.N if n is None else int(n)
-    obs = magnetization(n)
-    cs = closed_cumulants(model, obs)
+    n = model.N
+    cs = closed_cumulants(model, magnetization(n))
     support = np.arange(-n, n + 1)
     allowed = (support - n) % 2 == 0
     p = np.zeros(support.size)

@@ -1,16 +1,17 @@
 import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from kinkprobe import (CharFunctionSamples, CumulantFlavor, DeformationError,
-                       InputError, Provenance, build_theta_grid,
+from kinkprobe import (CharFunctionSamples, ComplexParams, CumulantFlavor,
+                       DeformationError, InputError, Provenance, build_theta_grid,
                        charfunc_of_distribution, charfunc_values,
-                       closed_cumulants, cumulant_context, custom_observable,
-                       deform_params, enumerate_oracle, exact_kink_mean,
-                       joint_counts, kink_number, magnetization,
-                       numerical_cumulants, sample_charfunc)
+                       closed_cumulants, custom_observable, deform_params,
+                       enumerate_oracle, exact_kink_mean, joint_counts,
+                       kink_number, magnetization, numerical_cumulants,
+                       sample_charfunc, transfer_spectrum)
 from conftest import longrange, random_couplings, ring
 
 
@@ -315,15 +316,67 @@ def test_longrange_kink_charfunc_matches_oracle_at_n20():
 # ---------------------------------------------------------------------------
 
 
-def test_cumulant_context_invariants(rng):
-    for _ in range(10):
-        j, h, beta = random_couplings(rng, cap=2.0)
-        ctx = cumulant_context(ring(5, j=j, h=h, beta=beta))
-        assert ctx.u >= 1.0
-    ctx0 = cumulant_context(ring(5, j=0.9, h=0.0, beta=1.2))
-    assert ctx0.u == pytest.approx(1.0)
-    assert ctx0.v == pytest.approx(1 - 3 * math.exp(4 * 1.2 * 0.9), rel=1e-13)
-    assert ctx0.w == pytest.approx(1.0)
+def _decimal_ring_cumulants(n, bj, bh):
+    """Closed kappa_1..3 of M and of K on the ring, at 60 decimal digits.
+
+    With A = beta J and B = beta h:
+    u = sqrt(1 + e^{4A} sinh^2 B), v = 1 - e^{4A} (2 + cosh 2B),
+    w = 1 - 8 e^{8A} sinh^4 B and lambda_pm = e^A cosh B +- e^{-A} u;
+    M: kappa = N e^{2A} (sinh B / u, cosh B / u^3, v sinh B / u^5);
+    K: kappa1 = N / (u lambda_+ e^A),
+       kappa2 = N (cosh B + 2 e^{3A} sinh^2 B lambda_+) / (u^3 lambda_+^2),
+       kappa3 = N e^{-A} [5 e^{2A} - (2 + w) e^{2A} cosh 2B - 2 u w cosh B
+                + 4 (u^2 - 1) lambda_- e^A cosh B] / (2 u^5 lambda_+^3).
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        ctx.Emax, ctx.Emin = 10 ** 6, -10 ** 6  # e^{+-8 * 700} and beyond
+        a, b, n = decimal.Decimal(bj), decimal.Decimal(bh), decimal.Decimal(n)
+
+        def e(x):
+            return x.exp()
+
+        sh, ch, ch2 = (e(b) - e(-b)) / 2, (e(b) + e(-b)) / 2, (e(2 * b) + e(-2 * b)) / 2
+        u = (1 + e(4 * a) * sh ** 2).sqrt()
+        v = 1 - e(4 * a) * (2 + ch2)
+        w = 1 - 8 * e(8 * a) * sh ** 4
+        lam_p, lam_m = e(a) * ch + e(-a) * u, e(a) * ch - e(-a) * u
+        mag = (n * e(2 * a) * sh / u, n * e(2 * a) * ch / u ** 3,
+               n * v * e(2 * a) * sh / u ** 5)
+        kinks = (n / (u * lam_p * e(a)),
+                 n * (ch + 2 * e(3 * a) * sh ** 2 * lam_p) / (u ** 3 * lam_p ** 2),
+                 n * e(-a) * (5 * e(2 * a) - (2 + w) * e(2 * a) * ch2 - 2 * u * w * ch
+                              + 4 * (u * u - 1) * lam_m * e(a) * ch) / (2 * u ** 5 * lam_p ** 3))
+        return mag + kinks
+
+
+@pytest.mark.parametrize("obs_builder, offset", [(magnetization, 0), (kink_number, 3)])
+def test_closed_ring_cumulants_match_a_decimal_reference_over_the_envelope(obs_builder, offset):
+    # the grid crosses beta J = 70.9 (88.7 at h = 0) and |beta h| = 140.7, past
+    # which e^{4 beta J} sinh^2(beta h) and its square overflow in floats;
+    # every representable cumulant must come back, and exactly the others be refused
+    n, top = 50, decimal.Decimal(sys.float_info.max)
+    for bj in (-700, -300, -40, -1, 0, 0.5, 1, 40, 71, 100, 177, 300, 354, 700):
+        for bh in (0, 1e-8, -1e-8, 1e-3, -1e-3, 0.2, -0.2, 1, -1, 40, -40, 141, -141,
+                   700, -700):
+            model, obs = ring(n, j=bj, h=bh), obs_builder(n)
+            ref = _decimal_ring_cumulants(n, bj, bh)[offset:offset + 3]
+            if any(abs(r) > top for r in ref):
+                with pytest.raises(InputError, match="float range"):
+                    closed_cumulants(model, obs)
+                continue
+            cs = closed_cumulants(model, obs)
+            for got, want in zip((cs.kappa1, cs.kappa2, cs.kappa3), ref):
+                err = abs(decimal.Decimal(got) - want)
+                assert err <= decimal.Decimal(1e-12) * abs(want) + decimal.Decimal(1e-15 * n), \
+                    (bj, bh, got, want)
+            if obs_builder is magnetization and bh == 0:
+                assert cs.kappa1 == 0.0 and cs.kappa3 == 0.0
+
+
+def test_closed_cumulants_reject_observable_of_another_size():
+    with pytest.raises(InputError, match="N=50"):
+        closed_cumulants(ring(50), magnetization(20))
 
 
 def test_closed_magnetization_zero_field():
@@ -346,8 +399,8 @@ def test_closed_cumulants_match_oracle_within_truncation(rng):
     n = 12
     for obs_builder in (magnetization, kink_number):
         model = ring(n, j=0.6, h=0.25, beta=1.0)
-        ctx = cumulant_context(model)
-        trunc = abs(ctx.lambda_minus / ctx.lambda_plus) ** n
+        spec = transfer_spectrum(ComplexParams(Jt=0.6, ht=0.25, beta=1.0, N=n))
+        trunc = abs(spec.lambda_minus / spec.lambda_plus) ** n
         tol = max(1e-9, 3 * trunc * n)
         dist = enumerate_oracle(model, obs_builder(n)).dist
         mu = dist.mean()

@@ -185,6 +185,32 @@ def test_frustrated_odd_ring_shot_run(tmp_path, j):
     assert chi2.sf(stat, int(noisy.sum())) > 1e-6
 
 
+@pytest.mark.parametrize("obs", ["magnetization", "kinks"])
+@pytest.mark.parametrize("coupling", [["--J", "200"], ["--h", "400"]])
+def test_ring_run_beyond_the_old_closed_form_overflow(tmp_path, obs, coupling):
+    # past beta J = 70.9 and |beta h| = 140.7 e^{4 beta J} sinh^2(beta h) overflows
+    out = tmp_path / "run"
+    assert main(["probe", "--model", "ring", "--obs", obs, "--N", "50", *coupling,
+                 "--outdir", str(out)]) == EXIT_OK
+    closed = json.loads((out / "cumulants.json").read_text())["closed"]
+    assert all(np.isfinite(closed[k]) for k in ("kappa1", "kappa2", "kappa3"))
+
+
+def test_closed_cumulants_beyond_the_float_range_are_null(tmp_path):
+    # kappa2 of M is N e^{2 beta J} at h = 0; everything else still runs
+    out = tmp_path / "run"
+    assert main(["probe", "--model", "ring", "--obs", "magnetization", "--N", "50",
+                 "--J", "700", "--h", "0", "--outdir", str(out)]) == EXIT_OK
+    payload = json.loads((out / "cumulants.json").read_text())
+    assert payload["closed"] is None
+    assert "kappa2" in payload["closed_unavailable"]
+    # the gate-error demonstration fills its closed block the same way
+    cfg = cli.RunConfig(**{**PRESETS["sm-error"], "J": 700.0, "h": 0.0,
+                           "outdir": str(tmp_path / "sm")})
+    assert cli.run(cfg) == EXIT_OK
+    assert json.loads((tmp_path / "sm" / "cumulants.json").read_text())["closed"] is None
+
+
 @pytest.mark.parametrize("argv", [["probe", "--N", "6"], ["repro", "sm-error"]])
 def test_nan_defect_trips_validation(tmp_path, monkeypatch, argv):
     real = cli.validate_distribution

@@ -107,6 +107,17 @@ def test_partition_nn_matches_oracle_random(rng):
         assert z.value.real > 0
 
 
+@pytest.mark.parametrize("bj", [-19.0, -700.0])
+def test_frustrated_odd_ring_log_z_matches_oracle(bj):
+    # the odd-N bracket is folded into the log scale from log(term), which
+    # carries the field; a ratio such as F would cancel an error in it
+    for n in (3, 5, 11):
+        for h in (0.0, 0.3, -2.0):
+            log_z = enumerate_oracle(ring(n, j=bj, h=h), magnetization(n)).log_z
+            z = partition_nn(ComplexParams(Jt=bj, ht=h, beta=1.0, N=n))
+            assert z.log_abs() == pytest.approx(log_z, rel=1e-13)
+
+
 def test_partition_longrange_matches_oracle(rng):
     for _ in range(50):
         j, h, beta = random_couplings(rng)
