@@ -267,9 +267,9 @@ def exact_kink_mean(model: ModelParams) -> float:
     """Exact thermal mean kink number of the zero-field ring, any N.
 
     <K> = (N/2) e^{-beta J} [cosh^{N-1} - sinh^{N-1}] / [cosh^N + sinh^N]
-        = (N/2) e^{-beta J} / cosh(beta J) * (1 - r^{N-1}) / (1 + r^N),
+        = N / (1 + e^{2 beta J}) * (1 - r^{N-1}) / (1 + r^N),
 
-    with r = tanh(beta J); the second form never overflows.
+    with r = tanh(beta J); the second form, its first factor taken in logs, never overflows.
     """
     if model.kind is not ModelKind.RING:
         raise InputError("the exact kink mean is a ring result")
@@ -279,7 +279,7 @@ def exact_kink_mean(model: ModelParams) -> float:
         raise InputError("beta must be positive")
     bj = model.beta * model.J
     r = math.tanh(bj)
-    return (0.5 * model.N * math.exp(-bj) / math.cosh(bj)
+    return (model.N * math.exp(-np.logaddexp(0.0, 2.0 * bj))
             * (1.0 - r ** (model.N - 1)) / (1.0 + r ** model.N))
 
 
