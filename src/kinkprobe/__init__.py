@@ -2,10 +2,10 @@
 
 Library layout:
 
-* :mod:`kinkprobe.spin_model`   -- configurations, Hamiltonians, enumeration oracle
+* :mod:`kinkprobe.spin_model`   -- configurations, Hamiltonians, observables, enumeration oracle
 * :mod:`kinkprobe.partition`    -- transfer-matrix / sector-sum partition functions
-* :mod:`kinkprobe.charfunc`     -- F(theta) (charfunc_values) and cumulants
-* :mod:`kinkprobe.distribution` -- distributions, their validation and distances
+* :mod:`kinkprobe.charfunc`     -- F(theta) (charfunc_values), closed and distribution cumulants
+* :mod:`kinkprobe.distribution` -- distributions, parity masks, validation and distances
 * :mod:`kinkprobe.reconstruct`  -- Fourier inversion (invert_dft), gate-error estimate
 * :mod:`kinkprobe.probe`        -- probe records (simulate_probe_shots; shots=None is exact)
 * :mod:`kinkprobe.quantum`      -- quantum_probe on a state vector, trotter_error_probe
@@ -15,10 +15,9 @@ Library layout:
 from .charfunc import (CharFunctionSamples, CumulantFlavor, CumulantSet,
                        Provenance, charfunc_values, closed_cumulants,
                        deform_params, distribution_cumulants, exact_kink_mean,
-                       joint_counts, numerical_cumulants, sample_charfunc)
-from .distribution import (Distribution, DistributionReport, DistMeta,
-                           charfunc_of_distribution, total_variation,
-                           validate_distribution)
+                       joint_counts, sample_charfunc)
+from .distribution import (Distribution, DistributionReport, charfunc_of_distribution,
+                           total_variation, validate_distribution)
 from .errors import (DeformationError, EstimationError, GridMismatchError,
                      InputError, KinkprobeError, SizeError)
 from .partition import (ComplexParams, ScaledComplex, TransferSpectrum,

@@ -31,8 +31,8 @@ import numpy as np
 
 from .distribution import Distribution
 from .errors import DeformationError, InputError
-from .partition import (ComplexParams, _log_binomials, _log_factorials, _longrange_log_g,
-                        _znn_scaled_arrays)
+from .partition import (_TINY_LOG_BRACKET, ComplexParams, _log_binomials, _log_factorials,
+                        _longrange_log_g, _znn_scaled_arrays)
 from .spin_model import ModelKind, ModelParams, ObservableSpec, ObsKind
 
 _ABS_F_SLACK = 1e-9      # |F| may exceed 1 by at most this much
@@ -55,7 +55,6 @@ class CharFunctionSamples:
     values: np.ndarray
     provenance: Provenance
     observable: ObservableSpec | None = None
-    model: ModelParams | None = None
 
     def __post_init__(self):
         th = np.asarray(self.theta, dtype=float)
@@ -230,10 +229,10 @@ def sample_charfunc(model: ModelParams, obs: ObservableSpec,
     if thetas is None:
         from .reconstruct import build_theta_grid
 
-        thetas = build_theta_grid(obs, model.N, points=points)
+        thetas = build_theta_grid(obs, points=points)
     th = np.asarray(thetas, dtype=float)
     return CharFunctionSamples(theta=th, values=charfunc_values(model, obs, th),
-                               provenance=Provenance.ANALYTIC, observable=obs, model=model)
+                               provenance=Provenance.ANALYTIC, observable=obs)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +269,8 @@ def exact_kink_mean(model: ModelParams) -> float:
         = N / (1 + e^{2 beta J}) * (1 - r^{N-1}) / (1 + r^N),
 
     with r = tanh(beta J); the second form, its first factor taken in logs, never overflows.
+    On a frustrated odd ring (beta J < 0, N odd) r rounds to -1 below beta J ~ -19, so
+    both brackets are formed as 1 - (1 - w)^n from w = 1 + r = 2 / (1 + e^{-2 beta J}).
     """
     if model.kind is not ModelKind.RING:
         raise InputError("the exact kink mean is a ring result")
@@ -277,10 +278,22 @@ def exact_kink_mean(model: ModelParams) -> float:
         raise InputError("the exact kink mean requires h = 0")
     if model.beta <= 0:
         raise InputError("beta must be positive")
-    bj = model.beta * model.J
+    bj, n = model.beta * model.J, model.N
+    lead = n * math.exp(-np.logaddexp(0.0, 2.0 * bj))
+    if bj < 0 and n % 2:
+        # r^{N-1} = (1 - w)^{N-1} and r^N = -(1 - w)^N; w cancels from the ratio
+        log_w = _LOG2 - float(np.logaddexp(0.0, -2.0 * bj))
+        return lead * _one_minus_power_over_w(n - 1, log_w) / _one_minus_power_over_w(n, log_w)
     r = math.tanh(bj)
-    return (model.N * math.exp(-np.logaddexp(0.0, 2.0 * bj))
-            * (1.0 - r ** (model.N - 1)) / (1.0 + r ** model.N))
+    return lead * (1.0 - r ** (n - 1)) / (1.0 + r ** n)
+
+
+def _one_minus_power_over_w(n: int, log_w: float) -> float:
+    """(1 - (1 - w)^n) / w for 0 < w < 1 from log w; n once log(n w) < -40 (w may underflow)."""
+    if n and math.log(n) + log_w >= _TINY_LOG_BRACKET:
+        w = math.exp(log_w)
+        return -math.expm1(n * math.log1p(-w)) / w
+    return float(n)
 
 
 def _ring_log_ratios(model: ModelParams) -> tuple[float, float, float]:
@@ -350,9 +363,9 @@ def closed_cumulants(model: ModelParams, obs: ObservableSpec) -> CumulantSet:
     Ring formulas keep only the dominant transfer eigenvalue and are accurate
     up to O((lambda_-/lambda_+)^N); a ring cumulant beyond the float range
     raises InputError.  The long-range magnetization formulas are exact.
-    The long-range kink number has no closed form -- use numerical_cumulants
-    on reconstructed samples instead.  The exact zero-field ring kink mean is
-    exact_kink_mean.
+    The long-range kink number has no closed form: take distribution_cumulants
+    of the reconstructed distribution instead.  The exact zero-field ring kink
+    mean is exact_kink_mean.
     """
     if model.beta <= 0:
         raise InputError("beta must be positive")
@@ -363,8 +376,8 @@ def closed_cumulants(model: ModelParams, obs: ObservableSpec) -> CumulantSet:
         return _ring_kink_cumulants(model)
     if model.kind is ModelKind.LONG_RANGE and obs.kind is ObsKind.MAGNETIZATION:
         return _longrange_mag_cumulants(model)
-    raise InputError("no closed cumulants for this model/observable; "
-                     "fall back to numerical_cumulants")
+    raise InputError("no closed cumulants for this model/observable; use the numerical "
+                     "cumulants of the reconstructed distribution")
 
 
 def distribution_cumulants(dist: Distribution) -> CumulantSet:
@@ -379,18 +392,3 @@ def distribution_cumulants(dist: Distribution) -> CumulantSet:
                        kappa3=float(dist.probs @ dev ** 3),
                        flavor=CumulantFlavor.NUMERICAL_FROM_F)
 
-
-def numerical_cumulants(samples: CharFunctionSamples) -> CumulantSet:
-    """Cumulants from the reconstructed distribution behind F(theta)."""
-    from .reconstruct import invert_dft
-
-    # shot-sampled F(0) carries readout noise on its imaginary part
-    norm_tol = 0.2 if samples.provenance is Provenance.PROBE_SHOTS else 1e-6
-    if samples.theta.size == 0 or samples.theta[0] != 0.0 or abs(samples.values[0] - 1.0) > norm_tol:
-        raise InputError("characteristic-function samples must be normalized (F(0) = 1)")
-    if samples.observable is None or samples.model is None:
-        raise InputError("samples must carry observable and model descriptors")
-    lo, hi = samples.observable.value_bounds()
-    if samples.theta.size < hi - lo + 1:
-        raise InputError("theta grid does not resolve the distribution support")
-    return distribution_cumulants(invert_dft(samples))

@@ -1,9 +1,9 @@
 """Command-line frontend: model -> probe record -> distribution -> files.
 
 Outputs per run directory: effective-config.json (the resolved settings),
-coherence.csv (t, theta, sx, sy), distribution.csv (x, p), cumulants.json
-(closed + numerical cumulants, validation report, optional extras) and an
-optional plot.svg.  Exit codes: 0 ok, 1 input error, 2 validation-report
+coherence.csv (t, theta, sx, sy), distribution.csv (x, p; clipped), cumulants.json
+(closed cumulants, those of the unclipped inversion, validation report, extras)
+and an optional plot.svg.  Exit codes: 0 ok, 1 input error, 2 validation-report
 defects above tolerance, 64 usage error.
 """
 
@@ -275,17 +275,17 @@ def _write_outputs(cfg: RunConfig, tables: list, payload: dict, plot, report,
 def run_probe(cfg: RunConfig) -> int:
     model, obs = _build_model_obs(cfg)
     warp_eta = cfg.eta if cfg.correct_eta else 0.0
-    times = default_time_grid(obs, cfg.N, cfg.epsilon, eta=warp_eta, points=cfg.grid)
+    times = default_time_grid(obs, cfg.epsilon, eta=warp_eta, points=cfg.grid)
     record = simulate_probe_shots(model, obs, cfg.epsilon, times, cfg.shots,
                                   error_model=GateErrorModel(cfg.eta), seed=cfg.seed)
     raw = invert_dft(record.to_charfunc_samples(), eta=warp_eta)
     report = validate_distribution(raw)
-    dist = raw.cleaned()
+    dist = raw.cleaned()  # clipping would bias the cumulants, so they are taken from raw
 
     payload = {
-        "method": raw.meta.method,
+        "method": raw.method,
         "validation": asdict(report),
-        "numerical": _cumulant_payload(distribution_cumulants(dist)),
+        "numerical": _cumulant_payload(distribution_cumulants(raw)),
         **_closed_block(model, obs),
     }
     if cfg.oracle:
@@ -322,12 +322,12 @@ def run_sm_error(cfg: RunConfig) -> int:
         return simulate_probe_shots(model, obs, cfg.epsilon, times, None,
                                     error_model=GateErrorModel(error))
 
-    ideal_times = default_time_grid(obs, cfg.N, cfg.epsilon, points=cfg.grid)
+    ideal_times = default_time_grid(obs, cfg.epsilon, points=cfg.grid)
     ideal = exact_record(ideal_times, 0.0)
     p_ideal = invert_dft(ideal.to_charfunc_samples()).cleaned()
     distorted = exact_record(ideal_times, eta)
     p_naive = invert_dft(distorted.to_charfunc_samples()).cleaned()
-    warped_times = default_time_grid(obs, cfg.N, cfg.epsilon, eta=eta, points=cfg.grid)
+    warped_times = default_time_grid(obs, cfg.epsilon, eta=eta, points=cfg.grid)
     p_corrected = invert_dft(exact_record(warped_times, eta).to_charfunc_samples(), eta=eta)
     report = validate_distribution(p_corrected)
     corrected = p_corrected.cleaned()
@@ -342,7 +342,7 @@ def run_sm_error(cfg: RunConfig) -> int:
         "tv_naive_vs_ideal": total_variation(p_naive, p_ideal),
         "tv_corrected_vs_ideal": total_variation(corrected, p_ideal),
         "validation": asdict(report),
-        "numerical": _cumulant_payload(distribution_cumulants(corrected)),
+        "numerical": _cumulant_payload(distribution_cumulants(p_corrected)),
         **_closed_block(model, obs),
     }
 

@@ -16,21 +16,12 @@ from .errors import InputError
 
 
 @dataclass(frozen=True)
-class DistMeta:
-    """Provenance of a distribution: which observable, model and method."""
-
-    obs_kind: str  # 'magnetization' | 'kinks' | 'custom'
-    n: int
-    model_kind: str | None = None
-    method: str = ""
-
-
-@dataclass(frozen=True)
 class Distribution:
     support: np.ndarray  # strictly increasing integers
     probs: np.ndarray
     residual_imag: float = 0.0  # max |imaginary part| dropped during inversion
-    meta: DistMeta | None = None
+    forbidden: np.ndarray | None = None  # True where no configuration reaches x; None: nowhere
+    method: str = ""
 
     def __post_init__(self):
         s = np.asarray(self.support, dtype=np.int64)
@@ -39,8 +30,12 @@ class Distribution:
             raise InputError("support and probs must be 1-d arrays of equal length")
         if s.size > 1 and not np.all(np.diff(s) > 0):
             raise InputError("support must be strictly increasing")
+        f = np.zeros(s.shape, bool) if self.forbidden is None else np.asarray(self.forbidden, bool)
+        if f.shape != s.shape:
+            raise InputError("the forbidden mask must have the shape of the support")
         object.__setattr__(self, "support", s)
         object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "forbidden", f)
 
     def mean(self) -> float:
         return float(self.probs @ self.support)
@@ -77,29 +72,15 @@ class DistributionReport:
                              self.parity_violation_mass, self.residual_imag]))
 
 
-def _forbidden_mask(dist: Distribution) -> np.ndarray:
-    """Support points that no spin configuration can reach."""
-    meta = dist.meta
-    if meta is None:
-        return np.zeros(dist.support.size, dtype=bool)
-    if meta.obs_kind == "magnetization":
-        return (dist.support - meta.n) % 2 != 0
-    if meta.obs_kind == "kinks":
-        # domain walls pair up around a closed loop
-        return dist.support % 2 != 0
-    return np.zeros(dist.support.size, dtype=bool)
-
-
 def validate_distribution(dist: Distribution) -> DistributionReport:
     """Report normalization, negativity, forbidden-parity mass and imaginary residue.
 
     Purely diagnostic; never raises on a bad distribution.
     """
-    forbidden = _forbidden_mask(dist)
     return DistributionReport(
         norm_defect=abs(float(dist.probs.sum()) - 1.0),
         min_prob=float(dist.probs.min()),
-        parity_violation_mass=float(np.abs(dist.probs[forbidden]).sum()),
+        parity_violation_mass=float(np.abs(dist.probs[dist.forbidden]).sum()),
         residual_imag=float(dist.residual_imag),
     )
 

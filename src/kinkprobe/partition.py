@@ -77,8 +77,8 @@ def _scaled_lambdas(A, B):
 
     c = max(Re A + |Re B|, -Re A) bounds every intermediate exponent by zero,
     so the computation is overflow-free for |A|, |B| up to ~700.  Returns c,
-    lambda_pm = term +- root, term = e^{A - c} cosh B and log(term), which
-    stays finite where term underflows (A very negative).
+    lambda_pm = term +- root, and the factors of term = e^{A - c} cosh B:
+    its head exponent A - c + |Re B| and cosh_s = cosh(B) e^{-|Re B|}.
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -89,14 +89,13 @@ def _scaled_lambdas(A, B):
     em = np.exp(-B - re_b)
     cosh_s = 0.5 * (ep + em)
     sinh_s = 0.5 * (ep - em)
-    head = np.exp(A - c + re_b)  # exponent Re A - c + |Re B| <= 0
+    head_exp = A - c + re_b  # real part Re A - c + |Re B| <= 0
+    head = np.exp(head_exp)
     term = head * cosh_s  # e^{A - c} cosh B
     soff = head * sinh_s  # e^{A - c} sinh B
     tail = np.exp(-A - c)  # exponent -Re A - c <= 0
     root = np.sqrt(tail * tail + soff * soff)  # principal branch
-    with np.errstate(divide="ignore"):
-        log_term = A - c + re_b + np.log(cosh_s)
-    return c, term + root, term - root, term, log_term
+    return c, term + root, term - root, head_exp, cosh_s
 
 
 def transfer_spectrum(p: ComplexParams) -> TransferSpectrum:
@@ -132,7 +131,7 @@ def _znn_scaled_arrays(n: int, A, B):
     cancel, as 1 + r^N = -expm1(N log1p(-(1 + r))), and its logarithm is
     folded into log_scale, so it cannot underflow for beta J down to -700.
     """
-    c, lp, lm, term, log_term = _scaled_lambdas(A, B)
+    c, lp, lm, head_exp, cosh_s = _scaled_lambdas(A, B)
     lp, lm, c = np.atleast_1d(lp), np.atleast_1d(lm), np.atleast_1d(c)
     plus_is_big = np.abs(lp) >= np.abs(lm)
     big = np.where(plus_is_big, lp, lm)
@@ -145,9 +144,9 @@ def _znn_scaled_arrays(n: int, A, B):
     phase = n * logbig.imag
     if n % 2 == 0:
         return log_scale, np.exp(1j * phase) * (1.0 + ratio_pow)
-    w = 2.0 * term / big  # 1 + r
+    w = 2.0 * (np.exp(head_exp) * cosh_s) / big  # 1 + r = 2 term / big
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_w = np.log(2.0) + log_term - logbig
+        log_w = np.log(2.0) + (head_exp + np.log(cosh_s)) - logbig
         # log|N w| below -40: 1 - (1 - w)^N = N w to double precision
         tiny = log_w.real + np.log(n) < _TINY_LOG_BRACKET
         near = np.abs(w) < 0.5  # r near -1; elsewhere the plain bracket does not cancel

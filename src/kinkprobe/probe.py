@@ -64,7 +64,6 @@ class ProbeRecord:
     sx: np.ndarray
     sy: np.ndarray
     shots: int | None  # None = exact expectations
-    model: ModelParams | None = None
     observable: ObservableSpec | None = None
 
     def __post_init__(self):
@@ -82,11 +81,10 @@ class ProbeRecord:
         prov = Provenance.PROBE_EXACT if self.shots is None else Provenance.PROBE_SHOTS
         return CharFunctionSamples(theta=self.nominal_theta,
                                    values=self.sx + 1j * self.sy,
-                                   provenance=prov, observable=self.observable,
-                                   model=self.model)
+                                   provenance=prov, observable=self.observable)
 
 
-def default_time_grid(obs: ObservableSpec, n: int, epsilon: float,
+def default_time_grid(obs: ObservableSpec, epsilon: float, *,
                       eta: float = 0.0, points: int | None = None) -> np.ndarray:
     """Acquisition times mapped from the alias-free phase grid.
 
@@ -96,7 +94,7 @@ def default_time_grid(obs: ObservableSpec, n: int, epsilon: float,
     """
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
-    thetas = build_theta_grid(obs, n, points=points)
+    thetas = build_theta_grid(obs, points=points)
     return thetas / (2.0 * epsilon * (1.0 + eta))
 
 
@@ -297,7 +295,7 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
     if shots is None:
         f = charfunc_values(model, obs, 2.0 * eps_eff * t)
         return ProbeRecord(epsilon=epsilon, time_grid=t, sx=f.real, sy=f.imag,
-                           shots=None, model=model, observable=obs)
+                           shots=None, observable=obs)
     if shots < 1:
         raise InputError("shots must be at least 1")
 
@@ -308,4 +306,4 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
         arr = np.asarray([_shots_at_time(obs, sampler, eps_eff, t[j], shots, seed, j)
                           for j in range(t.size)])
     return ProbeRecord(epsilon=epsilon, time_grid=t, sx=arr[:, 0], sy=arr[:, 1],
-                       shots=shots, model=model, observable=obs)
+                       shots=shots, observable=obs)

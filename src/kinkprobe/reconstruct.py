@@ -21,10 +21,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .charfunc import CharFunctionSamples, _grid_offset
-from .distribution import DistMeta, Distribution
+from .charfunc import CharFunctionSamples, _grid_offset, closed_cumulants
+from .distribution import Distribution
 from .errors import EstimationError, GridMismatchError, InputError
-from .spin_model import ModelKind, ModelParams, ObservableSpec, ObsKind, magnetization
+from .spin_model import ModelKind, ModelParams, ObservableSpec, magnetization
 
 if TYPE_CHECKING:  # pragma: no cover
     from .probe import ProbeRecord
@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["build_theta_grid", "invert_dft", "estimate_gate_error", "gaussian_approx"]
 
 
-def build_theta_grid(obs: ObservableSpec, n: int, points: int | None = None) -> np.ndarray:
+def build_theta_grid(obs: ObservableSpec, *, points: int | None = None) -> np.ndarray:
     """Uniform phases theta_j = 2 pi j / M, alias-free for the observable.
 
     The minimal M equals the support width: 2N+1 for the magnetization, N+1
@@ -57,15 +57,14 @@ def invert_dft(samples: CharFunctionSamples, eta: float = 0.0) -> Distribution:
     eta = 0.  The result is labelled ``dft`` at eta = 0 and
     ``dft-eta-corrected`` otherwise.  The imaginary residue of each amplitude
     is recorded on the result and dropped; probabilities are returned
-    unclipped.  The samples must carry their observable; N is the model's
-    when they carry one, else the observable's term count.
+    unclipped.  The samples must carry their observable, which marks the
+    values no configuration reaches (``Distribution.forbidden``).
     """
     if eta <= -1.0:
         raise InputError("eta must exceed -1")
     obs = samples.observable
     if obs is None:
         raise InputError("no observable attached to the samples")
-    n = samples.model.N if samples.model is not None else len(obs.terms)
     lo, hi = obs.value_bounds()
     support = np.arange(lo, hi + 1)
     m = samples.values.size
@@ -75,12 +74,11 @@ def invert_dft(samples: CharFunctionSamples, eta: float = 0.0) -> Distribution:
         raise GridMismatchError("samples do not sit on the uniform grid 2 pi j / M "
                                 "(after the gate-error rescaling, if any)")
     method = "dft" if eta == 0.0 else "dft-eta-corrected"
-    meta = DistMeta(obs_kind=obs.kind.value, n=n,
-                    model_kind=samples.model.kind.value if samples.model else None,
-                    method=f"{method}/{samples.provenance.value}")
     amp = np.fft.fft(samples.values)[support % m] / m
     return Distribution(support=support, probs=amp.real,
-                        residual_imag=float(np.abs(amp.imag).max()), meta=meta)
+                        residual_imag=float(np.abs(amp.imag).max()),
+                        forbidden=obs.forbidden(support),
+                        method=f"{method}/{samples.provenance.value}")
 
 
 def estimate_gate_error(record: "ProbeRecord") -> float:
@@ -125,18 +123,15 @@ def gaussian_approx(model: ModelParams) -> Distribution:
     P(m) = C exp[-(m - <M>)^2 / (2 Var M)] for m in [-N, N] with the parity
     of N; C normalizes over those points.  Valid for the ring magnetization.
     """
-    from .charfunc import closed_cumulants
-
     if model.kind is not ModelKind.RING:
         raise InputError("the Gaussian comparison curve is defined for the ring model")
     n = model.N
-    cs = closed_cumulants(model, magnetization(n))
+    obs = magnetization(n)
+    cs = closed_cumulants(model, obs)
     support = np.arange(-n, n + 1)
-    allowed = (support - n) % 2 == 0
+    allowed = ~obs.forbidden(support)
     p = np.zeros(support.size)
     z = (support[allowed] - cs.kappa1) ** 2 / (2.0 * cs.kappa2)
     p[allowed] = np.exp(-(z - z.min()))
     p /= p.sum()
-    meta = DistMeta(obs_kind=ObsKind.MAGNETIZATION.value, n=n,
-                    model_kind=model.kind.value, method="gaussian")
-    return Distribution(support=support, probs=p, residual_imag=0.0, meta=meta)
+    return Distribution(support=support, probs=p, forbidden=~allowed, method="gaussian")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import DistMeta, Distribution
+from .distribution import Distribution
 from .errors import InputError, SizeError
 
 ENUMERATION_LIMIT = 24  # 2^N configurations; refuse above this
@@ -121,6 +121,15 @@ class ObservableSpec:
             if abs(v - round(v)) > 1e-9:
                 raise InputError("observable is not integer-valued")
         return int(round(lo)), int(round(hi))
+
+    def forbidden(self, x) -> np.ndarray:
+        """True at each value in ``x`` that no configuration reaches (by parity)."""
+        x = np.asarray(x)
+        if self.kind is ObsKind.MAGNETIZATION:
+            return (x - len(self.terms)) % 2 != 0  # M has the parity of N
+        if self.kind is ObsKind.KINKS:
+            return x % 2 != 0  # domain walls pair up around the closed ring
+        return np.zeros(x.shape, dtype=bool)
 
 
 def _builtin_terms(kind: ObsKind, n: int) -> tuple | None:
@@ -253,7 +262,5 @@ def enumerate_oracle(model: ModelParams, obs: ObservableSpec) -> OracleResult:
 
     probs = weights / z_scaled
     log_z = math.log(z_scaled) - model.beta * e_min
-    meta = DistMeta(
-        obs_kind=obs.kind.value, n=n, model_kind=model.kind.value, method="oracle"
-    )
-    return OracleResult(log_z, Distribution(support=support, probs=probs, residual_imag=0.0, meta=meta))
+    return OracleResult(log_z, Distribution(support=support, probs=probs,
+                                            forbidden=obs.forbidden(support), method="oracle"))

@@ -184,12 +184,12 @@ def test_criterion_07_gate_error_correction():
     eps, eta = 0.01, 0.02
     truth = invert_dft(sample_charfunc(model, obs)).cleaned()
 
-    naive_times = default_time_grid(obs, 20, eps)
+    naive_times = default_time_grid(obs, eps)
     distorted = simulate_probe_shots(model, obs, eps, naive_times, None,
                                      error_model=GateErrorModel(eta))
     tv_naive = total_variation(invert_dft(distorted.to_charfunc_samples()).cleaned(), truth)
 
-    warped_times = default_time_grid(obs, 20, eps, eta=eta)
+    warped_times = default_time_grid(obs, eps, eta=eta)
     warped = simulate_probe_shots(model, obs, eps, warped_times, None,
                                   error_model=GateErrorModel(eta))
     corrected = invert_dft(warped.to_charfunc_samples(), eta=eta)
@@ -209,7 +209,7 @@ def test_criterion_07_gate_error_correction():
 def test_criterion_08_shot_noise_convergence():
     model, obs = ring(12, j=1.0, h=0.2, beta=1.0), magnetization(12)
     eps = 0.01
-    times = default_time_grid(obs, 12, eps)
+    times = default_time_grid(obs, eps)
     truth = invert_dft(sample_charfunc(model, obs)).cleaned()
 
     def tv_at(shots, seed):
@@ -233,7 +233,7 @@ def test_criterion_09_quantum_mode():
         model = ring(n, j=0.9, h=0.3, beta=0.8)
         obs = obs_builder(n)
         ensemble = thermal_diagonal_ensemble(model)
-        thetas = build_theta_grid(obs, n)
+        thetas = build_theta_grid(obs)
         f = charfunc_values(model, obs, thetas)
         for theta, expect in zip(thetas, f):
             re, im = quantum_probe(ensemble, obs, float(theta))

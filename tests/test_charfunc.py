@@ -9,9 +9,9 @@ from kinkprobe import (CharFunctionSamples, ComplexParams, CumulantFlavor,
                        DeformationError, InputError, Provenance, build_theta_grid,
                        charfunc_of_distribution, charfunc_values,
                        closed_cumulants, custom_observable, deform_params,
-                       enumerate_oracle, exact_kink_mean, joint_counts,
-                       kink_number, magnetization, numerical_cumulants,
-                       sample_charfunc, transfer_spectrum)
+                       distribution_cumulants, enumerate_oracle, exact_kink_mean,
+                       invert_dft, joint_counts, kink_number, magnetization,
+                       sample_charfunc, transfer_spectrum, validate_distribution)
 from conftest import longrange, random_couplings, ring
 
 
@@ -92,7 +92,7 @@ def test_charfunc_matches_oracle_all_routes(make, obs_builder, rng):
         n = int(rng.integers(2, 11))
         model = make(n, j=j, h=h, beta=beta)
         obs = obs_builder(n)
-        thetas = build_theta_grid(obs, n)
+        thetas = build_theta_grid(obs)
         np.testing.assert_allclose(charfunc_values(model, obs, thetas),
                                    _oracle_charfunc(model, obs, thetas), atol=1e-10)
 
@@ -105,11 +105,27 @@ def test_frustrated_ring_matches_oracle(bj, make_obs):
     for n in range(1, 13):
         for h in (0.0, 0.3):
             model, obs = ring(n, j=bj, h=h, beta=1.0), make_obs(n)
-            grid = build_theta_grid(obs, n)
+            grid = build_theta_grid(obs)
             thetas = np.concatenate([grid, grid + 0.5 * grid[1]])
             np.testing.assert_allclose(charfunc_values(model, obs, thetas),
                                        _oracle_charfunc(model, obs, thetas),
                                        rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("n", [7, 8, 50, 51])
+@pytest.mark.parametrize("bj", [0.1, 0.5, 1.0, 3.0])
+def test_ring_magnetization_charfunc_vanishes_at_the_lee_yang_zeros(n, bj):
+    # at h = 0 the deformed eigenvalues are complex conjugates with
+    # |lambda|^2 = 2 sinh 2 beta J, so Z = 2 |lambda|^N cos(N arg lambda_+) vanishes at
+    # cos theta_k = sqrt(1 - e^{-4 beta J}) cos((2k + 1) pi / (2N)) (Lee and Yang 1952;
+    # read off the probe coherence by Peng et al., PRL 114, 010601, 2015); there
+    # |F| = |Z(theta)| / Z(0) can only sit at the rounding floor of |lambda|^N / Z(0)
+    k = np.arange(n)
+    thetas = np.arccos(math.sqrt(-math.expm1(-4.0 * bj)) * np.cos((2 * k + 1) * np.pi / (2 * n)))
+    log_z0 = n * (bj + math.log1p(math.exp(-2.0 * bj))) + math.log1p(math.tanh(bj) ** n)
+    log_env = 0.5 * n * (2.0 * bj + math.log(-math.expm1(-4.0 * bj))) - log_z0
+    f = charfunc_values(ring(n, j=bj, h=0.0, beta=1.0), magnetization(n), thetas)
+    assert np.abs(f).max() <= 100 * n * np.finfo(float).eps * math.exp(log_env)
 
 
 def test_charfunc_periodicity_and_hermitian_symmetry(rng):
@@ -216,9 +232,9 @@ def test_longrange_probe_phases_take_the_grid_route():
 
     n, eps, eta = 300, 0.01, 0.02
     model, obs = longrange(n, j=1.0, h=0.3, beta=0.5 / n), magnetization(n)
-    times = default_time_grid(obs, n, eps, eta=eta)
+    times = default_time_grid(obs, eps, eta=eta)
     record = simulate_probe_shots(model, obs, eps, times, None, error_model=GateErrorModel(eta))
-    f = charfunc_values(model, obs, build_theta_grid(obs, n))
+    f = charfunc_values(model, obs, build_theta_grid(obs))
     assert np.array_equal(record.sx, f.real) and np.array_equal(record.sy, f.imag)
 
 
@@ -459,7 +475,7 @@ def test_closed_longrange_cumulants_match_a_decimal_sector_sum_at_n4000():
 
 
 def test_closed_cumulants_longrange_kinks_unsupported():
-    with pytest.raises(InputError, match="numerical_cumulants"):
+    with pytest.raises(InputError, match="use the numerical cumulants"):
         closed_cumulants(longrange(8), kink_number(8))
 
 
@@ -476,7 +492,9 @@ def test_one_entry_point_per_job():
 
 
 def test_exact_kink_mean_matches_oracle():
-    for n, bj in ((4, 0.7), (8, 1.0), (10, 2.5), (9, -0.8)):
+    # odd rings below beta J ~ -19 round tanh to -1; the mean there is N - 1
+    for n, bj in ((4, 0.7), (8, 1.0), (10, 2.5), (9, -0.8), (1, -40.0), (3, -40.0),
+                  (9, -19.5), (9, -700.0), (11, -5.0)):
         model = ring(n, j=bj, h=0.0, beta=1.0)
         oracle_mean = enumerate_oracle(model, kink_number(n)).dist.mean()
         assert exact_kink_mean(model) == pytest.approx(oracle_mean, rel=1e-12)
@@ -496,17 +514,16 @@ def test_closed_cumulants_scale_linearly_in_n():
 
 
 # ---------------------------------------------------------------------------
-# numerical cumulants
+# numerical cumulants: those of the unclipped reconstruction
 # ---------------------------------------------------------------------------
 
 
 def test_numerical_cumulants_point_mass():
     obs = magnetization(4)
-    thetas = build_theta_grid(obs, 4)
+    thetas = build_theta_grid(obs)
     samples = CharFunctionSamples(theta=thetas, values=np.exp(2j * thetas),
-                                  provenance=Provenance.ANALYTIC,
-                                  observable=obs, model=ring(4))
-    cs = numerical_cumulants(samples)
+                                  provenance=Provenance.ANALYTIC, observable=obs)
+    cs = distribution_cumulants(invert_dft(samples))
     assert cs.kappa1 == pytest.approx(2.0, abs=1e-12)
     assert cs.kappa2 == pytest.approx(0.0, abs=1e-12)
     assert cs.kappa3 == pytest.approx(0.0, abs=1e-11)
@@ -514,7 +531,7 @@ def test_numerical_cumulants_point_mass():
 
 def test_numerical_cumulants_match_oracle_mean():
     model = ring(12, j=1.0, h=0.3, beta=1.0)
-    cs = numerical_cumulants(sample_charfunc(model, magnetization(12)))
+    cs = distribution_cumulants(invert_dft(sample_charfunc(model, magnetization(12))))
     oracle = enumerate_oracle(model, magnetization(12)).dist
     assert cs.kappa1 == pytest.approx(oracle.mean(), abs=1e-9)
     assert cs.flavor is CumulantFlavor.NUMERICAL_FROM_F
@@ -522,26 +539,24 @@ def test_numerical_cumulants_match_oracle_mean():
 
 def test_numerical_cumulants_match_closed_forms_large_n():
     model = ring(50, j=1.0, h=0.2, beta=1.0)
-    cs = numerical_cumulants(sample_charfunc(model, magnetization(50)))
+    cs = distribution_cumulants(invert_dft(sample_charfunc(model, magnetization(50))))
     closed = closed_cumulants(model, magnetization(50))
     assert cs.kappa1 == pytest.approx(closed.kappa1, rel=1e-6)
     assert cs.kappa2 == pytest.approx(closed.kappa2, rel=1e-6)
     assert cs.kappa3 == pytest.approx(closed.kappa3, rel=1e-6)
 
 
-def test_numerical_cumulants_rejects_unnormalized():
+def test_unnormalized_samples_report_their_norm_defect():
     obs = magnetization(3)
-    thetas = build_theta_grid(obs, 3)
+    thetas = build_theta_grid(obs)
     samples = CharFunctionSamples(theta=thetas, values=0.5 * np.exp(1j * thetas),
-                                  provenance=Provenance.PROBE_SHOTS,
-                                  observable=obs, model=ring(3))
-    with pytest.raises(InputError):
-        numerical_cumulants(samples)
+                                  provenance=Provenance.PROBE_SHOTS, observable=obs)
+    assert validate_distribution(invert_dft(samples)).norm_defect == pytest.approx(0.5)
 
 
 def test_analytic_samples_must_be_normalized():
     obs = magnetization(3)
-    thetas = build_theta_grid(obs, 3)
+    thetas = build_theta_grid(obs)
     with pytest.raises(InputError):
         CharFunctionSamples(theta=thetas, values=0.5 * np.ones_like(thetas, dtype=complex),
                             provenance=Provenance.ANALYTIC)

@@ -9,9 +9,12 @@ import pytest
 from scipy.stats import chi2
 
 import kinkprobe.cli as cli
-from kinkprobe import charfunc_of_distribution, enumerate_oracle, magnetization
+from kinkprobe import (charfunc_of_distribution, distribution_cumulants, enumerate_oracle,
+                       invert_dft, kink_number, magnetization, sample_charfunc,
+                       simulate_probe_shots)
 from kinkprobe.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, PRESETS, main
-from conftest import ring
+from kinkprobe.probe import default_time_grid
+from conftest import longrange, ring
 
 
 def _read_csv(path):
@@ -183,6 +186,47 @@ def test_frustrated_odd_ring_shot_run(tmp_path, j):
     assert np.array_equal(read[~noisy], np.rint(mean[~noisy]))  # certain readouts
     stat = float((((read - mean) ** 2)[noisy] / var[noisy]).sum())
     assert chi2.sf(stat, int(noisy.sum())) > 1e-6
+
+
+@pytest.mark.parametrize("model, obs, n, shots", [("ring", "kinks", 20, 1000),
+                                                   ("longrange", "magnetization", 8, 200)])
+def test_shot_run_cumulants_are_those_of_the_unclipped_inversion(tmp_path, model, obs, n,
+                                                                 shots):
+    out = tmp_path / "run"
+    assert main(["probe", "--model", model, "--obs", obs, "--N", str(n), "--beta", "0.5",
+                 "--h", "0.2", "--shots", str(shots), "--seed", "7",
+                 "--outdir", str(out)]) == EXIT_OK
+    params = (ring if model == "ring" else longrange)(n, h=0.2, beta=0.5)
+    spec = (kink_number if obs == "kinks" else magnetization)(n)
+    record = simulate_probe_shots(params, spec, 0.01, default_time_grid(spec, 0.01), shots,
+                                  seed=7)
+    want = distribution_cumulants(invert_dft(record.to_charfunc_samples()))
+    got = json.loads((out / "cumulants.json").read_text())["numerical"]
+    assert [got[k] for k in ("kappa1", "kappa2", "kappa3")] == [want.kappa1, want.kappa2,
+                                                                want.kappa3]
+
+
+def test_shot_run_mean_is_unbiased(tmp_path):
+    # kappa_1 of the unclipped inversion is linear in the readouts,
+    # kappa_1 = sum_j Re(a_j) sx_j - Im(a_j) sy_j with a_j = sum_x x e^{-i theta_j x} / M,
+    # and each readout is a mean of iid +-1 shots, of variance (1 - Re F_j^2) / shots
+    # for sx and (1 - Im F_j^2) / shots for sy.  The cumulants of the clipped
+    # distribution put the mean about 25 standard errors low here (40.09 against 41.50)
+    n, shots, seeds = 50, 10000, range(1, 21)
+    exact = sample_charfunc(ring(n, h=0.2), magnetization(n))
+    x = np.arange(-n, n + 1)
+    a = np.exp(-1j * np.outer(exact.theta, x)) @ x / exact.theta.size
+    f = exact.values
+    var = (a.real ** 2 * (1 - f.real ** 2) + a.imag ** 2 * (1 - f.imag ** 2)).sum() / shots
+    kappa1 = []
+    for seed in seeds:
+        out = tmp_path / str(seed)
+        assert main(["probe", "--model", "ring", "--obs", "magnetization", "--N", str(n),
+                     "--beta", "1", "--h", "0.2", "--shots", str(shots), "--seed", str(seed),
+                     "--outdir", str(out)]) == EXIT_OK
+        kappa1.append(json.loads((out / "cumulants.json").read_text())["numerical"]["kappa1"])
+    want = distribution_cumulants(invert_dft(exact)).kappa1
+    assert abs(np.mean(kappa1) - want) <= 5.0 * np.sqrt(var / len(seeds))
 
 
 @pytest.mark.parametrize("obs", ["magnetization", "kinks"])

@@ -216,7 +216,7 @@ def test_exact_record_has_one_entry_point():
 
 def test_exact_record_starts_at_unit_coherence():
     record = simulate_probe_shots(ring(10), magnetization(10), 0.01,
-                                  default_time_grid(magnetization(10), 10, 0.01), None)
+                                  default_time_grid(magnetization(10), 0.01), None)
     assert record.sx[0] == pytest.approx(1.0, abs=1e-14)
     assert record.sy[0] == pytest.approx(0.0, abs=1e-14)
 
@@ -225,7 +225,7 @@ def test_exact_traces_decay_and_revive_at_zero_field():
     # h = 0 makes F real: the imaginary trace vanishes, the real trace decays
     # from 1 and revives to 1 at accumulated phase pi (even support stride)
     model, obs = ring(50), magnetization(50)
-    times = default_time_grid(obs, 50, 0.01, points=404)
+    times = default_time_grid(obs, 0.01, points=404)
     record = simulate_probe_shots(model, obs, 0.01, times, None)
     assert record.sx[0] == 1.0
     assert np.abs(record.sy).max() < 1e-10
@@ -239,7 +239,7 @@ def test_exact_traces_decay_and_revive_at_zero_field():
 
 def test_exact_record_bit_consistent_with_charfunc():
     model, obs = ring(14, h=0.3, beta=0.9), kink_number(14)
-    times = default_time_grid(obs, 14, 0.02)
+    times = default_time_grid(obs, 0.02)
     record = simulate_probe_shots(model, obs, 0.02, times, None)
     f = charfunc_values(model, obs, 2 * 0.02 * times)
     assert np.array_equal(record.sx, f.real)
@@ -257,7 +257,7 @@ def test_shot_record_converges_to_exact():
 
 def test_shot_record_deterministic_under_seed():
     model, obs = ring(6, h=0.1, beta=0.7), magnetization(6)
-    times = default_time_grid(obs, 6, 0.01)
+    times = default_time_grid(obs, 0.01)
     a = simulate_probe_shots(model, obs, 0.01, times, shots=500, seed=42)
     b = simulate_probe_shots(model, obs, 0.01, times, shots=500, seed=42)
     assert np.array_equal(a.sx, b.sx) and np.array_equal(a.sy, b.sy)
@@ -269,7 +269,7 @@ def test_shot_record_deterministic_under_seed():
 def test_shots_reject_observable_beyond_the_model(shots):
     # a 6-site observable cannot be read on 4 sampled spins
     obs = magnetization(6)
-    times = default_time_grid(obs, 6, 0.01)
+    times = default_time_grid(obs, 0.01)
     with pytest.raises(InputError):
         simulate_probe_shots(ring(4), obs, 0.01, times, shots=shots, seed=1)
 
@@ -280,7 +280,7 @@ def test_shots_reject_partial_observable(model, make_obs):
     # a 3-site observable on a 4-spin model is not the model's observable
     obs = make_obs(3)
     with pytest.raises(InputError, match="covers 3 sites, the model has N=4"):
-        simulate_probe_shots(model, obs, 0.01, default_time_grid(obs, 3, 0.01),
+        simulate_probe_shots(model, obs, 0.01, default_time_grid(obs, 0.01),
                              shots=50, seed=1)
 
 
@@ -308,7 +308,7 @@ def test_binomial_route_has_the_gate_walk_law():
     n, shots, seeds, eps = 6, 40, 300, 0.01
     model, obs = ring(n, j=0.7, h=0.3, beta=1.0), magnetization(n)
     walked = custom_observable(0.0, 1.0, obs.terms)
-    times = default_time_grid(obs, n, eps)
+    times = default_time_grid(obs, eps)
     f = charfunc_values(model, obs, 2.0 * eps * times)
     mean = np.stack([f.real, f.imag])            # (pool, j)
     var = (1.0 - mean ** 2) / shots               # of one record entry
@@ -356,7 +356,7 @@ def test_binomial_record_clips_the_last_bit_of_f():
 def test_gate_walk_record_repeats_bit_for_bit():
     # test_shot_record_deterministic_under_seed covers the binomial route
     model, obs = longrange(5, beta=0.3), magnetization(5)
-    times = default_time_grid(obs, model.N, 0.01)
+    times = default_time_grid(obs, 0.01)
     a = simulate_probe_shots(model, obs, 0.01, times, shots=300, seed=11)
     b = simulate_probe_shots(model, obs, 0.01, times, shots=300, seed=11)
     assert np.array_equal(a.sx, b.sx) and np.array_equal(a.sy, b.sy)
@@ -364,7 +364,7 @@ def test_gate_walk_record_repeats_bit_for_bit():
 
 def test_exact_mode_with_gate_error_stretches_period():
     model, obs = ring(20, h=0.1, beta=1.0), magnetization(20)
-    times = default_time_grid(obs, 20, 0.01)
+    times = default_time_grid(obs, 0.01)
     distorted = simulate_probe_shots(model, obs, 0.01, times, None,
                                      error_model=GateErrorModel(0.02))
     reference = charfunc_values(model, obs, 2 * 0.01 * 1.02 * times)
@@ -373,14 +373,14 @@ def test_exact_mode_with_gate_error_stretches_period():
 
 def test_prewarped_grid_lands_on_standard_phases():
     obs = magnetization(10)
-    times = default_time_grid(obs, 10, 0.01, eta=0.05)
+    times = default_time_grid(obs, 0.01, eta=0.05)
     eff = 2 * 0.01 * 1.05 * times
     np.testing.assert_allclose(eff, 2 * np.pi * np.arange(21) / 21, atol=1e-14)
 
 
 def test_record_coherence_bounded(rng):
     model, obs = ring(7, h=0.3, beta=0.8), kink_number(7)
-    times = default_time_grid(obs, 7, 0.01)
+    times = default_time_grid(obs, 0.01)
     record = simulate_probe_shots(model, obs, 0.01, times, shots=400, seed=9)
     assert np.all(record.sx ** 2 + record.sy ** 2 <= 1.0 + 6 / math.sqrt(400))
 
@@ -412,7 +412,7 @@ def test_custom_observable_through_shot_pipeline():
 
     model = ring(4, beta=0.0)
     obs = custom_observable(2.0, 1.0, [(1, 2, 3)])
-    times = default_time_grid(obs, 4, 0.01)
+    times = default_time_grid(obs, 0.01)
     with pytest.raises(DeformationError):
         simulate_probe_shots(ring(4, beta=1.0), obs, 0.01, times, None)
     record = simulate_probe_shots(model, obs, 0.01, times, shots=20_000, seed=31)

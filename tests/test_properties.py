@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kinkprobe import (CharFunctionSamples, Distribution, DistMeta, Provenance,
+from kinkprobe import (CharFunctionSamples, Distribution, Provenance,
                        charfunc_values, charfunc_of_distribution,
                        custom_observable, invert_dft, kink_number, magnetization)
 from conftest import longrange, ring
@@ -37,8 +37,7 @@ def test_round_trip_on_any_grid_at_or_above_the_width(lo, width, extra, data):
     # X = a + 0.5 * (sum of width - 1 spins) takes every integer in [lo, lo + width - 1]
     obs = custom_observable(lo + (width - 1) / 2.0, 0.5, [(i,) for i in range(1, width)])
     support = np.arange(lo, lo + width)
-    dist = Distribution(support=support, probs=p,
-                        meta=DistMeta(obs_kind="custom", n=width - 1, method="synthetic"))
+    dist = Distribution(support=support, probs=p, method="synthetic")
     thetas = _grid(width + extra)
     samples = CharFunctionSamples(theta=thetas, values=charfunc_of_distribution(dist, thetas),
                                   provenance=Provenance.ANALYTIC, observable=obs)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kinkprobe import (CharFunctionSamples, Distribution, DistMeta,
+from kinkprobe import (CharFunctionSamples, Distribution,
                        EstimationError, GridMismatchError, InputError,
                        Provenance, build_theta_grid,
                        estimate_gate_error, exact_kink_mean, gaussian_approx,
@@ -15,20 +15,23 @@ from conftest import ring
 
 
 def test_grid_sizes():
-    assert build_theta_grid(magnetization(50), 50).size == 101
-    assert build_theta_grid(kink_number(50), 50).size == 51
-    assert build_theta_grid(magnetization(1), 1).size == 3
-    assert build_theta_grid(magnetization(5), 5, points=44).size == 44
+    assert build_theta_grid(magnetization(50)).size == 101
+    assert build_theta_grid(kink_number(50)).size == 51
+    assert build_theta_grid(magnetization(1)).size == 3
+    assert build_theta_grid(magnetization(5), points=44).size == 44
     with pytest.raises(InputError):
-        build_theta_grid(magnetization(5), 5, points=10)
+        build_theta_grid(magnetization(5), points=10)
+    with pytest.raises(TypeError):  # the size once passed second would be taken as M
+        build_theta_grid(magnetization(5), 44)
+    with pytest.raises(TypeError):
+        default_time_grid(magnetization(5), 5, 0.01)
 
 
 def test_invert_constant_f_gives_point_mass_at_zero():
     obs = magnetization(6)
-    thetas = build_theta_grid(obs, 6)
+    thetas = build_theta_grid(obs)
     samples = CharFunctionSamples(theta=thetas, values=np.ones(thetas.size, dtype=complex),
-                                  provenance=Provenance.ANALYTIC, observable=obs,
-                                  model=ring(6))
+                                  provenance=Provenance.ANALYTIC, observable=obs)
     dist = invert_dft(samples)
     assert dist.prob_of(0) == pytest.approx(1.0, abs=1e-12)
     assert abs(dist.probs).sum() == pytest.approx(1.0, abs=1e-12)
@@ -48,6 +51,7 @@ def test_invert_n50_symmetric_bell_with_parity_zeros():
     support = dist.support
     np.testing.assert_allclose(probs, probs[::-1], atol=1e-12)  # h=0 symmetry
     odd = support % 2 != 0
+    assert np.array_equal(dist.forbidden, odd)  # M has the parity of N = 50
     assert np.abs(probs[odd]).sum() < 1e-9
     even = support[~odd]
     assert probs[~odd][np.argmax(probs[~odd])] == probs.max()
@@ -63,10 +67,9 @@ def test_oversampled_grid_inversion_is_identical():
 
 def test_invert_requires_standard_grid():
     obs = magnetization(4)
-    thetas = build_theta_grid(obs, 4) + 0.01
+    thetas = build_theta_grid(obs) + 0.01
     samples = CharFunctionSamples(theta=thetas, values=np.ones(9, dtype=complex),
-                                  provenance=Provenance.PROBE_EXACT, observable=obs,
-                                  model=ring(4))
+                                  provenance=Provenance.PROBE_EXACT, observable=obs)
     with pytest.raises(GridMismatchError):
         invert_dft(samples)
 
@@ -75,15 +78,14 @@ def test_invert_refuses_underresolved_grid():
     obs = magnetization(4)
     thetas = 2 * np.pi * np.arange(5) / 5
     samples = CharFunctionSamples(theta=thetas, values=np.ones(5, dtype=complex),
-                                  provenance=Provenance.PROBE_EXACT, observable=obs,
-                                  model=ring(4))
+                                  provenance=Provenance.PROBE_EXACT, observable=obs)
     with pytest.raises(GridMismatchError):
         invert_dft(samples)
 
 
 def test_invert_reads_the_observable_off_the_samples():
     obs = magnetization(4)
-    thetas = build_theta_grid(obs, 4)
+    thetas = build_theta_grid(obs)
     bare = CharFunctionSamples(theta=thetas, values=np.ones(9, dtype=complex),
                                provenance=Provenance.PROBE_EXACT)
     with pytest.raises(InputError, match="no observable"):
@@ -101,8 +103,8 @@ def test_invert_reads_the_observable_off_the_samples():
 
 def _records_for_eta(model, obs, eps, eta, points=None):
     """(naive-grid distorted record, pre-warped record) at gate error eta."""
-    naive_times = default_time_grid(obs, model.N, eps, points=points)
-    warped_times = default_time_grid(obs, model.N, eps, eta=eta, points=points)
+    naive_times = default_time_grid(obs, eps, points=points)
+    warped_times = default_time_grid(obs, eps, eta=eta, points=points)
     err = GateErrorModel(eta)
     naive = simulate_probe_shots(model, obs, eps, naive_times, None, error_model=err)
     warped = simulate_probe_shots(model, obs, eps, warped_times, None, error_model=err)
@@ -115,7 +117,7 @@ def test_gate_error_zero_is_bit_identical():
     a = invert_dft(samples)
     b = invert_dft(samples, eta=0.0)
     assert np.array_equal(a.probs, b.probs)
-    assert a.meta.method == b.meta.method == "dft/analytic"
+    assert a.method == b.method == "dft/analytic"
 
 
 @pytest.mark.parametrize("eta", [-0.1, -0.02, 0.02, 0.1])
@@ -125,7 +127,7 @@ def test_corrected_inversion_recovers_truth(eta):
     _, warped = _records_for_eta(model, obs, 0.01, eta)
     corrected = invert_dft(warped.to_charfunc_samples(), eta=eta)
     np.testing.assert_allclose(corrected.probs, truth.probs, atol=1e-10)
-    assert corrected.meta.method == "dft-eta-corrected/probe-exact"
+    assert corrected.method == "dft-eta-corrected/probe-exact"
 
 
 def test_naive_inversion_of_distorted_signal_is_wrong():
@@ -223,14 +225,22 @@ def test_validate_clean_analytic_distribution():
 
 def test_validate_flags_bad_normalization():
     dist = Distribution(support=np.array([0, 1]), probs=np.array([0.25, 0.25]),
-                        meta=DistMeta(obs_kind="custom", n=1, method="synthetic"))
+                        method="synthetic")
     report = validate_distribution(dist)
     assert report.norm_defect == pytest.approx(0.5)
 
 
+def test_validate_sums_the_mass_on_the_forbidden_mask():
+    dist = Distribution(support=np.arange(3), probs=np.array([0.5, -0.125, 0.625]),
+                        forbidden=np.array([False, True, False]))
+    assert validate_distribution(dist).parity_violation_mass == 0.125
+    with pytest.raises(InputError, match="shape of the support"):
+        Distribution(support=np.arange(3), probs=np.ones(3) / 3, forbidden=[True, False])
+
+
 def test_validate_shot_distribution_reports_but_does_not_raise():
     model, obs = ring(8, h=0.2), magnetization(8)
-    times = default_time_grid(obs, 8, 0.01)
+    times = default_time_grid(obs, 0.01)
     record = simulate_probe_shots(model, obs, 0.01, times, shots=200, seed=5)
     dist = invert_dft(record.to_charfunc_samples())
     report = validate_distribution(dist)

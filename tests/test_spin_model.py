@@ -111,6 +111,17 @@ def test_magnetization_parity_and_range(rng):
         assert -8 <= m <= 8 and int(m) % 2 == 0
 
 
+@pytest.mark.parametrize("n", [1, 7, 8])
+def test_forbidden_values_are_those_no_configuration_reaches(n):
+    # at beta = 0 every configuration has weight 2^-N, so P(x) = 0 exactly off the reach
+    for obs in (magnetization(n), kink_number(n)):
+        dist = enumerate_oracle(ring(n, beta=0.0), obs).dist
+        assert np.array_equal(obs.forbidden(dist.support), dist.probs == 0.0)
+        assert np.array_equal(dist.forbidden, dist.probs == 0.0)
+    custom = custom_observable(0.0, 1.0, [(1,)] * 2)  # 2 s_1 never reads 0, yet no rule says so
+    assert not custom.forbidden(np.arange(-2, 3)).any()
+
+
 def test_spin_flip_symmetry_at_zero_field(rng):
     for _ in range(5):
         j, _, beta = random_couplings(rng)
