@@ -3,15 +3,19 @@
 Outputs per run directory: effective-config.json (the resolved settings),
 coherence.csv (t, theta, sx, sy), distribution.csv (x, p; clipped), cumulants.json
 (closed cumulants, those of the unclipped inversion, validation report, extras)
-and an optional plot.svg.  Exit codes: 0 ok, 1 input error, 2 validation-report
+and an optional plot.svg.  A re-run into a used directory overwrites each file
+it writes in place and leaves every other file as it was.  The argparse tree is
+built once per process.  Exit codes: 0 ok, 1 input error, 2 validation-report
 defects above tolerance, 64 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -95,6 +99,7 @@ def _parse_shots(text: str):
     return val
 
 
+@functools.cache  # parse_args leaves the parser as it was, so every call can share it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kinkprobe",
                      description="Distributions of Ising observables via a probe-qubit protocol")
@@ -198,6 +203,8 @@ def _build_model_obs(cfg: RunConfig):
         raise InputError("epsilon must be positive")
     if cfg.beta <= 0:
         raise InputError("beta must be positive")
+    if cfg.oracle and cfg.N > ORACLE_N_LIMIT:
+        raise InputError(f"--oracle requires N <= {ORACLE_N_LIMIT}")
     model = ModelParams(kind=_MODEL_KINDS[cfg.model], N=cfg.N, J=cfg.J, h=cfg.h, beta=cfg.beta)
     obs = _OBS_BUILDERS[cfg.obs](cfg.N)
     return model, obs
@@ -251,6 +258,13 @@ def _write_outputs(cfg: RunConfig, tables: list, payload: dict, plot, report,
     CSV, cumulants.json and the ``plot`` thunk's SVG as ``cfg.formats`` asks;
     prints each path and returns EXIT_VALIDATION when the worst defect of
     ``report`` exceeds ``tolerance`` (NaN included).
+
+    Each file is overwritten in place and then cut to the new text's length,
+    since opening with O_TRUNC first frees the old blocks, which on ext4 made
+    a re-run's write several times slower.  A thunk runs before its file is
+    opened, so one that raises leaves the file as it was.  The write is not
+    atomic: a crash part way can leave a file of new bytes and old ones.
+    Files the run does not write keep their old contents.
     """
     files = [("effective-config.json", lambda: _json_text(asdict(cfg)))]
     if "csv" in cfg.formats:
@@ -261,8 +275,12 @@ def _write_outputs(cfg: RunConfig, tables: list, payload: dict, plot, report,
         files.append(("plot.svg", plot))
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, text in files:
-        (outdir / name).write_text(text(), encoding="utf-8")
+    for name, thunk in files:
+        text = thunk()
+        fd = os.open(outdir / name, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.truncate()
     for name, _ in files:
         print(outdir / name)
     if not report.worst_defect() <= tolerance:  # NaN fails
@@ -288,9 +306,7 @@ def run_probe(cfg: RunConfig) -> int:
         "numerical": _cumulant_payload(distribution_cumulants(raw)),
         **_closed_block(model, obs),
     }
-    if cfg.oracle:
-        if cfg.N > ORACLE_N_LIMIT:
-            raise InputError(f"--oracle requires N <= {ORACLE_N_LIMIT}")
+    if cfg.oracle:  # _build_model_obs has checked N
         oracle = enumerate_oracle(model, obs)
         payload["oracle_comparison"] = {
             "max_abs_prob_deviation": float(np.abs(

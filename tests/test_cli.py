@@ -3,6 +3,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +80,18 @@ def test_probe_oracle_flag(tmp_path):
 def test_probe_oracle_flag_rejects_large_n(tmp_path):
     code = main(["probe", "--N", "20", "--oracle", "--outdir", str(tmp_path / "x")])
     assert code == 1
+
+
+def test_sm_error_oracle_flag_is_the_probe_input_error(tmp_path, capsys):
+    # the gate-error preset runs at N = 20, past the enumeration limit
+    assert PRESETS["sm-error"]["N"] > cli.ORACLE_N_LIMIT
+    assert main(["probe", "--N", "20", "--oracle", "--outdir", str(tmp_path / "p")]) == EXIT_INPUT
+    probe_err = capsys.readouterr().err
+    out = tmp_path / "sm"
+    assert main(["repro", "sm-error", "--oracle", "--outdir", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == probe_err == (
+        f"kinkprobe: error: --oracle requires N <= {cli.ORACLE_N_LIMIT}\n")
+    assert not out.exists()
 
 
 def test_config_file_precedence(tmp_path):
@@ -308,3 +321,53 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "cli" / "distribution.csv").exists()
+
+
+def _written(out, capsys):
+    """The files a run printed, by name; effective-config.json without its outdir."""
+    names = [Path(line).name for line in capsys.readouterr().out.splitlines()]
+    got = {name: (out / name).read_bytes() for name in names}
+    cfg = json.loads(got.pop("effective-config.json"))
+    cfg.pop("outdir")
+    return got, cfg
+
+
+@pytest.mark.parametrize("first, second", [
+    (["probe", "--N", "30", "--formats", "csv,json,svg"],
+     ["probe", "--N", "8", "--formats", "csv,json"]),
+    (["repro", "sm-error"], ["repro", "fig2c"]),
+], ids=["probe", "repro"])
+def test_rerun_into_a_used_directory_writes_a_fresh_runs_bytes(tmp_path, capsys, first,
+                                                               second):
+    # files are overwritten in place, so every one the second run writes must be
+    # cut to its new length; a file it does not write keeps the first run's bytes
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    assert main(first + ["--outdir", str(used)]) == EXIT_OK
+    capsys.readouterr()
+    before = {path.name: path.read_bytes() for path in used.iterdir()}
+    assert main(second + ["--outdir", str(used)]) == EXIT_OK
+    rerun = _written(used, capsys)
+    assert main(second + ["--outdir", str(fresh)]) == EXIT_OK
+    assert rerun == _written(fresh, capsys)
+    left = set(before) - set(rerun[0]) - {"effective-config.json"}
+    assert left  # plot.svg, or the gate-error demonstration's extra tables
+    for name in left:
+        assert (used / name).read_bytes() == before[name]
+
+
+def test_one_shared_parser_leaks_no_state_between_calls(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+
+    def config(argv):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        assert main(argv + ["--outdir", str(out)]) == EXIT_OK
+        return json.loads((out / "effective-config.json").read_text())
+
+    assert config(["probe", "--N", "8", "--oracle"])["oracle"] is True
+    assert config(["probe", "--N", "8"])["oracle"] is False
+    assert config(["repro", "fig2c", "--grid", "201"])["grid"] == 201
+    assert config(["repro", "fig2c"])["grid"] is None
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "--model", "cubic"])
+    assert exc.value.code == EXIT_USAGE
+    assert config(["probe", "--N", "8"])["model"] == "ring"
