@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`kinkprobe.spin_model`   -- configurations, Hamiltonians, observables, enumeration oracle
-* :mod:`kinkprobe.partition`    -- transfer-matrix / sector-sum partition functions
+* :mod:`kinkprobe.partition`    -- partition_function: Z at real or complex couplings, Loschmidt amplitude
 * :mod:`kinkprobe.charfunc`     -- F(theta) (charfunc_values), closed and distribution cumulants
 * :mod:`kinkprobe.distribution` -- distributions, parity masks, validation and distances
 * :mod:`kinkprobe.reconstruct`  -- Fourier inversion (invert_dft), gate-error estimate
@@ -14,15 +14,13 @@ Library layout:
 
 from .charfunc import (CharFunctionSamples, CumulantFlavor, CumulantSet,
                        Provenance, charfunc_values, closed_cumulants,
-                       deform_params, distribution_cumulants, exact_kink_mean,
-                       joint_counts, sample_charfunc)
+                       distribution_cumulants, exact_kink_mean, joint_counts,
+                       sample_charfunc)
 from .distribution import (Distribution, DistributionReport, charfunc_of_distribution,
                            total_variation, validate_distribution)
-from .errors import (DeformationError, EstimationError, GridMismatchError,
-                     InputError, KinkprobeError, SizeError)
-from .partition import (ComplexParams, ScaledComplex, TransferSpectrum,
-                        loschmidt_amplitude, partition_longrange, partition_nn,
-                        transfer_spectrum)
+from .errors import (EstimationError, GridMismatchError, InputError, KinkprobeError,
+                     SizeError)
+from .partition import ScaledComplex, loschmidt_amplitude, partition_function
 from .probe import (GateErrorModel, ProbeRecord, circuit_phase, default_time_grid,
                     gate_count, gibbs_sampler, simulate_probe_shots)
 from .quantum import (DiagonalEnsemble, PauliObservable, QuantumRegister,

@@ -7,8 +7,9 @@ X = a + b * sum of spin products is
 
 where the deformation absorbs e^{i theta (X - a)} into the Boltzmann weight:
 a complex field ht = h + i theta / beta for the magnetization, a complex
-coupling Jt = J - i theta / (2 beta) for the kink number.  Four model /
-observable combinations are dispatched here:
+coupling Jt = J - i theta / (2 beta) for the ring kink number (on the
+long-range model only the adjacent-pair couplings would deform, so its kinks
+take a sector sum).  Four model / observable combinations are dispatched here:
 
   ring + magnetization, ring + kinks   -> transfer-matrix ratio
   long-range + magnetization           -> sector sum over the down-count k
@@ -30,9 +31,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distribution import Distribution
-from .errors import DeformationError, InputError
-from .partition import (_TINY_LOG_BRACKET, ComplexParams, _log_binomials, _log_factorials,
-                        _longrange_log_g, _znn_scaled_arrays)
+from .errors import InputError
+from .partition import (_TINY_LOG_BRACKET, _log_binomials, _log_factorials, _longrange_log_g,
+                        _znn_scaled_arrays)
 from .spin_model import ModelKind, ModelParams, ObservableSpec, ObsKind
 
 _ABS_F_SLACK = 1e-9      # |F| may exceed 1 by at most this much
@@ -82,31 +83,6 @@ class CumulantSet:
     kappa2: float
     kappa3: float
     flavor: CumulantFlavor
-
-
-def deform_params(model: ModelParams, obs: ObservableSpec, theta: float) -> ComplexParams:
-    """Complex couplings that absorb e^{i theta (X - a)} into the weight.
-
-    Magnetization: ht = h + i theta / beta (either model).
-    Kink number:   Jt = J - i theta / (2 beta), ring only -- for the
-    long-range model only the adjacent-pair couplings deform, which a uniform
-    ComplexParams cannot represent (charfunc_values sums its run sectors).
-    """
-    if model.beta <= 0:
-        raise InputError("beta must be positive")
-    if obs.kind is ObsKind.MAGNETIZATION:
-        return ComplexParams(Jt=complex(model.J), ht=model.h + 1j * theta / model.beta,
-                             beta=model.beta, N=model.N)
-    if obs.kind is ObsKind.KINKS:
-        if model.kind is not ModelKind.RING:
-            raise DeformationError(
-                "long-range kink deformation is bond-selective; charfunc_values sums its "
-                "run sectors instead"
-            )
-        return ComplexParams(Jt=model.J - 0.5j * theta / model.beta, ht=complex(model.h),
-                             beta=model.beta, N=model.N)
-    raise DeformationError("custom observables have no parameter deformation; "
-                           "use the enumeration oracle or the probe simulator")
 
 
 def _check_magnitude(values: np.ndarray) -> np.ndarray:
@@ -213,8 +189,8 @@ def charfunc_values(model: ModelParams, obs: ObservableSpec, thetas) -> np.ndarr
         raise InputError("beta must be positive")
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
     if obs.kind is ObsKind.CUSTOM:
-        raise DeformationError("custom observables have no analytic route; "
-                               "use the enumeration oracle or the probe simulator")
+        raise InputError("custom observables have no analytic route; "
+                         "use the enumeration oracle or the probe simulator")
     check_term_count(model, obs)
     if model.kind is ModelKind.RING:
         out = _ring_charfunc(model, obs, th)

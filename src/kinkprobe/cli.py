@@ -241,6 +241,17 @@ def _closed_block(model, obs) -> dict:
         return {"closed": None, "closed_unavailable": str(exc)}
 
 
+def _oracle_block(cfg: RunConfig, model, obs, dist) -> dict:
+    """``dist`` against the enumeration oracle when ``cfg.oracle`` asks for it."""
+    if not cfg.oracle:  # _build_model_obs has checked N
+        return {}
+    oracle = enumerate_oracle(model, obs).dist
+    return {"oracle_comparison": {
+        "max_abs_prob_deviation": float(np.abs(dist.probs - oracle.probs).max()),
+        "oracle_mean": oracle.mean(),
+    }}
+
+
 def _defect_tolerance(shots, grid_points: int) -> float:
     """Exact runs must be clean; sampled runs get a gate well above their
     expected noise floor (parity mass scales like sqrt(M / shots)), so exit
@@ -305,14 +316,8 @@ def run_probe(cfg: RunConfig) -> int:
         "validation": asdict(report),
         "numerical": _cumulant_payload(distribution_cumulants(raw)),
         **_closed_block(model, obs),
+        **_oracle_block(cfg, model, obs, dist),
     }
-    if cfg.oracle:  # _build_model_obs has checked N
-        oracle = enumerate_oracle(model, obs)
-        payload["oracle_comparison"] = {
-            "max_abs_prob_deviation": float(np.abs(
-                dist.probs - oracle.dist.probs).max()),
-            "oracle_mean": oracle.dist.mean(),
-        }
 
     def plot():
         traces = svgplot.line_chart(record.time_grid,
@@ -360,6 +365,7 @@ def run_sm_error(cfg: RunConfig) -> int:
         "validation": asdict(report),
         "numerical": _cumulant_payload(distribution_cumulants(p_corrected)),
         **_closed_block(model, obs),
+        **_oracle_block(cfg, model, obs, corrected),
     }
 
     def plot():

@@ -13,10 +13,6 @@ class SizeError(InputError):
     """A size limit was exceeded (e.g. brute-force enumeration beyond 2^24)."""
 
 
-class DeformationError(InputError):
-    """The requested observable has no parameter-deformation route."""
-
-
 class GridMismatchError(InputError):
     """Characteristic-function samples do not sit on the expected phase grid."""
 

@@ -1,16 +1,16 @@
-"""Exact and analytically-continued Ising partition functions.
+"""Ising partition functions at real or complex couplings.
 
-The ring uses the 2x2 transfer matrix, whose eigenvalues for complex
-coupling Jt and field ht read
+partition_function(model, A, B) is the one entry point: Z at A = beta*J and
+B = beta*h, either of which may be complex, for the model's kind and N.  The
+ring uses the 2x2 transfer matrix, whose eigenvalues read
 
     lambda_pm = e^{A} cosh(B) +- e^{-A} sqrt(1 + e^{4A} sinh^2(B)),
 
-with A = beta*Jt and B = beta*ht, and Z = lambda_-^N + lambda_+^N.  The
-long-range model uses the explicit sum over the down-count sectors k; its
-log sector weights (_longrange_log_g) also give both long-range
-characteristic functions in charfunc.  All values are carried as
-(log_scale, value) pairs so that |beta*Jt|, |beta*ht| up to 700 and N up to
-1e4 never overflow; only ratios of partition functions are ever
+and Z = lambda_-^N + lambda_+^N.  The long-range model uses the explicit sum
+over the down-count sectors k; its log sector weights (_longrange_log_g)
+also give both long-range characteristic functions in charfunc.  All values
+are carried as (log_scale, value) pairs so that |A|, |B| up to 700 and N up
+to 1e4 never overflow; only ratios of partition functions are ever
 exponentiated without a scale.
 """
 
@@ -27,34 +27,11 @@ _TINY_LOG_BRACKET = -40.0  # below this log|N (1 + r)|, the odd-N bracket is N (
 
 
 @dataclass(frozen=True)
-class ComplexParams:
-    """Analytically-continued couplings; reduces to ModelParams when real."""
-
-    Jt: complex
-    ht: complex
-    beta: float
-    N: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise InputError("N must be a positive integer")
-        if self.beta <= 0:
-            raise InputError("beta must be positive")
-
-    @property
-    def is_real(self) -> bool:
-        return complex(self.Jt).imag == 0.0 and complex(self.ht).imag == 0.0
-
-
-@dataclass(frozen=True)
 class ScaledComplex:
     """value * exp(log_scale); log_scale is real, |value| stays O(1)."""
 
     log_scale: float
     value: complex
-
-    def to_complex(self) -> complex:
-        return self.value * np.exp(self.log_scale)  # may overflow to inf
 
     def ratio(self, other: "ScaledComplex") -> complex:
         if other.value == 0:
@@ -63,13 +40,6 @@ class ScaledComplex:
 
     def log_abs(self) -> float:
         return self.log_scale + float(np.log(np.abs(self.value)))
-
-
-@dataclass(frozen=True)
-class TransferSpectrum:
-    lambda_minus: complex
-    lambda_plus: complex
-    log_scale: float  # true eigenvalues are lambda_pm * exp(log_scale)
 
 
 def _scaled_lambdas(A, B):
@@ -94,21 +64,9 @@ def _scaled_lambdas(A, B):
     term = head * cosh_s  # e^{A - c} cosh B
     soff = head * sinh_s  # e^{A - c} sinh B
     tail = np.exp(-A - c)  # exponent -Re A - c <= 0
-    root = np.sqrt(tail * tail + soff * soff)  # principal branch
+    # principal branch; the other one only swaps lambda_pm, which leaves Z as it is
+    root = np.sqrt(tail * tail + soff * soff)
     return c, term + root, term - root, head_exp, cosh_s
-
-
-def transfer_spectrum(p: ComplexParams) -> TransferSpectrum:
-    """Eigenvalues of the ring transfer matrix at (possibly complex) couplings.
-
-    The principal square-root branch is used throughout; flipping the branch
-    only swaps lambda_+ and lambda_-, and Z = lambda_-^N + lambda_+^N is
-    symmetric under that swap.  The scaled eigenvalues have magnitude O(1),
-    comfortably below the 1e300 cap.
-    """
-    c, lp, lm, _, _ = _scaled_lambdas(p.beta * complex(p.Jt), p.beta * complex(p.ht))
-    return TransferSpectrum(lambda_minus=complex(lm), lambda_plus=complex(lp),
-                            log_scale=float(c))
 
 
 def _log1p(z):
@@ -155,16 +113,6 @@ def _znn_scaled_arrays(n: int, A, B):
     return log_scale + log_bracket.real, np.exp(1j * (phase + log_bracket.imag))
 
 
-def _znn_scaled(n: int, A, B) -> ScaledComplex:
-    log_scale, value = _znn_scaled_arrays(n, A, B)
-    return ScaledComplex(float(log_scale[0]), complex(value[0]))
-
-
-def partition_nn(p: ComplexParams) -> ScaledComplex:
-    """Ring partition function at analytically-continued couplings."""
-    return _znn_scaled(p.N, p.beta * complex(p.Jt), p.beta * complex(p.ht))
-
-
 def _log_factorials(n: int) -> np.ndarray:
     """log k! for k = 0..N as cumulative sums of logs (no factorials)."""
     return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1, dtype=float)))))
@@ -204,13 +152,16 @@ def _zlr_scaled(n: int, A, B) -> ScaledComplex:
     return ScaledComplex(log_scale=c.real + shift, value=np.exp(1j * c.imag) * s)
 
 
-def partition_longrange(n: int, J: float, ht: complex, beta: float) -> ScaledComplex:
-    """All-to-all partition function with real coupling and complex field."""
-    if beta <= 0:
-        raise InputError("beta must be positive")
-    if n < 1:
-        raise InputError("N must be a positive integer")
-    return _zlr_scaled(n, beta * float(J), beta * complex(ht))
+def partition_function(model: ModelParams, A, B) -> ScaledComplex:
+    """Z at A = beta*J and B = beta*h, either of which may be complex.
+
+    Reads only model.kind and model.N: the couplings come in as A and B, so
+    one call serves the physical and the analytically-continued Z alike.
+    """
+    if model.kind is ModelKind.RING:
+        log_scale, value = _znn_scaled_arrays(model.N, A, B)
+        return ScaledComplex(float(log_scale[0]), complex(value[0]))
+    return _zlr_scaled(model.N, A, B)
 
 
 def loschmidt_amplitude(model: ModelParams, t: float) -> complex:
@@ -222,10 +173,6 @@ def loschmidt_amplitude(model: ModelParams, t: float) -> complex:
     if model.beta <= 0:
         raise InputError("beta must be positive")
     bc = model.beta + 1j * t
-    if model.kind is ModelKind.RING:
-        num = _znn_scaled(model.N, bc * model.J, bc * model.h)
-        den = _znn_scaled(model.N, model.beta * model.J, model.beta * model.h)
-    else:
-        num = _zlr_scaled(model.N, bc * model.J, bc * model.h)
-        den = _zlr_scaled(model.N, model.beta * model.J, model.beta * model.h)
+    num = partition_function(model, bc * model.J, bc * model.h)
+    den = partition_function(model, model.beta * model.J, model.beta * model.h)
     return num.ratio(den)

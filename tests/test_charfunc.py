@@ -1,3 +1,4 @@
+import cmath
 import decimal
 import math
 import sys
@@ -5,45 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from kinkprobe import (CharFunctionSamples, ComplexParams, CumulantFlavor,
-                       DeformationError, InputError, Provenance, build_theta_grid,
-                       charfunc_of_distribution, charfunc_values,
-                       closed_cumulants, custom_observable, deform_params,
-                       distribution_cumulants, enumerate_oracle, exact_kink_mean,
-                       invert_dft, joint_counts, kink_number, magnetization,
-                       sample_charfunc, transfer_spectrum, validate_distribution)
+from kinkprobe import (CharFunctionSamples, CumulantFlavor, InputError, Provenance,
+                       build_theta_grid, charfunc_of_distribution, charfunc_values,
+                       closed_cumulants, custom_observable, distribution_cumulants,
+                       enumerate_oracle, exact_kink_mean, invert_dft, joint_counts,
+                       kink_number, magnetization, partition_function, sample_charfunc,
+                       validate_distribution)
 from conftest import longrange, random_couplings, ring
-
-
-# ---------------------------------------------------------------------------
-# parameter deformation
-# ---------------------------------------------------------------------------
-
-
-def test_deform_identity_at_zero_theta():
-    model = ring(6, j=1.2, h=0.4, beta=0.9)
-    for obs in (magnetization(6), kink_number(6)):
-        p = deform_params(model, obs, 0.0)
-        assert p.Jt == model.J and p.ht == model.h and p.is_real
-
-
-def test_deform_magnetization_complex_field():
-    p = deform_params(ring(10, h=0.2, beta=1.0), magnetization(10), math.pi)
-    assert p.ht == pytest.approx(0.2 + 1j * math.pi)
-    assert p.Jt == 1.0
-
-
-def test_deform_kinks_complex_coupling():
-    p = deform_params(ring(10, j=1.0, beta=0.1), kink_number(10), math.pi)
-    assert p.Jt == pytest.approx(1.0 - 5j * math.pi)
-    assert p.ht == 0.0
-
-
-def test_deform_rejects_custom_and_longrange_kinks():
-    with pytest.raises(DeformationError):
-        deform_params(ring(4), custom_observable(0.0, 1.0, [(1, 2)]), 0.3)
-    with pytest.raises(DeformationError):
-        deform_params(longrange(4), kink_number(4), 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +115,31 @@ def test_ring_kink_charfunc_is_one_at_pi():
             1.0, abs=1e-9)
 
 
-def test_longrange_magnetization_matches_deformed_partition(rng):
-    from kinkprobe import partition_longrange
+def _complex_field(a, b, theta, n):
+    return a, b + 1j * theta, 0.0
 
+
+def _complex_coupling(a, b, theta, n):
+    return a - 0.5j * theta, b, 0.5 * theta * n  # K = N/2 - (bond sum)/2
+
+
+@pytest.mark.parametrize("make,obs,deform", [
+    (longrange, magnetization, _complex_field),
+    (ring, magnetization, _complex_field),
+    (ring, kink_number, _complex_coupling),
+], ids=["longrange-magnetization", "ring-magnetization", "ring-kinks"])
+def test_charfunc_matches_deformed_partition(make, obs, deform, rng):
+    # F(theta) = e^{i phase} Z(A', B') / Z(A, B), the deformed couplings from deform
     n = 9
     j, h, beta = 0.4, 0.25, 0.7
-    model = longrange(n, j=j, h=h, beta=beta)
+    model = make(n, j=j, h=h, beta=beta)
+    a, b = beta * j, beta * h
+    den = partition_function(model, a, b)
     for theta in rng.uniform(0, 2 * math.pi, size=8):
-        num = partition_longrange(n, j, h + 1j * theta / beta, beta)
-        den = partition_longrange(n, j, h, beta)
-        assert charfunc_values(model, magnetization(n), [float(theta)])[0] == pytest.approx(
-            num.ratio(den), abs=1e-12)
+        a_t, b_t, phase = deform(a, b, theta, n)
+        expected = cmath.exp(1j * phase) * partition_function(model, a_t, b_t).ratio(den)
+        assert charfunc_values(model, obs(n), [float(theta)])[0] == pytest.approx(
+            expected, abs=1e-12)
 
 
 def _longrange_mag_reference(n, g, m):
@@ -239,7 +222,7 @@ def test_longrange_probe_phases_take_the_grid_route():
 
 
 def test_charfunc_rejects_custom():
-    with pytest.raises(DeformationError):
+    with pytest.raises(InputError, match="no analytic route"):
         charfunc_values(ring(4), custom_observable(0.0, 1.0, [(1, 2)]), [0.5])
 
 
@@ -415,8 +398,9 @@ def test_closed_cumulants_match_oracle_within_truncation(rng):
     n = 12
     for obs_builder in (magnetization, kink_number):
         model = ring(n, j=0.6, h=0.25, beta=1.0)
-        spec = transfer_spectrum(ComplexParams(Jt=0.6, ht=0.25, beta=1.0, N=n))
-        trunc = abs(spec.lambda_minus / spec.lambda_plus) ** n
+        lam = np.linalg.eigvals([[math.exp(0.6 + 0.25), math.exp(-0.6)],
+                                 [math.exp(-0.6), math.exp(0.6 - 0.25)]])
+        trunc = (abs(lam).min() / abs(lam).max()) ** n
         tol = max(1e-9, 3 * trunc * n)
         dist = enumerate_oracle(model, obs_builder(n)).dist
         mu = dist.mean()

@@ -94,6 +94,18 @@ def test_sm_error_oracle_flag_is_the_probe_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sm_error_oracle_compares_the_corrected_distribution(tmp_path):
+    # below the enumeration limit the gate-error run compares its corrected P
+    out = tmp_path / "sm"
+    cfg = cli.RunConfig(**{**PRESETS["sm-error"], "N": 10, "oracle": True, "outdir": str(out)})
+    assert cli.run(cfg) == EXIT_OK
+    comparison = json.loads((out / "cumulants.json").read_text())["oracle_comparison"]
+    assert comparison["max_abs_prob_deviation"] <= 1e-12
+    corrected = _read_csv(out / "distribution-corrected.csv")[1]
+    assert comparison["oracle_mean"] == pytest.approx(corrected[:, 0] @ corrected[:, 1],
+                                                      abs=1e-12)
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"N": 6, "h": 0.3, "beta": 0.5}))

@@ -407,13 +407,12 @@ def test_gate_count_accounting():
 
 def test_custom_observable_through_shot_pipeline():
     # custom products have no analytic route; the sampled gate walk covers them
-    from kinkprobe import (DeformationError, custom_observable, invert_dft,
-                           total_variation)
+    from kinkprobe import custom_observable, invert_dft, total_variation
 
     model = ring(4, beta=0.0)
     obs = custom_observable(2.0, 1.0, [(1, 2, 3)])
     times = default_time_grid(obs, 0.01)
-    with pytest.raises(DeformationError):
+    with pytest.raises(InputError, match="no analytic route"):
         simulate_probe_shots(ring(4, beta=1.0), obs, 0.01, times, None)
     record = simulate_probe_shots(model, obs, 0.01, times, shots=20_000, seed=31)
     dist = invert_dft(record.to_charfunc_samples()).cleaned()
