@@ -42,35 +42,6 @@ _LOG2 = math.log(2.0)
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
-class Provenance(enum.Enum):
-    ANALYTIC = "analytic"
-    PROBE_EXACT = "probe-exact"
-    PROBE_SHOTS = "probe-shots"
-
-
-@dataclass(frozen=True)
-class CharFunctionSamples:
-    """F(theta_j) on an increasing grid in [0, 2 pi), with provenance."""
-
-    theta: np.ndarray
-    values: np.ndarray
-    provenance: Provenance
-    observable: ObservableSpec | None = None
-
-    def __post_init__(self):
-        th = np.asarray(self.theta, dtype=float)
-        va = np.asarray(self.values, dtype=complex)
-        if th.shape != va.shape or th.ndim != 1:
-            raise InputError("theta grid and values must be 1-d arrays of equal length")
-        if th.size > 1 and not np.all(np.diff(th) > 0):
-            raise InputError("theta grid must be strictly increasing")
-        if self.provenance is Provenance.ANALYTIC and th.size and th[0] == 0.0:
-            if abs(va[0] - 1.0) > 1e-12:
-                raise InputError("analytic characteristic function must have F(0) = 1")
-        object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "values", va)
-
-
 class CumulantFlavor(enum.Enum):
     CLOSED_LARGE_N = "closed-large-N"
     EXACT_SMALL_FORMULA = "exact-small-formula"
@@ -197,18 +168,6 @@ def charfunc_values(model: ModelParams, obs: ObservableSpec, thetas) -> np.ndarr
     else:
         out = _longrange_charfunc(model, obs, th)
     return _check_magnitude(out)
-
-
-def sample_charfunc(model: ModelParams, obs: ObservableSpec,
-                    thetas=None, points: int | None = None) -> CharFunctionSamples:
-    """Evaluate F on a grid (default: the minimal alias-free inversion grid)."""
-    if thetas is None:
-        from .reconstruct import build_theta_grid
-
-        thetas = build_theta_grid(obs, points=points)
-    th = np.asarray(thetas, dtype=float)
-    return CharFunctionSamples(theta=th, values=charfunc_values(model, obs, th),
-                               provenance=Provenance.ANALYTIC, observable=obs)
 
 
 # ---------------------------------------------------------------------------

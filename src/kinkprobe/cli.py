@@ -26,7 +26,7 @@ from . import svgplot
 from .charfunc import closed_cumulants, distribution_cumulants
 from .distribution import total_variation, validate_distribution
 from .errors import InputError, KinkprobeError
-from .probe import GateErrorModel, default_time_grid, simulate_probe_shots
+from .probe import default_time_grid, simulate_probe_shots
 from .reconstruct import estimate_gate_error, invert_dft
 from .spin_model import (ModelKind, ModelParams, enumerate_oracle, kink_number,
                          magnetization)
@@ -211,7 +211,7 @@ def _build_model_obs(cfg: RunConfig):
 
 
 def _coherence_csv(record) -> str:
-    rows = np.column_stack((record.time_grid, record.nominal_theta, record.sx, record.sy))
+    rows = np.column_stack((record.time_grid, record.theta, record.sx, record.sy))
     return "t,theta,sx,sy\n" + ("%.17g,%.17g,%.17g,%.17g\n" * len(rows)
                                  % tuple(rows.ravel().tolist()))
 
@@ -306,8 +306,8 @@ def run_probe(cfg: RunConfig) -> int:
     warp_eta = cfg.eta if cfg.correct_eta else 0.0
     times = default_time_grid(obs, cfg.epsilon, eta=warp_eta, points=cfg.grid)
     record = simulate_probe_shots(model, obs, cfg.epsilon, times, cfg.shots,
-                                  error_model=GateErrorModel(cfg.eta), seed=cfg.seed)
-    raw = invert_dft(record.to_charfunc_samples(), eta=warp_eta)
+                                  eta=cfg.eta, seed=cfg.seed)
+    raw = invert_dft(record, eta=warp_eta)
     report = validate_distribution(raw)
     dist = raw.cleaned()  # clipping would bias the cumulants, so they are taken from raw
 
@@ -340,16 +340,15 @@ def run_sm_error(cfg: RunConfig) -> int:
     eta = cfg.eta
 
     def exact_record(times, error):
-        return simulate_probe_shots(model, obs, cfg.epsilon, times, None,
-                                    error_model=GateErrorModel(error))
+        return simulate_probe_shots(model, obs, cfg.epsilon, times, None, eta=error)
 
     ideal_times = default_time_grid(obs, cfg.epsilon, points=cfg.grid)
     ideal = exact_record(ideal_times, 0.0)
-    p_ideal = invert_dft(ideal.to_charfunc_samples()).cleaned()
+    p_ideal = invert_dft(ideal).cleaned()
     distorted = exact_record(ideal_times, eta)
-    p_naive = invert_dft(distorted.to_charfunc_samples()).cleaned()
+    p_naive = invert_dft(distorted).cleaned()
     warped_times = default_time_grid(obs, cfg.epsilon, eta=eta, points=cfg.grid)
-    p_corrected = invert_dft(exact_record(warped_times, eta).to_charfunc_samples(), eta=eta)
+    p_corrected = invert_dft(exact_record(warped_times, eta), eta=eta)
     report = validate_distribution(p_corrected)
     corrected = p_corrected.cleaned()
 

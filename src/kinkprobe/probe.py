@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfunc import CharFunctionSamples, Provenance, charfunc_values, check_term_count
+from .charfunc import charfunc_values, check_term_count
 from .errors import InputError
 from .partition import _log_binomials
 from .reconstruct import build_theta_grid
@@ -42,22 +42,8 @@ METROPOLIS_BURNIN_SWEEPS = 100  # sweeps of N proposed flips, before the first s
 
 
 @dataclass(frozen=True)
-class GateErrorModel:
-    """Uniform multiplicative angle error on all controlled rotations."""
-
-    eta: float = 0.0
-
-    def __post_init__(self):
-        if self.eta <= -1.0:
-            raise InputError("eta must exceed -1")
-
-    def effective_epsilon(self, epsilon: float) -> float:
-        return (1.0 + self.eta) * epsilon
-
-
-@dataclass(frozen=True)
 class ProbeRecord:
-    """Probe coherence readout over a time grid."""
+    """Probe coherence readout over a time grid: the samples of F at theta = 2 eps t."""
 
     epsilon: float
     time_grid: np.ndarray
@@ -69,19 +55,19 @@ class ProbeRecord:
     def __post_init__(self):
         for name in ("time_grid", "sx", "sy"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if not (self.time_grid.shape == self.sx.shape == self.sy.shape):
-            raise InputError("time grid and readouts must have matching shapes")
+        if self.time_grid.ndim != 1 or not (
+                self.time_grid.shape == self.sx.shape == self.sy.shape):
+            raise InputError("time grid and readouts must be 1-d arrays of equal length")
 
     @property
-    def nominal_theta(self) -> np.ndarray:
+    def theta(self) -> np.ndarray:
         """Phase labels 2 eps t_j an error-unaware experimenter would assign."""
         return 2.0 * self.epsilon * self.time_grid
 
-    def to_charfunc_samples(self) -> CharFunctionSamples:
-        prov = Provenance.PROBE_EXACT if self.shots is None else Provenance.PROBE_SHOTS
-        return CharFunctionSamples(theta=self.nominal_theta,
-                                   values=self.sx + 1j * self.sy,
-                                   provenance=prov, observable=self.observable)
+    @property
+    def values(self) -> np.ndarray:
+        """The coherence <sigma_x> + i <sigma_y>, which samples F at ``theta``."""
+        return self.sx + 1j * self.sy
 
 
 def default_time_grid(obs: ObservableSpec, epsilon: float, *,
@@ -109,7 +95,7 @@ def gate_count(obs: ObservableSpec) -> int:
 
 
 def circuit_phase(config: SpinConfig, obs: ObservableSpec, epsilon: float, t: float,
-                  error_model: GateErrorModel | None = None) -> float:
+                  eta: float = 0.0) -> float:
     """Relative probe phase Omega * t accumulated by the gate sequence.
 
     One global rotation contributes 2 eps' t a; each controlled rotation
@@ -117,9 +103,10 @@ def circuit_phase(config: SpinConfig, obs: ObservableSpec, epsilon: float, t: fl
     of its term (the controlled-NOT pair around each rotation only flips that
     sign, so the net phase is what matters).  All controlled angles share one
     magnitude, so the walk accumulates the integer signed count and scales
-    once; with eta = 0 the result equals 2 eps t X(config) exactly.
+    once.  A gate error eta scales every angle to eps' = (1 + eta) eps; with
+    eta = 0 the result equals 2 eps t X(config) exactly.
     """
-    eps_eff = epsilon if error_model is None else error_model.effective_epsilon(epsilon)
+    eps_eff = (1.0 + eta) * epsilon
     signed = int(term_sums(config.spins, obs.terms))
     return 2.0 * eps_eff * t * (obs.a + obs.b * signed)
 
@@ -258,14 +245,15 @@ def _shots_at_time(obs, sampler, eps_eff, t, shots, seed, j):
 
 
 def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float,
-                         time_grid, shots: int | None,
-                         error_model: GateErrorModel | None = None,
+                         time_grid, shots: int | None, eta: float = 0.0,
                          seed: int = 0) -> ProbeRecord:
     """Probe readout with shot noise and optional angle miscalibration.
 
-    The gate walk, per time point and per shot: draw a thermal configuration,
-    accumulate the circuit phase Omega t at the effective coupling
-    (1 + eta) eps, then draw a +-1 outcome with p(+1) = (1 + cos Omega t)/2
+    ``eta`` (a float above -1) is the gate error: every controlled angle runs
+    at eps' = (1 + eta) eps, while the record keeps eps, so its ``theta`` are
+    the nominal labels 2 eps t.  The gate walk, per time point and per shot:
+    draw a thermal configuration, accumulate the circuit phase Omega t at
+    eps', then draw a +-1 outcome with p(+1) = (1 + cos Omega t)/2
     for sigma_x; sigma_y uses a disjoint pool of the same size with
     p(+1) = (1 + sin Omega t)/2 (one qubit cannot be read in two bases at
     once).  The shots are iid, so a pool's mean is 2 Binomial(shots, p)/shots
@@ -287,9 +275,10 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
     """
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
+    if eta <= -1.0:
+        raise InputError("eta must exceed -1")
     check_term_count(model, obs)
-    error_model = error_model or GateErrorModel(0.0)
-    eps_eff = error_model.effective_epsilon(epsilon)
+    eps_eff = (1.0 + eta) * epsilon
     t = np.asarray(time_grid, dtype=float)
 
     if shots is None:

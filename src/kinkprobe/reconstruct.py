@@ -1,4 +1,4 @@
-"""From characteristic-function samples back to the distribution.
+"""From a probe record, the samples of the characteristic function, back to the distribution.
 
 For an integer-valued observable the Fourier inversion
 
@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .charfunc import CharFunctionSamples, _grid_offset, closed_cumulants
+from .charfunc import _grid_offset, closed_cumulants
 from .distribution import Distribution
 from .errors import EstimationError, GridMismatchError, InputError
 from .spin_model import ModelKind, ModelParams, ObservableSpec, magnetization
@@ -48,37 +48,41 @@ def build_theta_grid(obs: ObservableSpec, *, points: int | None = None) -> np.nd
     return 2.0 * np.pi * np.arange(m) / m
 
 
-def invert_dft(samples: CharFunctionSamples, eta: float = 0.0) -> Distribution:
-    """Exact finite-sum Fourier inversion on the standard grid, as one FFT.
+def invert_dft(record: "ProbeRecord", eta: float = 0.0) -> Distribution:
+    """Exact finite-sum Fourier inversion of a probe record, as one FFT.
 
-    A gate error eta stretches the accumulated phases by (1 + eta), so the
-    samples must satisfy theta_j (1 + eta) = 2 pi j / M: acquisition times
-    pre-warped to t_j = theta_j / (2 eps (1 + eta)), or the plain grid when
-    eta = 0.  The result is labelled ``dft`` at eta = 0 and
-    ``dft-eta-corrected`` otherwise.  The imaginary residue of each amplitude
-    is recorded on the result and dropped; probabilities are returned
-    unclipped.  The samples must carry their observable, which marks the
-    values no configuration reaches (``Distribution.forbidden``).
+    Reads ``record.theta`` (the nominal phases 2 eps t), ``record.values``
+    (the coherence, i.e. F) and ``record.observable``, which marks the values
+    no configuration reaches (``Distribution.forbidden``).  A gate error eta
+    stretches the accumulated phases by (1 + eta), so the record must satisfy
+    theta_j (1 + eta) = 2 pi j / M: acquisition times pre-warped to
+    t_j = theta_j / (2 eps (1 + eta)), or the plain grid when eta = 0.  The
+    result is labelled ``dft`` at eta = 0 and ``dft-eta-corrected`` otherwise,
+    followed by ``/probe-exact`` for an exact record and ``/probe-shots`` for
+    a shot record.  The imaginary residue of each amplitude is recorded on the
+    result and dropped; probabilities are returned unclipped.
     """
     if eta <= -1.0:
         raise InputError("eta must exceed -1")
-    obs = samples.observable
+    obs = record.observable
     if obs is None:
-        raise InputError("no observable attached to the samples")
+        raise InputError("no observable attached to the record")
     lo, hi = obs.value_bounds()
     support = np.arange(lo, hi + 1)
-    m = samples.values.size
+    values = record.values
+    m = values.size
     if m < support.size:
         raise GridMismatchError("fewer samples than support points; inversion would alias")
-    if _grid_offset(samples.theta * (1.0 + eta)) > 1e-9:
+    if _grid_offset(record.theta * (1.0 + eta)) > 1e-9:
         raise GridMismatchError("samples do not sit on the uniform grid 2 pi j / M "
                                 "(after the gate-error rescaling, if any)")
     method = "dft" if eta == 0.0 else "dft-eta-corrected"
-    amp = np.fft.fft(samples.values)[support % m] / m
+    source = "probe-exact" if record.shots is None else "probe-shots"
+    amp = np.fft.fft(values)[support % m] / m
     return Distribution(support=support, probs=amp.real,
                         residual_imag=float(np.abs(amp.imag).max()),
                         forbidden=obs.forbidden(support),
-                        method=f"{method}/{samples.provenance.value}")
+                        method=f"{method}/{source}")
 
 
 def estimate_gate_error(record: "ProbeRecord") -> float:
@@ -92,8 +96,7 @@ def estimate_gate_error(record: "ProbeRecord") -> float:
     eta = T_ideal / T_measured - 1.  The record must span the measured
     period, so for negative eta acquire a bit beyond pi / eps.
     """
-    t = np.asarray(record.time_grid, dtype=float)
-    c = np.asarray(record.sx, dtype=float) + 1j * np.asarray(record.sy, dtype=float)
+    t, c = record.time_grid, record.values
     if t.size < 5:
         raise EstimationError("record too short for period detection")
     t_ideal = math.pi / record.epsilon

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from kinkprobe import ModelKind, ModelParams
+from kinkprobe import (ModelKind, ModelParams, ProbeRecord, build_theta_grid,
+                       simulate_probe_shots)
 
 
 @pytest.fixture
@@ -23,3 +24,15 @@ def random_couplings(rng, beta_lo=0.05, beta_hi=2.0, cap=3.0):
     bj = float(rng.uniform(-cap, cap))
     bh = float(rng.uniform(-cap, cap))
     return bj / beta, bh / beta, beta
+
+
+def exact_record(model, obs, points=None):
+    """The exact probe record on the inversion grid; at eps = 1/2 the phases are t."""
+    return simulate_probe_shots(model, obs, 0.5, build_theta_grid(obs, points=points), None)
+
+
+def record_of(thetas, values, obs=None, shots=None):
+    """A probe record at eps = 1/2 (theta = t) whose coherence is ``values``."""
+    values = np.asarray(values, dtype=complex)
+    return ProbeRecord(epsilon=0.5, time_grid=thetas, sx=values.real, sy=values.imag,
+                       shots=shots, observable=obs)

@@ -13,14 +13,14 @@ from kinkprobe import (build_theta_grid, charfunc_values, closed_cumulants,
                        invert_dft, kink_number,
                        loschmidt_amplitude, magnetization,
                        noncommuting_test_observable, quantum_probe,
-                       sample_charfunc, simulate_probe_shots,
+                       simulate_probe_shots,
                        thermal_diagonal_ensemble, total_variation,
                        trotter_error_probe)
 from kinkprobe.cli import main
-from kinkprobe.probe import GateErrorModel, default_time_grid
+from kinkprobe.probe import default_time_grid
 from kinkprobe.quantum import PauliObservable
 from kinkprobe.spin_model import _batch_energy, _config_matrix
-from conftest import longrange, random_couplings, ring
+from conftest import exact_record, longrange, random_couplings, ring
 
 
 def _line(num, name, ok, detail=""):
@@ -40,7 +40,7 @@ def test_criterion_01_oracle_equivalence():
                 model = make(n, j=j, h=h, beta=beta)
                 for obs in (magnetization(n), kink_number(n)):
                     exact = enumerate_oracle(model, obs).dist
-                    recon = invert_dft(sample_charfunc(model, obs))
+                    recon = invert_dft(exact_record(model, obs))
                     worst = max(worst, float(np.abs(recon.probs - exact.probs).max()))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 30.0
@@ -52,7 +52,7 @@ def test_criterion_02_kink_mean_exact_formula():
     worst = 0.0
     for n in (10, 50, 200):
         model = ring(n, j=1.0, h=0.0, beta=1.0)
-        mean = invert_dft(sample_charfunc(model, kink_number(n))).mean()
+        mean = invert_dft(exact_record(model, kink_number(n))).mean()
         worst = max(worst, abs(mean - exact_kink_mean(model)))
     ok = worst < 1e-10
     assert _line(2, "kink mean vs exact formula (N=10,50,200)", ok,
@@ -66,7 +66,7 @@ def test_criterion_02_kink_mean_exact_formula():
     "the stated correction estimate of ~1e-33 is off (tanh(1)^50 ~ 1.2e-6)"))
 def test_criterion_02b_kink_mean_large_n_tolerance():
     model = ring(50, j=1.0, h=0.0, beta=1.0)
-    mean = invert_dft(sample_charfunc(model, kink_number(50))).mean()
+    mean = invert_dft(exact_record(model, kink_number(50))).mean()
     large_n = 50 / (1 + math.exp(2))
     rel = abs(mean - large_n) / large_n
     _line(2, "kink mean vs N/(1+e^{2bJ}) at 1e-6 rel", rel < 1e-6,
@@ -76,7 +76,7 @@ def test_criterion_02b_kink_mean_large_n_tolerance():
 
 def test_criterion_03_cumulant_consistency():
     model = ring(50, j=1.0, h=0.2, beta=1.0)
-    dist = invert_dft(sample_charfunc(model, magnetization(50)))
+    dist = invert_dft(exact_record(model, magnetization(50)))
     closed = closed_cumulants(model, magnetization(50))
     mu = dist.mean()
     var = dist.variance()
@@ -98,7 +98,7 @@ def test_criterion_04_parity_sum_rules():
              (longrange(20, h=0.4, beta=0.05), kink_number(20)),
              (longrange(50, h=2.0, beta=0.03), magnetization(50))]
     for model, obs in cases:
-        dist = invert_dft(sample_charfunc(model, obs))
+        dist = invert_dft(exact_record(model, obs))
         if obs.kind.value == "magnetization":
             forbidden = (dist.support - model.N) % 2 != 0
         else:
@@ -113,7 +113,7 @@ def test_criterion_05_scaling_laws():
     worst_rel = 0.0
     for n in (50, 200, 800):
         model = ring(n, j=1.0, h=0.0, beta=1.0)
-        dist = invert_dft(sample_charfunc(model, kink_number(n)))
+        dist = invert_dft(exact_record(model, kink_number(n)))
         ratio = math.sqrt(dist.variance()) / dist.mean()
         target = math.exp(1.0) / math.sqrt(n)
         worst_rel = max(worst_rel, abs(ratio - target) / target)
@@ -182,22 +182,19 @@ def test_criterion_06_figure_presets(tmp_path):
 def test_criterion_07_gate_error_correction():
     model, obs = ring(20, j=1.0, h=0.1, beta=1.0), magnetization(20)
     eps, eta = 0.01, 0.02
-    truth = invert_dft(sample_charfunc(model, obs)).cleaned()
+    truth = invert_dft(exact_record(model, obs)).cleaned()
 
     naive_times = default_time_grid(obs, eps)
-    distorted = simulate_probe_shots(model, obs, eps, naive_times, None,
-                                     error_model=GateErrorModel(eta))
-    tv_naive = total_variation(invert_dft(distorted.to_charfunc_samples()).cleaned(), truth)
+    distorted = simulate_probe_shots(model, obs, eps, naive_times, None, eta=eta)
+    tv_naive = total_variation(invert_dft(distorted).cleaned(), truth)
 
     warped_times = default_time_grid(obs, eps, eta=eta)
-    warped = simulate_probe_shots(model, obs, eps, warped_times, None,
-                                  error_model=GateErrorModel(eta))
-    corrected = invert_dft(warped.to_charfunc_samples(), eta=eta)
+    warped = simulate_probe_shots(model, obs, eps, warped_times, None, eta=eta)
+    corrected = invert_dft(warped, eta=eta)
     tv_corrected = total_variation(corrected.cleaned(), truth)
 
     est_times = np.linspace(0.0, 1.3 * math.pi / eps, 4096)
-    est_record = simulate_probe_shots(model, obs, eps, est_times, None,
-                                      error_model=GateErrorModel(eta))
+    est_record = simulate_probe_shots(model, obs, eps, est_times, None, eta=eta)
     eta_hat = estimate_gate_error(est_record)
 
     ok = tv_corrected < 1e-9 and tv_naive > 0.01 and abs(eta_hat - eta) < 1e-3
@@ -210,11 +207,11 @@ def test_criterion_08_shot_noise_convergence():
     model, obs = ring(12, j=1.0, h=0.2, beta=1.0), magnetization(12)
     eps = 0.01
     times = default_time_grid(obs, eps)
-    truth = invert_dft(sample_charfunc(model, obs)).cleaned()
+    truth = invert_dft(exact_record(model, obs)).cleaned()
 
     def tv_at(shots, seed):
         record = simulate_probe_shots(model, obs, eps, times, shots=shots, seed=seed)
-        return total_variation(invert_dft(record.to_charfunc_samples()).cleaned(), truth)
+        return total_variation(invert_dft(record).cleaned(), truth)
 
     tv_fixed = tv_at(10_000, seed=0)
     ok_fixed = tv_fixed < 0.05

@@ -6,13 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from kinkprobe import (CharFunctionSamples, CumulantFlavor, InputError, Provenance,
-                       build_theta_grid, charfunc_of_distribution, charfunc_values,
-                       closed_cumulants, custom_observable, distribution_cumulants,
-                       enumerate_oracle, exact_kink_mean, invert_dft, joint_counts,
-                       kink_number, magnetization, partition_function, sample_charfunc,
-                       validate_distribution)
-from conftest import longrange, random_couplings, ring
+from kinkprobe import (CumulantFlavor, InputError, build_theta_grid,
+                       charfunc_of_distribution, charfunc_values, closed_cumulants,
+                       custom_observable, distribution_cumulants, enumerate_oracle,
+                       exact_kink_mean, invert_dft, joint_counts, kink_number,
+                       magnetization, partition_function, validate_distribution)
+from conftest import exact_record, longrange, random_couplings, record_of, ring
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +210,12 @@ def test_longrange_magnetization_grid_route_accuracy_at_n1000(m, monkeypatch):
 
 
 def test_longrange_probe_phases_take_the_grid_route():
-    from kinkprobe.probe import GateErrorModel, default_time_grid, simulate_probe_shots
+    from kinkprobe.probe import default_time_grid, simulate_probe_shots
 
     n, eps, eta = 300, 0.01, 0.02
     model, obs = longrange(n, j=1.0, h=0.3, beta=0.5 / n), magnetization(n)
     times = default_time_grid(obs, eps, eta=eta)
-    record = simulate_probe_shots(model, obs, eps, times, None, error_model=GateErrorModel(eta))
+    record = simulate_probe_shots(model, obs, eps, times, None, eta=eta)
     f = charfunc_values(model, obs, build_theta_grid(obs))
     assert np.array_equal(record.sx, f.real) and np.array_equal(record.sy, f.imag)
 
@@ -414,10 +413,8 @@ def test_closed_cumulants_match_oracle_within_truncation(rng):
 def test_closed_kink_cumulants_match_exact_pipeline(n, h, beta):
     # at these couplings the subdominant-eigenvalue truncation is below 1e-12,
     # so the closed forms must agree with the exact reconstruction to 1e-9
-    from kinkprobe import invert_dft, sample_charfunc
-
     model = ring(n, j=1.0, h=h, beta=beta)
-    dist = invert_dft(sample_charfunc(model, kink_number(n)))
+    dist = invert_dft(exact_record(model, kink_number(n)))
     third = float(dist.probs @ (dist.support - dist.mean()) ** 3)
     cs = closed_cumulants(model, kink_number(n))
     assert dist.mean() == pytest.approx(cs.kappa1, rel=1e-9)
@@ -505,9 +502,7 @@ def test_closed_cumulants_scale_linearly_in_n():
 def test_numerical_cumulants_point_mass():
     obs = magnetization(4)
     thetas = build_theta_grid(obs)
-    samples = CharFunctionSamples(theta=thetas, values=np.exp(2j * thetas),
-                                  provenance=Provenance.ANALYTIC, observable=obs)
-    cs = distribution_cumulants(invert_dft(samples))
+    cs = distribution_cumulants(invert_dft(record_of(thetas, np.exp(2j * thetas), obs)))
     assert cs.kappa1 == pytest.approx(2.0, abs=1e-12)
     assert cs.kappa2 == pytest.approx(0.0, abs=1e-12)
     assert cs.kappa3 == pytest.approx(0.0, abs=1e-11)
@@ -515,7 +510,7 @@ def test_numerical_cumulants_point_mass():
 
 def test_numerical_cumulants_match_oracle_mean():
     model = ring(12, j=1.0, h=0.3, beta=1.0)
-    cs = distribution_cumulants(invert_dft(sample_charfunc(model, magnetization(12))))
+    cs = distribution_cumulants(invert_dft(exact_record(model, magnetization(12))))
     oracle = enumerate_oracle(model, magnetization(12)).dist
     assert cs.kappa1 == pytest.approx(oracle.mean(), abs=1e-9)
     assert cs.flavor is CumulantFlavor.NUMERICAL_FROM_F
@@ -523,7 +518,7 @@ def test_numerical_cumulants_match_oracle_mean():
 
 def test_numerical_cumulants_match_closed_forms_large_n():
     model = ring(50, j=1.0, h=0.2, beta=1.0)
-    cs = distribution_cumulants(invert_dft(sample_charfunc(model, magnetization(50))))
+    cs = distribution_cumulants(invert_dft(exact_record(model, magnetization(50))))
     closed = closed_cumulants(model, magnetization(50))
     assert cs.kappa1 == pytest.approx(closed.kappa1, rel=1e-6)
     assert cs.kappa2 == pytest.approx(closed.kappa2, rel=1e-6)
@@ -533,14 +528,5 @@ def test_numerical_cumulants_match_closed_forms_large_n():
 def test_unnormalized_samples_report_their_norm_defect():
     obs = magnetization(3)
     thetas = build_theta_grid(obs)
-    samples = CharFunctionSamples(theta=thetas, values=0.5 * np.exp(1j * thetas),
-                                  provenance=Provenance.PROBE_SHOTS, observable=obs)
-    assert validate_distribution(invert_dft(samples)).norm_defect == pytest.approx(0.5)
-
-
-def test_analytic_samples_must_be_normalized():
-    obs = magnetization(3)
-    thetas = build_theta_grid(obs)
-    with pytest.raises(InputError):
-        CharFunctionSamples(theta=thetas, values=0.5 * np.ones_like(thetas, dtype=complex),
-                            provenance=Provenance.ANALYTIC)
+    record = record_of(thetas, 0.5 * np.exp(1j * thetas), obs, shots=100)
+    assert validate_distribution(invert_dft(record)).norm_defect == pytest.approx(0.5)

@@ -11,11 +11,10 @@ from scipy.stats import chi2
 
 import kinkprobe.cli as cli
 from kinkprobe import (charfunc_of_distribution, distribution_cumulants, enumerate_oracle,
-                       invert_dft, kink_number, magnetization, sample_charfunc,
-                       simulate_probe_shots)
+                       invert_dft, kink_number, magnetization, simulate_probe_shots)
 from kinkprobe.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, PRESETS, main
 from kinkprobe.probe import default_time_grid
-from conftest import longrange, ring
+from conftest import exact_record, longrange, ring
 
 
 def _read_csv(path):
@@ -225,7 +224,7 @@ def test_shot_run_cumulants_are_those_of_the_unclipped_inversion(tmp_path, model
     spec = (kink_number if obs == "kinks" else magnetization)(n)
     record = simulate_probe_shots(params, spec, 0.01, default_time_grid(spec, 0.01), shots,
                                   seed=7)
-    want = distribution_cumulants(invert_dft(record.to_charfunc_samples()))
+    want = distribution_cumulants(invert_dft(record))
     got = json.loads((out / "cumulants.json").read_text())["numerical"]
     assert [got[k] for k in ("kappa1", "kappa2", "kappa3")] == [want.kappa1, want.kappa2,
                                                                 want.kappa3]
@@ -238,7 +237,7 @@ def test_shot_run_mean_is_unbiased(tmp_path):
     # for sx and (1 - Im F_j^2) / shots for sy.  The cumulants of the clipped
     # distribution put the mean about 25 standard errors low here (40.09 against 41.50)
     n, shots, seeds = 50, 10000, range(1, 21)
-    exact = sample_charfunc(ring(n, h=0.2), magnetization(n))
+    exact = exact_record(ring(n, h=0.2), magnetization(n))
     x = np.arange(-n, n + 1)
     a = np.exp(-1j * np.outer(exact.theta, x)) @ x / exact.theta.size
     f = exact.values

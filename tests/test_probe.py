@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from kinkprobe import (GateErrorModel, InputError, SpinConfig, charfunc_values,
+from kinkprobe import (InputError, ProbeRecord, SpinConfig, charfunc_values,
                        circuit_phase, custom_observable, energy, enumerate_oracle,
                        gibbs_sampler, kink_number, magnetization,
                        observable_value, simulate_probe_shots)
@@ -34,7 +34,7 @@ def test_circuit_phase_with_angle_error():
     cfg = SpinConfig.from_iterable([1, 1, -1, 1, -1])
     obs = kink_number(5)
     base = circuit_phase(cfg, obs, 0.01, 2.0)
-    distorted = circuit_phase(cfg, obs, 0.01, 2.0, GateErrorModel(0.02))
+    distorted = circuit_phase(cfg, obs, 0.01, 2.0, eta=0.02)
     assert distorted == pytest.approx(1.02 * base, rel=1e-15)
 
 
@@ -230,7 +230,7 @@ def test_exact_traces_decay_and_revive_at_zero_field():
     assert record.sx[0] == 1.0
     assert np.abs(record.sy).max() < 1e-10
     assert record.sx.min() < 0.05
-    mid = np.argmin(np.abs(record.nominal_theta - np.pi))
+    mid = np.argmin(np.abs(record.theta - np.pi))
     assert record.sx[mid] == pytest.approx(1.0, abs=1e-3)
     # a finite field puts weight into the imaginary trace
     tilted = simulate_probe_shots(ring(50, h=0.2), obs, 0.01, times, None)
@@ -365,8 +365,7 @@ def test_gate_walk_record_repeats_bit_for_bit():
 def test_exact_mode_with_gate_error_stretches_period():
     model, obs = ring(20, h=0.1, beta=1.0), magnetization(20)
     times = default_time_grid(obs, 0.01)
-    distorted = simulate_probe_shots(model, obs, 0.01, times, None,
-                                     error_model=GateErrorModel(0.02))
+    distorted = simulate_probe_shots(model, obs, 0.01, times, None, eta=0.02)
     reference = charfunc_values(model, obs, 2 * 0.01 * 1.02 * times)
     np.testing.assert_allclose(distorted.sx + 1j * distorted.sy, reference, atol=1e-13)
 
@@ -391,8 +390,17 @@ def test_shot_validation():
         simulate_probe_shots(model, obs, 0.01, [0.0, 1.0], shots=0)
     with pytest.raises(InputError):
         simulate_probe_shots(model, obs, -0.01, [0.0, 1.0], shots=10)
-    with pytest.raises(InputError):
-        GateErrorModel(-1.0)
+    with pytest.raises(InputError, match="eta must exceed -1"):
+        simulate_probe_shots(model, obs, 0.01, [0.0, 1.0], shots=10, eta=-1.0)
+
+
+def test_probe_record_refuses_readouts_that_are_not_1d():
+    grid = np.zeros((2, 3))
+    with pytest.raises(InputError, match="1-d arrays of equal length"):
+        ProbeRecord(epsilon=0.01, time_grid=grid, sx=grid, sy=grid, shots=None)
+    with pytest.raises(InputError, match="1-d arrays of equal length"):
+        ProbeRecord(epsilon=0.01, time_grid=np.zeros(3), sx=np.zeros(3), sy=np.zeros(2),
+                    shots=None)
 
 
 def test_gate_count_accounting():
@@ -415,6 +423,6 @@ def test_custom_observable_through_shot_pipeline():
     with pytest.raises(InputError, match="no analytic route"):
         simulate_probe_shots(ring(4, beta=1.0), obs, 0.01, times, None)
     record = simulate_probe_shots(model, obs, 0.01, times, shots=20_000, seed=31)
-    dist = invert_dft(record.to_charfunc_samples()).cleaned()
+    dist = invert_dft(record).cleaned()
     oracle = enumerate_oracle(model, obs).dist
     assert total_variation(dist, oracle) < 0.02  # P(1) = P(3) = 1/2 at beta = 0

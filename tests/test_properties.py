@@ -12,10 +12,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kinkprobe import (CharFunctionSamples, Distribution, Provenance,
-                       charfunc_values, charfunc_of_distribution,
+from kinkprobe import (Distribution, charfunc_values, charfunc_of_distribution,
                        custom_observable, invert_dft, kink_number, magnetization)
-from conftest import longrange, ring
+from conftest import longrange, record_of, ring
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -39,9 +38,7 @@ def test_round_trip_on_any_grid_at_or_above_the_width(lo, width, extra, data):
     support = np.arange(lo, lo + width)
     dist = Distribution(support=support, probs=p, method="synthetic")
     thetas = _grid(width + extra)
-    samples = CharFunctionSamples(theta=thetas, values=charfunc_of_distribution(dist, thetas),
-                                  provenance=Provenance.ANALYTIC, observable=obs)
-    back = invert_dft(samples)
+    back = invert_dft(record_of(thetas, charfunc_of_distribution(dist, thetas), obs))
     assert np.array_equal(back.support, support)
     np.testing.assert_allclose(back.probs, p, rtol=0, atol=1e-12)
 

@@ -34,7 +34,7 @@ def _ref_fmt(x: float) -> str:
 
 def _ref_coherence_csv(record) -> str:
     lines = ["t,theta,sx,sy"]
-    for t, th, sx, sy in zip(record.time_grid, record.nominal_theta, record.sx, record.sy):
+    for t, th, sx, sy in zip(record.time_grid, record.theta, record.sx, record.sy):
         lines.append(",".join(map(_ref_fmt, (t, th, sx, sy))))
     return "\n".join(lines) + "\n"
 
@@ -92,7 +92,7 @@ def test_coherence_csv_matches_the_per_value_reference(m, data):
         cols = [np.roll(SPECIAL_COLUMN, k) for k in range(4)]
     else:
         cols = [data.draw(arrays(float, m, elements=values)) for _ in range(4)]
-    record = SimpleNamespace(time_grid=cols[0], nominal_theta=cols[1], sx=cols[2], sy=cols[3])
+    record = SimpleNamespace(time_grid=cols[0], theta=cols[1], sx=cols[2], sy=cols[3])
     assert cli._coherence_csv(record) == _ref_coherence_csv(record)
 
 
