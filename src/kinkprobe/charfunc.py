@@ -107,7 +107,7 @@ def _sector_charfunc(x: np.ndarray, logw: np.ndarray, thetas: np.ndarray) -> np.
 def _longrange_kink_log_rows(n: int, logg: np.ndarray) -> np.ndarray:
     """log row[j] = log sum_k Q(k, j) w(k) for j = 0..N // 2, from log g(k).
 
-    w(k) = g(k) / C(N, k) weighs one configuration with k down spins, and
+    w(k) ~ g(k) / C(N, k) weighs one configuration with k down spins, and
     Q(k, j) counts the ring configurations with k down spins and j runs of
     up spins, hence K = 2j kinks: Q(0, 0) = Q(N, 0) = 1, and for
     1 <= j <= min(k, N - k) Q(k, j) = (N / j) C(k-1, j-1) C(N-k-1, j-1)

@@ -16,6 +16,7 @@ exponentiated without a scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,20 +120,31 @@ def _log_factorials(n: int) -> np.ndarray:
 
 
 def _log_binomials(n: int) -> np.ndarray:
-    """log C(N, k) for k = 0..N."""
-    logs = _log_factorials(n)
-    k = np.arange(n + 1)
-    return logs[n] - logs[k] - logs[n - k]
+    """log C(N, k) - log C(N, N // 2) for k = 0..N, zero at the centre.
+
+    Summed outward from k = N // 2 over the ratios C(N, k + 1) / C(N, k) =
+    (N - k) / (k + 1), so an entry carries the rounding of the terms between
+    it and the centre, not that of log N! (8.2e4 at N = 1e4), which the
+    difference of log-factorials would.
+    """
+    half = n // 2
+    k = np.arange(n)
+    steps = np.log((n - k) / (k + 1.0))  # log C(N, k + 1) - log C(N, k)
+    out = np.zeros(n + 1)
+    out[half + 1:] = np.cumsum(steps[half:])
+    out[:half] = -np.cumsum(steps[:half][::-1])[::-1]
+    return out
 
 
 def _longrange_log_g(n: int, A, B) -> tuple[np.ndarray, complex]:
     """Log sector weights over the down-count k = 0..N, centred on the heaviest sector.
 
     With M = N - 2k, A = beta*J and B = beta*h (either may be complex), the
-    k-down sector weighs C(N, k) e^{A(M^2 - N)/2 + BM} = g(k) e^c.  Returns
-    (log g, c): log g = log C(N, k) + (M - M0)(A(M + M0)/2 + B), where c is the
-    exponent of the sector M0 of largest real log weight.  The sectors near
-    M0, which carry the weight, are thus not rounded at the scale |A| N^2 / 2.
+    k-down sector weighs C(N, k) e^{A(M^2 - N)/2 + BM} = C(N, N // 2) g(k) e^c.
+    Returns (log g, c): log g = log C(N, k) - log C(N, N // 2)
+    + (M - M0)(A(M + M0)/2 + B), where c is the exponent of the sector M0 of
+    largest real log weight.  The sectors near M0, which carry the weight, are
+    thus not rounded at the scale |A| N^2 / 2, nor at that of log N!.
     """
     m = n - 2.0 * np.arange(n + 1)
     logc = _log_binomials(n)
@@ -141,15 +153,18 @@ def _longrange_log_g(n: int, A, B) -> tuple[np.ndarray, complex]:
 
 
 def _zlr_scaled(n: int, A, B) -> ScaledComplex:
-    """Long-range Z = e^c sum_k g(k) as a stabilized sector sum (see _longrange_log_g).
+    """Long-range Z = C(N, N // 2) e^c sum_k g(k) as a stabilized sector sum.
 
-    Every term is kept as log-magnitude plus phase and shifted by the max
-    exponent.
+    See _longrange_log_g.  Every term is kept as log-magnitude plus phase and
+    shifted by the max exponent; log C(N, N // 2) joins the scale.
     """
     expo, c = _longrange_log_g(n, complex(A), complex(B))
     shift = float(expo.real.max())
     s = np.exp(expo - shift).sum()
-    return ScaledComplex(log_scale=c.real + shift, value=np.exp(1j * c.imag) * s)
+    half = n // 2
+    log_central = math.lgamma(n + 1) - math.lgamma(half + 1) - math.lgamma(n - half + 1)
+    return ScaledComplex(log_scale=c.real + shift + log_central,
+                         value=np.exp(1j * c.imag) * s)
 
 
 def partition_function(model: ModelParams, A, B) -> ScaledComplex:

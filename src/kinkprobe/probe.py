@@ -191,7 +191,8 @@ class LongRangeMetropolisSampler:
         down = frac_up * np.exp(-cost_down)        # P(u -> u - 1)
         up = (1.0 - frac_up) * np.exp(-cost_up)    # P(u -> u + 1)
         stay = -(frac_up * np.expm1(-cost_down) + (1.0 - frac_up) * np.expm1(-cost_up))
-        law = np.exp(_log_binomials(n) - n * np.log(2.0))
+        law = np.exp(_log_binomials(n))  # Binomial(N, 1/2) up to its norm; the centre is 1
+        law /= law.sum()
         for _ in range(METROPOLIS_BURNIN_SWEEPS * n):
             nxt = law * stay
             nxt[:-1] += law[1:] * down[1:]

@@ -141,30 +141,34 @@ def test_charfunc_matches_deformed_partition(make, obs, deform, rng):
             expected, abs=1e-12)
 
 
-def _longrange_mag_reference(n, g, m):
-    """F(2 pi j / M) in long double, every phase reduced in integers first."""
+def _longrange_mag_reference(n, g, m, js=None):
+    """F(2 pi j / M) for j in ``js`` (default: all M) in long double, phases reduced in integers."""
+    js = range(m) if js is None else js
     two_pi = 2 * np.arccos(np.longdouble(-1))
     turn = np.arange(m, dtype=np.longdouble) * two_pi / m
     cos, sin = np.cos(turn), np.sin(turn)
     p = g.astype(np.longdouble)
     p /= p.sum()
     k = np.arange(n + 1)
-    out = np.empty(m, dtype=complex)
-    for j in range(m):
+    out = np.empty(len(js), dtype=complex)
+    for i, j in enumerate(js):
         r = ((n - 2 * k) * j) % m
-        out[j] = complex(float(cos[r] @ p), float(sin[r] @ p))
+        out[i] = complex(float(cos[r] @ p), float(sin[r] @ p))
     return out
 
 
 def _decimal_longrange_logs(n, bj, bh):
-    """log C(N, k) - beta E over the down-count k, in the current decimal precision."""
+    """log C(N, k) - beta E over the down-count k, in the current decimal precision.
+
+    log C(N, k) = log N! - log k! - log (N - k)!, the log-factorials summed
+    as ln 1 + ... + ln k (exact integer binomials cost seconds at N = 1e4).
+    """
     a, b = decimal.Decimal(bj), decimal.Decimal(bh)
-    logs, count = [], 1
-    for k in range(n + 1):
-        mag = n - 2 * k
-        logs.append(decimal.Decimal(count).ln() + a * (mag * mag - n) / 2 + b * mag)
-        count = count * (n - k) // (k + 1)
-    return logs
+    lf = [decimal.Decimal(0)]
+    for k in range(1, n + 1):
+        lf.append(lf[-1] + decimal.Decimal(k).ln())
+    return [lf[n] - lf[k] - lf[n - k] + a * ((n - 2 * k) ** 2 - n) / 2 + b * (n - 2 * k)
+            for k in range(n + 1)]
 
 
 def _decimal_longrange_weights(n, bj, bh):
@@ -188,6 +192,19 @@ def test_longrange_magnetization_matches_a_decimal_reference_at_n1000(bj, bh):
     f = charfunc_values(longrange(n, j=bj, h=bh, beta=1.0), magnetization(n), thetas)
     ref = _longrange_mag_reference(n, _decimal_longrange_weights(n, bj, bh), m)
     assert np.abs(f - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, bj, bh", [(4000, 1.25e-4, 1.25e-4), (10000, 2e-4, 0.0)])
+def test_longrange_magnetization_matches_a_decimal_reference_at_large_n(n, bj, bh):
+    # log C(N, k) from log-factorials of magnitude log N! ~ 8e4 carried up to
+    # 4e-10 of rounding into the sector weights: F was off by 1.4e-12 at
+    # lr-m-4000 (the first case) and by 7.2e-12 at N = 1e4
+    m = 2 * n + 1
+    js = np.r_[0:76, m // 2 - 38:m // 2 + 38, m - 76:m]  # j near 0, M/2 and M - 1
+    f = charfunc_values(longrange(n, j=bj, h=bh, beta=1.0), magnetization(n),
+                        2 * np.pi * np.arange(m) / m)
+    ref = _longrange_mag_reference(n, _decimal_longrange_weights(n, bj, bh), m, js)
+    assert np.abs(f[js] - ref).max() <= 1e-12
 
 
 @pytest.mark.parametrize("m", [2001, 1500, 2048])
@@ -437,7 +454,8 @@ def test_closed_cumulants_longrange_magnetization_exact(rng):
 
 def test_closed_longrange_cumulants_match_a_decimal_sector_sum_at_n4000():
     # the mean of the down-count is ~N/2, so moments about zero would cancel
-    # in kappa_3 (~1e-5 here); moments about the mean keep it to ~5e-8
+    # in kappa_3 (~1e-5 here); moments about the mean keep it to ~5e-8, and
+    # log-binomials summed from the centre to ~1e-10
     n, bj, bh = 4000, 1.25e-4, 1.25e-4
     with decimal.localcontext() as ctx:
         ctx.prec = 50
