@@ -7,7 +7,7 @@ Library layout:
 * :mod:`kinkprobe.charfunc`     -- F(theta) (charfunc_values), closed and distribution cumulants
 * :mod:`kinkprobe.distribution` -- distributions, parity masks, validation and distances
 * :mod:`kinkprobe.reconstruct`  -- Fourier inversion of a probe record (invert_dft), gate-error estimate
-* :mod:`kinkprobe.probe`        -- probe records (simulate_probe_shots; shots=None is exact, eta= the gate error)
+* :mod:`kinkprobe.probe`        -- probe records (simulate_probe_shots; shots=None is exact, eta the gate error)
 * :mod:`kinkprobe.quantum`      -- quantum_probe on a state vector, trotter_error_probe
 * :mod:`kinkprobe.cli`          -- command-line frontend and figure presets
 """

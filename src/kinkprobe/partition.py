@@ -122,10 +122,8 @@ def _log_factorials(n: int) -> np.ndarray:
 def _log_binomials(n: int) -> np.ndarray:
     """log C(N, k) - log C(N, N // 2) for k = 0..N, zero at the centre.
 
-    Summed outward from k = N // 2 over the ratios C(N, k + 1) / C(N, k) =
-    (N - k) / (k + 1), so an entry carries the rounding of the terms between
-    it and the centre, not that of log N! (8.2e4 at N = 1e4), which the
-    difference of log-factorials would.
+    Summed outward from the centre over log((N - k) / (k + 1)), so no entry
+    carries the rounding of log N! (8.2e4 at N = 1e4), as log-factorials do.
     """
     half = n // 2
     k = np.arange(n)

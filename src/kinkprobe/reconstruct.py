@@ -51,16 +51,14 @@ def build_theta_grid(obs: ObservableSpec, *, points: int | None = None) -> np.nd
 def invert_dft(record: "ProbeRecord", eta: float = 0.0) -> Distribution:
     """Exact finite-sum Fourier inversion of a probe record, as one FFT.
 
-    Reads ``record.theta`` (the nominal phases 2 eps t), ``record.values``
-    (the coherence, i.e. F) and ``record.observable``, which marks the values
-    no configuration reaches (``Distribution.forbidden``).  A gate error eta
-    stretches the accumulated phases by (1 + eta), so the record must satisfy
-    theta_j (1 + eta) = 2 pi j / M: acquisition times pre-warped to
-    t_j = theta_j / (2 eps (1 + eta)), or the plain grid when eta = 0.  The
-    result is labelled ``dft`` at eta = 0 and ``dft-eta-corrected`` otherwise,
-    followed by ``/probe-exact`` for an exact record and ``/probe-shots`` for
-    a shot record.  The imaginary residue of each amplitude is recorded on the
-    result and dropped; probabilities are returned unclipped.
+    Reads ``record.theta``, ``record.values`` (F at those phases) and
+    ``record.observable``, which marks the values no configuration reaches.
+    A gate error eta stretches the phases by (1 + eta), so they must satisfy
+    theta_j (1 + eta) = 2 pi j / M: times pre-warped to
+    t_j = theta_j / (2 eps (1 + eta)), or the plain grid at eta = 0.  The
+    label is ``dft`` (eta = 0) or ``dft-eta-corrected``, then ``/probe-exact``
+    or ``/probe-shots`` by ``record.shots``.  The imaginary residue of each
+    amplitude is recorded and dropped; probabilities are returned unclipped.
     """
     if eta <= -1.0:
         raise InputError("eta must exceed -1")

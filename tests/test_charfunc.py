@@ -142,7 +142,7 @@ def test_charfunc_matches_deformed_partition(make, obs, deform, rng):
 
 
 def _longrange_mag_reference(n, g, m, js=None):
-    """F(2 pi j / M) for j in ``js`` (default: all M) in long double, phases reduced in integers."""
+    """F(2 pi j / M) for j in ``js`` (default all) in long double, phases reduced in integers."""
     js = range(m) if js is None else js
     two_pi = 2 * np.arccos(np.longdouble(-1))
     turn = np.arange(m, dtype=np.longdouble) * two_pi / m
@@ -197,8 +197,8 @@ def test_longrange_magnetization_matches_a_decimal_reference_at_n1000(bj, bh):
 @pytest.mark.parametrize("n, bj, bh", [(4000, 1.25e-4, 1.25e-4), (10000, 2e-4, 0.0)])
 def test_longrange_magnetization_matches_a_decimal_reference_at_large_n(n, bj, bh):
     # log C(N, k) from log-factorials of magnitude log N! ~ 8e4 carried up to
-    # 4e-10 of rounding into the sector weights: F was off by 1.4e-12 at
-    # lr-m-4000 (the first case) and by 7.2e-12 at N = 1e4
+    # 4e-10 of rounding into the sector weights: on these points F was off by
+    # 1.5e-12 at lr-m-4000 (the first case) and by 5.6e-12 at N = 1e4
     m = 2 * n + 1
     js = np.r_[0:76, m // 2 - 38:m // 2 + 38, m - 76:m]  # j near 0, M/2 and M - 1
     f = charfunc_values(longrange(n, j=bj, h=bh, beta=1.0), magnetization(n),
