@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`kinkprobe.spin_model`   -- configurations, Hamiltonians, observables, enumeration oracle
+* :mod:`kinkprobe.spin_model`   -- energy and observable_values over spin arrays, enumeration oracle
 * :mod:`kinkprobe.partition`    -- partition_function: Z at real or complex couplings, Loschmidt amplitude
 * :mod:`kinkprobe.charfunc`     -- F(theta) (charfunc_values), closed and distribution cumulants
 * :mod:`kinkprobe.distribution` -- distributions, parity masks, validation and distances
@@ -27,8 +27,7 @@ from .quantum import (DiagonalEnsemble, PauliObservable, QuantumRegister,
 from .reconstruct import (build_theta_grid, estimate_gate_error, gaussian_approx,
                           invert_dft)
 from .spin_model import (ModelKind, ModelParams, ObsKind, ObservableSpec,
-                         OracleResult, SpinConfig, custom_observable, energy,
-                         enumerate_oracle, kink_number, magnetization,
-                         observable_value, term_sums)
+                         OracleResult, custom_observable, energy, enumerate_oracle,
+                         kink_number, magnetization, observable_values, term_sums)
 
 __version__ = "0.1.0"

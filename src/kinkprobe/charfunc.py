@@ -6,10 +6,11 @@ X = a + b * sum of spin products is
     F(theta) = <e^{i theta X}> = e^{i theta a} Z(deformed) / Z(physical),
 
 where the deformation absorbs e^{i theta (X - a)} into the Boltzmann weight:
-a complex field ht = h + i theta / beta for the magnetization, a complex
-coupling Jt = J - i theta / (2 beta) for the ring kink number (on the
+a complex reduced field beta h + i theta for the magnetization, a complex
+reduced coupling beta J - i theta / 2 for the ring kink number (on the
 long-range model only the adjacent-pair couplings would deform, so its kinks
-take a sector sum).  Four model / observable combinations are dispatched here:
+take a sector sum).  Nothing divides by beta, so beta = 0 takes the same
+routes.  Four model / observable combinations are dispatched here:
 
   ring + magnetization, ring + kinks   -> transfer-matrix ratio
   long-range + magnetization           -> sector sum over the down-count k
@@ -156,8 +157,6 @@ def check_term_count(model: ModelParams, obs: ObservableSpec) -> None:
 
 def charfunc_values(model: ModelParams, obs: ObservableSpec, thetas) -> np.ndarray:
     """F(theta) for an array of phases; dispatches on model and observable."""
-    if model.beta <= 0:
-        raise InputError("beta must be positive")
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
     if obs.kind is ObsKind.CUSTOM:
         raise InputError("custom observables have no analytic route; "
@@ -211,8 +210,6 @@ def exact_kink_mean(model: ModelParams) -> float:
         raise InputError("the exact kink mean is a ring result")
     if model.h != 0.0:
         raise InputError("the exact kink mean requires h = 0")
-    if model.beta <= 0:
-        raise InputError("beta must be positive")
     bj, n = model.beta * model.J, model.N
     lead = n * math.exp(-np.logaddexp(0.0, 2.0 * bj))
     if bj < 0 and n % 2:
@@ -302,8 +299,6 @@ def closed_cumulants(model: ModelParams, obs: ObservableSpec) -> CumulantSet:
     of the reconstructed distribution instead.  The exact zero-field ring kink
     mean is exact_kink_mean.
     """
-    if model.beta <= 0:
-        raise InputError("beta must be positive")
     check_term_count(model, obs)
     if model.kind is ModelKind.RING and obs.kind is ObsKind.MAGNETIZATION:
         return _ring_mag_cumulants(model)

@@ -199,10 +199,6 @@ def _build_model_obs(cfg: RunConfig):
         raise InputError(f"unknown model {cfg.model!r}")
     if cfg.obs not in _OBS_BUILDERS:
         raise InputError(f"unknown observable {cfg.obs!r}")
-    if cfg.epsilon <= 0:
-        raise InputError("epsilon must be positive")
-    if cfg.beta <= 0:
-        raise InputError("beta must be positive")
     if cfg.oracle and cfg.N > ORACLE_N_LIMIT:
         raise InputError(f"--oracle requires N <= {ORACLE_N_LIMIT}")
     model = ModelParams(kind=_MODEL_KINDS[cfg.model], N=cfg.N, J=cfg.J, h=cfg.h, beta=cfg.beta)

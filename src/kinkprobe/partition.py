@@ -183,8 +183,6 @@ def loschmidt_amplitude(model: ModelParams, t: float) -> complex:
     Both partition functions come from the same engine; the continuation
     replaces beta*J -> (beta + i t)*J and beta*h -> (beta + i t)*h.
     """
-    if model.beta <= 0:
-        raise InputError("beta must be positive")
     bc = model.beta + 1j * t
     num = partition_function(model, bc * model.J, bc * model.h)
     den = partition_function(model, model.beta * model.J, model.beta * model.h)

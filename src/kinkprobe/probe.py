@@ -11,10 +11,11 @@ emulated here:
 * exact expectations (identical to the analytic characteristic function),
 * finite shot pools of +-1 readouts of sigma_x and sigma_y.  Shots are iid,
   so a pool's mean is 2 Binomial(shots, (1 + Re F)/2)/shots - 1 (Im F for
-  sigma_y); a ring with a built-in observable at beta > 0 draws exactly
-  that on the analytic F.  Every other job walks the gate-level classical
-  circuit: draw a thermal configuration, walk the controlled-rotation list
-  to accumulate the relative phase, then draw each readout,
+  sigma_y); a ring with a built-in observable draws exactly that on the
+  analytic F, at any beta >= 0.  Custom observables and the long-range
+  model walk the gate-level classical circuit: draw a batch of thermal
+  configurations, take the relative phase of each (circuit_phase), then
+  draw each readout,
 * a coherent gate miscalibration eps' = (1 + eta) eps on every controlled
   rotation.
 
@@ -27,6 +28,7 @@ the Boltzmann law, because the chain does not tunnel between the wells.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +37,7 @@ from .charfunc import charfunc_values, check_term_count
 from .errors import InputError
 from .partition import _log_binomials
 from .reconstruct import build_theta_grid
-from .spin_model import (ModelKind, ModelParams, ObservableSpec, ObsKind, SpinConfig,
-                         term_sums)
+from .spin_model import ModelKind, ModelParams, ObservableSpec, ObsKind, observable_values
 
 METROPOLIS_BURNIN_SWEEPS = 100  # sweeps of N proposed flips, before the first sample
 
@@ -70,6 +71,17 @@ class ProbeRecord:
         return self.sx + 1j * self.sy
 
 
+def _check_gate(epsilon: float, eta: float) -> None:
+    """Refuse a coupling strength or gate error outside eps > 0, eta > -1 (NaN included)."""
+    for name, value in (("epsilon", epsilon), ("eta", eta)):
+        if not math.isfinite(value):
+            raise InputError(f"{name} must be finite, got {value}")
+    if epsilon <= 0:
+        raise InputError("epsilon must be positive")
+    if eta <= -1.0:
+        raise InputError("eta must exceed -1")
+
+
 def default_time_grid(obs: ObservableSpec, epsilon: float, *,
                       eta: float = 0.0, points: int | None = None) -> np.ndarray:
     """Acquisition times mapped from the alias-free phase grid.
@@ -78,8 +90,7 @@ def default_time_grid(obs: ObservableSpec, epsilon: float, *,
     the pre-warped times make the accumulated phases land exactly on the
     standard grid, so the corrected inversion is exact.
     """
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
+    _check_gate(epsilon, eta)
     thetas = build_theta_grid(obs, points=points)
     return thetas / (2.0 * epsilon * (1.0 + eta))
 
@@ -94,9 +105,9 @@ def gate_count(obs: ObservableSpec) -> int:
     return 3 * len(obs.terms) + (1 if obs.a != 0 else 0)
 
 
-def circuit_phase(config: SpinConfig, obs: ObservableSpec, epsilon: float, t: float,
-                  eta: float = 0.0) -> float:
-    """Relative probe phase Omega * t accumulated by the gate sequence.
+def circuit_phase(spins: np.ndarray, obs: ObservableSpec, epsilon: float, t: float,
+                  eta: float = 0.0) -> np.ndarray:
+    """Relative probe phase Omega * t accumulated by the gate sequence, per row of spins.
 
     One global rotation contributes 2 eps' t a; each controlled rotation
     contributes +-2 eps' t b with the sign set by the classical spin product
@@ -104,11 +115,9 @@ def circuit_phase(config: SpinConfig, obs: ObservableSpec, epsilon: float, t: fl
     sign, so the net phase is what matters).  All controlled angles share one
     magnitude, so the walk accumulates the integer signed count and scales
     once.  A gate error eta scales every angle to eps' = (1 + eta) eps; with
-    eta = 0 the result equals 2 eps t X(config) exactly.
+    eta = 0 the result equals 2 eps t X(spins) exactly.
     """
-    eps_eff = (1.0 + eta) * epsilon
-    signed = int(term_sums(config.spins, obs.terms))
-    return 2.0 * eps_eff * t * (obs.a + obs.b * signed)
+    return 2.0 * ((1.0 + eta) * epsilon) * t * observable_values(spins, obs)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +247,7 @@ def _shots_at_time(obs, sampler, eps_eff, t, shots, seed, j):
     for pool in (0, 1):
         rng = np.random.default_rng(np.random.SeedSequence([seed, j, pool]))
         spins = sampler.sample_batch(shots, rng)
-        phases = 2.0 * eps_eff * t * (obs.a + obs.b * term_sums(spins, obs.terms))
+        phases = circuit_phase(spins, obs, eps_eff, t)
         wave = np.cos(phases) if pool == 0 else np.sin(phases)
         outcomes = np.where(rng.random(shots) < 0.5 * (1.0 + wave), 1.0, -1.0)
         values[pool] = outcomes.mean()
@@ -259,25 +268,21 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
     p(+1) = (1 + sin Omega t)/2 (one qubit cannot be read in two bases at
     once).  The shots are iid, so a pool's mean is 2 Binomial(shots, p)/shots
     - 1 with p = (1 + Re F)/2 (Im F for sigma_y), F taken at the distorted
-    phases.  A ring with a built-in observable at beta > 0 draws exactly that,
-    one Binomial per pool on the analytic F: O(M) instead of O(M shots N).
-    The gate walk stays for custom observables (no analytic F), for beta = 0
-    (which the analytic F refuses) and for the long-range model, whose
-    sampler draws the law of a finite Metropolis chain, not the Boltzmann
-    law.  shots=None returns the exact expectations, F at the distorted
-    phases.
+    phases.  A ring with a built-in observable draws exactly that, one
+    Binomial per pool on the analytic F: O(M) instead of O(M shots N).  The
+    gate walk keeps two jobs: custom observables (no analytic F) and the
+    long-range model, whose sampler draws the law of a finite Metropolis
+    chain, not the Boltzmann law.  shots=None returns the exact
+    expectations, F at the distorted phases.
 
     The binomial route draws the whole record from one stream keyed by the
     seed; the gate walk gives each time point and pool its own stream, keyed
     by (seed, time index, pool index).  Either way a fixed seed repeats the
     record bit for bit; the two routes give the same law, not the same bits.
-    A built-in observable that does not cover all N sites, or a term index
-    above N, raises InputError.
+    A built-in observable that does not cover all N sites, a term index
+    above N, or a non-finite epsilon or eta raises InputError.
     """
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
-    if eta <= -1.0:
-        raise InputError("eta must exceed -1")
+    _check_gate(epsilon, eta)
     check_term_count(model, obs)
     eps_eff = (1.0 + eta) * epsilon
     t = np.asarray(time_grid, dtype=float)
@@ -289,7 +294,7 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
     if shots < 1:
         raise InputError("shots must be at least 1")
 
-    if model.kind is ModelKind.RING and obs.kind is not ObsKind.CUSTOM and model.beta > 0:
+    if model.kind is ModelKind.RING and obs.kind is not ObsKind.CUSTOM:
         arr = _binomial_record(charfunc_values(model, obs, 2.0 * eps_eff * t), shots, seed)
     else:
         sampler = gibbs_sampler(model)

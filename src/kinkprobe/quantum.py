@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SizeError
-from .spin_model import ModelParams, ObservableSpec, _batch_energy, _config_matrix, term_sums
+from .spin_model import ModelParams, ObservableSpec, _config_matrix, energy, term_sums
 
 QUANTUM_SITES_LIMIT = 14
 TROTTER_SITES_LIMIT = 6
@@ -131,9 +131,7 @@ def thermal_diagonal_ensemble(model: ModelParams) -> DiagonalEnsemble:
     """Gibbs weights of a diagonal Hamiltonian over the computational basis."""
     if model.N > QUANTUM_SITES_LIMIT:
         raise SizeError(f"dense thermal ensemble limited to N <= {QUANTUM_SITES_LIMIT}")
-    if model.beta < 0:
-        raise InputError("beta must be non-negative")
-    energies = _batch_energy(model, _config_matrix(model.N, 0, 1 << model.N))
+    energies = energy(model, _config_matrix(model.N, 0, 1 << model.N))
     w = np.exp(-model.beta * (energies - energies.min()))
     return DiagonalEnsemble(probs=w / w.sum(), n_sites=model.N)
 

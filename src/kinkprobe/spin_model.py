@@ -1,4 +1,4 @@
-"""Classical spin configurations, Ising Hamiltonians and observables.
+"""Ising Hamiltonians and observables on (..., N) arrays of +-1 spins.
 
 Two model families are supported: the nearest-neighbour ring (periodic
 chain, every bond (n, n+1) including the wrap bond (N, 1)) and the
@@ -38,38 +38,11 @@ class ObsKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SpinConfig:
-    """A concrete configuration of N spins, each +1 or -1."""
-
-    spins: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.spins, dtype=np.int8)
-        if arr.ndim != 1 or arr.size == 0:
-            raise InputError("spin configuration must be a non-empty 1-d sequence")
-        if not np.all(np.abs(arr) == 1):
-            raise InputError("spins must take values +1 or -1")
-        object.__setattr__(self, "spins", arr)
-
-    def __len__(self):
-        return self.spins.size
-
-    @classmethod
-    def all_up(cls, n: int) -> "SpinConfig":
-        return cls(np.ones(n, dtype=np.int8))
-
-    @classmethod
-    def from_iterable(cls, values) -> "SpinConfig":
-        return cls(np.asarray(list(values), dtype=np.int8))
-
-
-@dataclass(frozen=True)
 class ModelParams:
-    """Couplings of one model instance.
+    """Couplings of one model instance: finite J, h and beta >= 0.
 
-    beta = 0 is accepted here (infinite-temperature limit, used by the
-    enumeration oracle and the samplers); routines that divide by beta
-    enforce beta > 0 themselves.
+    beta = 0 is the infinite-temperature limit, an ordinary input to every
+    route, since no routine divides by beta.
     """
 
     kind: ModelKind
@@ -81,6 +54,9 @@ class ModelParams:
     def __post_init__(self):
         if self.N < 1:
             raise InputError("N must be a positive integer")
+        for name in ("J", "h", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beta < 0:
             raise InputError("beta must be non-negative")
 
@@ -180,21 +156,9 @@ def term_sums(spins: np.ndarray, terms) -> np.ndarray:
     return total
 
 
-def observable_value(config: SpinConfig, obs: ObservableSpec) -> float:
-    """Evaluate X on one configuration."""
-    return obs.a + obs.b * int(term_sums(config.spins, obs.terms))
-
-
-def energy(model: ModelParams, config: SpinConfig) -> float:
-    """Hamiltonian value of one configuration.
-
-    Ring: -J * sum over ring bonds (wrap included) - h * sum of spins.
-    Long range: -J * sum over all pairs m < n - h * sum of spins.
-    """
-    n = config.spins.size
-    if n != model.N:
-        raise InputError(f"configuration has {n} spins, model expects {model.N}")
-    return float(_batch_energy(model, config.spins[None, :])[0])
+def observable_values(spins: np.ndarray, obs: ObservableSpec) -> np.ndarray:
+    """X on each row of a (..., N) array of +-1 spins."""
+    return obs.a + obs.b * term_sums(spins, obs.terms)
 
 
 def _config_matrix(n: int, start: int, stop: int) -> np.ndarray:
@@ -205,11 +169,18 @@ def _config_matrix(n: int, start: int, stop: int) -> np.ndarray:
     return (1 - 2 * bits).astype(np.int8)
 
 
-def _batch_energy(model: ModelParams, spins: np.ndarray) -> np.ndarray:
-    """Energy of each row of a (rows, N) array of +-1 spins."""
-    m = spins.sum(axis=1, dtype=np.int64)
+def energy(model: ModelParams, spins: np.ndarray) -> np.ndarray:
+    """Hamiltonian value of each row of a (..., N) array of +-1 spins.
+
+    Ring: -J * sum over ring bonds (wrap included) - h * sum of spins.
+    Long range: -J * sum over all pairs m < n - h * sum of spins.
+    """
+    n = spins.shape[-1]
+    if n != model.N:
+        raise InputError(f"configuration has {n} spins, model expects {model.N}")
+    m = spins.sum(axis=-1, dtype=np.int64)
     if model.kind is ModelKind.RING:
-        bonds = (spins.astype(np.int64) * np.roll(spins, -1, axis=1)).sum(axis=1)
+        bonds = (spins.astype(np.int64) * np.roll(spins, -1, axis=-1)).sum(axis=-1)
         return -model.J * bonds - model.h * m
     return -model.J * (m * m - model.N) / 2.0 - model.h * m
 
@@ -245,14 +216,14 @@ def enumerate_oracle(model: ModelParams, obs: ObservableSpec) -> OracleResult:
     # two passes: find the energy shift, then accumulate (keeps memory flat)
     for start in range(0, total, _ENUM_CHUNK):
         spins = _config_matrix(n, start, min(start + _ENUM_CHUNK, total))
-        e = _batch_energy(model, spins)
+        e = energy(model, spins)
         m = float(e.min())
         e_min = m if e_min is None else min(e_min, m)
     z_scaled = 0.0
     for start in range(0, total, _ENUM_CHUNK):
         spins = _config_matrix(n, start, min(start + _ENUM_CHUNK, total))
-        e = _batch_energy(model, spins)
-        x = obs.a + obs.b * term_sums(spins, obs.terms)
+        e = energy(model, spins)
+        x = observable_values(spins, obs)
         xi = np.rint(x).astype(np.int64)
         if np.abs(x - xi).max() > 1e-12:
             raise InputError("observable is not integer-valued on some configuration")

@@ -19,7 +19,7 @@ from kinkprobe import (build_theta_grid, charfunc_values, closed_cumulants,
 from kinkprobe.cli import main
 from kinkprobe.probe import default_time_grid
 from kinkprobe.quantum import PauliObservable
-from kinkprobe.spin_model import _batch_energy, _config_matrix
+from kinkprobe.spin_model import _config_matrix, energy
 from conftest import exact_record, longrange, random_couplings, ring
 
 
@@ -262,7 +262,7 @@ def test_criterion_10_loschmidt_amplitude():
     for make in (ring, longrange):
         m = make(9, j=0.7, h=0.2, beta=0.8)
         spins = _config_matrix(m.N, 0, 1 << m.N)
-        e = _batch_energy(m, spins)
+        e = energy(m, spins)
         w = np.exp(-m.beta * (e - e.min()))
         w /= w.sum()
         for t in rng.uniform(0, 20, size=10):

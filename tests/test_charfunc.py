@@ -548,3 +548,33 @@ def test_unnormalized_samples_report_their_norm_defect():
     thetas = build_theta_grid(obs)
     record = record_of(thetas, 0.5 * np.exp(1j * thetas), obs, shots=100)
     assert validate_distribution(invert_dft(record)).norm_defect == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# infinite temperature: beta = 0 takes the general routes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [7, 20])
+@pytest.mark.parametrize("make", [ring, longrange], ids=["ring", "longrange"])
+def test_charfunc_at_infinite_temperature_is_the_closed_form(make, n):
+    # uniform spins: M is a sum of N independent +-1, and K counts the flipped
+    # bonds of N independent ones, conditioned to an even count around the ring
+    model = make(n, j=0.9, h=0.4, beta=0.0)
+    th = build_theta_grid(magnetization(n))
+    np.testing.assert_allclose(charfunc_values(model, magnetization(n), th), np.cos(th) ** n,
+                               rtol=0, atol=1e-13)
+    th = build_theta_grid(kink_number(n))
+    z = np.exp(1j * th)
+    np.testing.assert_allclose(charfunc_values(model, kink_number(n), th),
+                               ((1 + z) ** n + (1 - z) ** n) / 2.0 ** n, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [7, 20])
+def test_cumulants_at_infinite_temperature(n):
+    for make in (ring, longrange):
+        cs = closed_cumulants(make(n, h=0.3, beta=0.0), magnetization(n))
+        assert (cs.kappa1, cs.kappa2, cs.kappa3) == pytest.approx((0.0, n, 0.0), abs=1e-12 * n)
+    cs = closed_cumulants(ring(n, h=0.3, beta=0.0), kink_number(n))
+    assert (cs.kappa1, cs.kappa2, cs.kappa3) == pytest.approx((n / 2, n / 4, 0.0), abs=1e-12 * n)
+    assert exact_kink_mean(ring(n, beta=0.0)) == pytest.approx(n / 2, rel=1e-15)

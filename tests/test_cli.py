@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -74,6 +75,37 @@ def test_probe_oracle_flag(tmp_path):
     assert code == EXIT_OK
     payload = json.loads((out / "cumulants.json").read_text())
     assert payload["oracle_comparison"]["max_abs_prob_deviation"] < 1e-10
+
+
+@pytest.mark.parametrize("model", ["ring", "longrange"])
+@pytest.mark.parametrize("obs", ["magnetization", "kinks"])
+def test_infinite_temperature_matches_the_oracle(tmp_path, model, obs):
+    out = tmp_path / "run"
+    assert main(["probe", "--model", model, "--obs", obs, "--N", "10", "--beta", "0",
+                 "--oracle", "--outdir", str(out)]) == EXIT_OK
+    payload = json.loads((out / "cumulants.json").read_text())
+    assert payload["oracle_comparison"]["max_abs_prob_deviation"] <= 1e-12
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--model", "longrange", "--beta", "nan", "--shots", "10"], "beta must be finite, got nan"),
+    (["--model", "longrange", "--J", "nan", "--shots", "10"], "J must be finite, got nan"),
+    (["--model", "longrange", "--obs", "kinks", "--h", "inf", "--shots", "10"],
+     "h must be finite, got inf"),
+    (["--model", "ring", "--beta", "nan"], "beta must be finite, got nan"),
+    (["--model", "ring", "--J=-inf"], "J must be finite, got -inf"),
+    (["--eps", "nan"], "epsilon must be finite, got nan"),
+    (["--eta", "nan", "--shots", "10"], "eta must be finite, got nan"),
+    (["--N", "4", "--eta", "-1", "--correct-eta"], "eta must exceed -1"),
+], ids=["lr-beta-nan", "lr-J-nan", "lr-kinks-h-inf", "ring-beta-nan", "ring-J-inf",
+        "eps-nan", "eta-nan", "eta-minus-one-warped"])
+def test_refused_input_exits_before_any_numpy_warning(tmp_path, capsys, argv, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["probe", "--N", "6", *argv, "--outdir", str(tmp_path / "o")])
+    assert code == EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_probe_oracle_flag_rejects_large_n(tmp_path):

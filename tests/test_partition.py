@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kinkprobe import enumerate_oracle, loschmidt_amplitude, magnetization, partition_function
-from kinkprobe.spin_model import _batch_energy, _config_matrix
+from kinkprobe.spin_model import _config_matrix, energy
 from conftest import longrange, random_couplings, ring
 
 
@@ -146,7 +146,7 @@ def test_longrange_partition_against_highprec_sum():
 
 def _spectral_amplitude(model, t):
     spins = _config_matrix(model.N, 0, 1 << model.N)
-    e = _batch_energy(model, spins)
+    e = energy(model, spins)
     w = np.exp(-model.beta * (e - e.min()))
     return complex((w * np.exp(-1j * t * e)).sum() / w.sum())
 
@@ -169,6 +169,14 @@ def test_loschmidt_n2_closed_values():
 @pytest.mark.parametrize("make", [ring, longrange])
 def test_loschmidt_matches_spectral_sum(make, rng):
     model = make(8, j=0.9, h=0.25, beta=0.7)
+    for t in rng.uniform(0, 10, size=10):
+        expected = _spectral_amplitude(model, float(t))
+        assert loschmidt_amplitude(model, float(t)) == pytest.approx(expected, abs=1e-11)
+
+
+@pytest.mark.parametrize("make", [ring, longrange])
+def test_loschmidt_at_infinite_temperature_matches_spectral_sum(make, rng):
+    model = make(8, j=0.9, h=0.25, beta=0.0)
     for t in rng.uniform(0, 10, size=10):
         expected = _spectral_amplitude(model, float(t))
         assert loschmidt_amplitude(model, float(t)) == pytest.approx(expected, abs=1e-11)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from kinkprobe import (InputError, ProbeRecord, SpinConfig, charfunc_values,
-                       circuit_phase, custom_observable, energy, enumerate_oracle,
-                       gibbs_sampler, kink_number, magnetization,
-                       observable_value, simulate_probe_shots)
+from kinkprobe import (InputError, ProbeRecord, charfunc_values, circuit_phase,
+                       custom_observable, energy, enumerate_oracle, gibbs_sampler,
+                       kink_number, magnetization, observable_values,
+                       simulate_probe_shots)
 import kinkprobe.probe as probe
 from kinkprobe.probe import (METROPOLIS_BURNIN_SWEEPS, LongRangeMetropolisSampler,
                              RingGibbsSampler, default_time_grid)
@@ -20,18 +20,18 @@ from conftest import longrange, ring
 
 
 def test_circuit_phase_all_up_magnetization():
-    cfg = SpinConfig.all_up(7)
+    cfg = np.ones(7, dtype=np.int8)
     assert circuit_phase(cfg, magnetization(7), 0.01, 3.5) == pytest.approx(
         2 * 0.01 * 3.5 * 7, rel=1e-15)
 
 
 def test_circuit_phase_alternating_kinks():
-    cfg = SpinConfig.from_iterable([1, -1, 1, -1])
+    cfg = np.array([1, -1, 1, -1], dtype=np.int8)
     assert circuit_phase(cfg, kink_number(4), 0.02, 1.7) == 2 * 0.02 * 1.7 * 4
 
 
 def test_circuit_phase_with_angle_error():
-    cfg = SpinConfig.from_iterable([1, 1, -1, 1, -1])
+    cfg = np.array([1, 1, -1, 1, -1], dtype=np.int8)
     obs = kink_number(5)
     base = circuit_phase(cfg, obs, 0.01, 2.0)
     distorted = circuit_phase(cfg, obs, 0.01, 2.0, eta=0.02)
@@ -42,9 +42,9 @@ def test_circuit_phase_equals_observable_phase_exactly(rng):
     eps, t = 0.01, 7.3
     for n, obs_builder in ((9, magnetization), (9, kink_number)):
         obs = obs_builder(n)
-        for _ in range(1000):
-            cfg = SpinConfig(np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8))
-            assert circuit_phase(cfg, obs, eps, t) == 2.0 * eps * t * observable_value(cfg, obs)
+        spins = np.where(rng.random((1000, n)) < 0.5, 1, -1).astype(np.int8)
+        assert np.array_equal(circuit_phase(spins, obs, eps, t),
+                              2.0 * eps * t * observable_values(spins, obs))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def _full_metropolis_law(model):
     """
     n = model.N
     states = (1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)).astype(np.int8)
-    energies = np.array([energy(model, SpinConfig(s)) for s in states])
+    energies = energy(model, states)
     kernel = np.zeros((2 ** n, 2 ** n))
     for a in range(2 ** n):
         for i in range(n):
@@ -194,10 +194,10 @@ def test_longrange_metropolis_matches_oracle():
 
 def test_gibbs_sample_single_draw_roundtrip():
     rng = np.random.default_rng(1)
-    cfg = SpinConfig(gibbs_sampler(ring(12, beta=0.5)).sample_batch(1, rng)[0])
-    assert len(cfg) == 12 and set(cfg.spins.tolist()) <= {-1, 1}
-    cfg2 = SpinConfig(gibbs_sampler(longrange(5, beta=0.3)).sample_batch(1, rng)[0])
-    assert len(cfg2) == 5
+    cfg = gibbs_sampler(ring(12, beta=0.5)).sample_batch(1, rng)
+    assert cfg.shape == (1, 12) and set(cfg[0].tolist()) <= {-1, 1}
+    cfg2 = gibbs_sampler(longrange(5, beta=0.3)).sample_batch(1, rng)
+    assert cfg2.shape == (1, 5) and set(cfg2[0].tolist()) <= {-1, 1}
     assert isinstance(gibbs_sampler(longrange(5)), LongRangeMetropolisSampler)
 
 
@@ -289,14 +289,14 @@ def _refuse_sampling(model):
 
 
 def test_shot_route_choice(monkeypatch):
-    # a ring with a built-in observable at beta > 0 reads its shots off the
-    # analytic F; every other job walks the gates over sampled configurations
+    # a ring with a built-in observable, beta = 0 included, reads its shots off
+    # the analytic F; every other job walks the gates over sampled configurations
     monkeypatch.setattr(probe, "gibbs_sampler", _refuse_sampling)
-    for obs in (magnetization(5), kink_number(5)):
-        simulate_probe_shots(ring(5, h=0.2), obs, 0.01, [0.0, 3.0], shots=20, seed=1)
+    for model, obs in ((ring(5, h=0.2), magnetization(5)), (ring(5, h=0.2), kink_number(5)),
+                       (ring(5, beta=0.0), magnetization(5))):
+        simulate_probe_shots(model, obs, 0.01, [0.0, 3.0], shots=20, seed=1)
     walked = custom_observable(0.0, 1.0, [(i,) for i in range(1, 6)])
-    for model, obs in ((ring(5, h=0.2), walked), (ring(5, beta=0.0), magnetization(5)),
-                       (longrange(5, beta=0.3), magnetization(5))):
+    for model, obs in ((ring(5, h=0.2), walked), (longrange(5, beta=0.3), magnetization(5))):
         with pytest.raises(AssertionError, match="must not draw"):
             simulate_probe_shots(model, obs, 0.01, [0.0, 3.0], shots=20, seed=1)
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kinkprobe import (InputError, PauliObservable, QuantumRegister, SizeError,
-                       SpinConfig, charfunc_values, kink_number, magnetization,
-                       noncommuting_test_observable, observable_value,
+                       charfunc_values, kink_number, magnetization,
+                       noncommuting_test_observable, observable_values,
                        quantum_probe, thermal_diagonal_ensemble,
                        trotter_error_probe)
 from kinkprobe.quantum import DiagonalEnsemble
@@ -19,7 +19,7 @@ def test_basis_state_gives_pure_phase(rng):
     for _ in range(10):
         s = int(rng.integers(0, 1 << n))
         reg = QuantumRegister.from_basis_state(s, n)
-        x = observable_value(SpinConfig(_config_matrix(n, s, s + 1)[0]), obs)
+        x = float(observable_values(_config_matrix(n, s, s + 1)[0], obs))
         theta = float(rng.uniform(0, 2 * math.pi))
         re, im = quantum_probe(reg, obs, theta)
         assert re == pytest.approx(math.cos(theta * x), abs=1e-12)

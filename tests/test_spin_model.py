@@ -5,53 +5,51 @@ import numpy as np
 import pytest
 
 from kinkprobe import (InputError, ObservableSpec, ObsKind, QuantumRegister, SizeError,
-                       SpinConfig, circuit_phase, custom_observable, energy,
-                       enumerate_oracle, kink_number, magnetization,
-                       observable_value, quantum_probe, simulate_probe_shots,
-                       term_sums)
+                       circuit_phase, custom_observable, energy, enumerate_oracle,
+                       kink_number, magnetization, observable_values, quantum_probe,
+                       simulate_probe_shots, term_sums)
 from conftest import longrange, random_couplings, ring
 
 
+def _all_up(n):
+    return np.ones(n, dtype=np.int8)
+
+
 def test_magnetization_all_up():
-    assert observable_value(SpinConfig.all_up(4), magnetization(4)) == 4
+    assert observable_values(_all_up(4), magnetization(4)) == 4
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_kinks_all_up(n):
-    assert observable_value(SpinConfig.all_up(n), kink_number(n)) == 0
+    assert observable_values(_all_up(n), kink_number(n)) == 0
 
 
 def test_kinks_alternating_ring():
-    cfg = SpinConfig.from_iterable([1, -1, 1, -1])
-    assert observable_value(cfg, kink_number(4)) == 4
+    cfg = np.array([1, -1, 1, -1], dtype=np.int8)
+    assert observable_values(cfg, kink_number(4)) == 4
 
 
 def test_observable_index_out_of_range():
     with pytest.raises(InputError):
-        observable_value(SpinConfig.all_up(3), magnetization(4))
-
-
-def test_spin_config_rejects_bad_values():
-    with pytest.raises(InputError):
-        SpinConfig.from_iterable([1, 0, -1])
+        observable_values(_all_up(3), magnetization(4))
 
 
 def test_energy_ring_all_up():
-    assert energy(ring(4), SpinConfig.all_up(4)) == -4
+    assert energy(ring(4), _all_up(4)) == -4
 
 
 def test_energy_ring_alternating():
-    cfg = SpinConfig.from_iterable([1, -1, 1, -1])
+    cfg = np.array([1, -1, 1, -1], dtype=np.int8)
     assert energy(ring(4), cfg) == 4
 
 
 def test_energy_longrange_all_up():
-    assert energy(longrange(4, j=1.0, h=1.0), SpinConfig.all_up(4)) == -10
+    assert energy(longrange(4, j=1.0, h=1.0), _all_up(4)) == -10
 
 
 def test_energy_length_mismatch():
     with pytest.raises(InputError):
-        energy(ring(4), SpinConfig.all_up(3))
+        energy(ring(4), _all_up(3))
 
 
 def test_oracle_n2_partition_and_distribution():
@@ -97,8 +95,8 @@ def test_oracle_distribution_is_normalized_and_nonnegative(rng):
 def test_kink_values_even_and_bounded(rng):
     obs = kink_number(9)
     for _ in range(200):
-        cfg = SpinConfig(np.where(rng.random(9) < 0.5, 1, -1).astype(np.int8))
-        k = observable_value(cfg, obs)
+        cfg = np.where(rng.random(9) < 0.5, 1, -1).astype(np.int8)
+        k = observable_values(cfg, obs)
         assert k == int(k) and int(k) % 2 == 0
         assert 0 <= k <= 9
 
@@ -106,8 +104,8 @@ def test_kink_values_even_and_bounded(rng):
 def test_magnetization_parity_and_range(rng):
     obs = magnetization(8)
     for _ in range(200):
-        cfg = SpinConfig(np.where(rng.random(8) < 0.5, 1, -1).astype(np.int8))
-        m = observable_value(cfg, obs)
+        cfg = np.where(rng.random(8) < 0.5, 1, -1).astype(np.int8)
+        m = observable_values(cfg, obs)
         assert -8 <= m <= 8 and int(m) % 2 == 0
 
 
@@ -157,10 +155,9 @@ def test_term_sums_match_direct_products_in_every_caller(n):
     configs = [np.array(c, dtype=np.int8) for c in itertools.product((1, -1), repeat=n)]
     eps, t, theta = 0.01, 7.3, 0.83
     for spins in configs:
-        cfg = SpinConfig(spins)
         x = _direct_value(spins)
-        assert observable_value(cfg, _RAGGED) == x
-        assert circuit_phase(cfg, _RAGGED, eps, t) == 2.0 * eps * t * x
+        assert observable_values(spins, _RAGGED) == x
+        assert circuit_phase(spins, _RAGGED, eps, t) == 2.0 * eps * t * x
     # basis state s: site k sits on bit N - k, bit value 1 meaning spin down
     for s in range(1 << n):
         x = _direct_value([1 - 2 * ((s >> (n - k)) & 1) for k in range(1, n + 1)])
@@ -169,7 +166,7 @@ def test_term_sums_match_direct_products_in_every_caller(n):
         assert re == pytest.approx(math.cos(theta * x), abs=1e-12)
         assert im == pytest.approx(math.sin(theta * x), abs=1e-12)
     for model in (ring(n, j=0.7, h=0.3, beta=0.9), longrange(n, j=-0.4, h=0.2, beta=1.3)):
-        weights = np.array([math.exp(-model.beta * energy(model, SpinConfig(c)))
+        weights = np.array([math.exp(-model.beta * energy(model, c))
                             for c in configs])
         values = np.array([_direct_value(c) for c in configs]).astype(int)
         expect = np.bincount(values, weights=weights, minlength=4) / weights.sum()
@@ -183,9 +180,9 @@ def test_term_index_above_n_is_input_error_in_every_caller():
     with pytest.raises(InputError):
         term_sums(np.ones((5, n), dtype=np.int8), _RAGGED.terms)
     with pytest.raises(InputError):
-        observable_value(SpinConfig.all_up(n), _RAGGED)
+        observable_values(_all_up(n), _RAGGED)
     with pytest.raises(InputError):
-        circuit_phase(SpinConfig.all_up(n), _RAGGED, 0.01, 1.0)
+        circuit_phase(_all_up(n), _RAGGED, 0.01, 1.0)
     with pytest.raises(InputError):
         enumerate_oracle(ring(n), _RAGGED)
     with pytest.raises(InputError):
@@ -252,3 +249,22 @@ def test_one_and_two_site_rings_build():
     assert enumerate_oracle(ring(1), kink_number(1)).dist.probs.tolist() == [1.0, 0.0]
     assert enumerate_oracle(ring(2), kink_number(2)).dist.probs[1] == 0.0
     assert enumerate_oracle(ring(2), magnetization(2)).dist.support.tolist() == [-2, -1, 0, 1, 2]
+
+
+@pytest.mark.parametrize("field", ["J", "h", "beta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_refuses_nonfinite_couplings(field, value):
+    couplings = dict(j=0.5, h=0.1, beta=0.7) | {field.lower(): value}
+    with pytest.raises(InputError, match=f"{field} must be finite"):
+        ring(4, **couplings)
+
+
+def test_batch_energy_and_values_match_row_by_row(rng):
+    spins = np.where(rng.random((3, 4, 6)) < 0.5, 1, -1).astype(np.int8)
+    for model in (ring(6, j=0.7, h=0.3), longrange(6, j=-0.4, h=0.2)):
+        rows = [energy(model, s) for s in spins.reshape(-1, 6)]
+        assert energy(model, spins).shape == (3, 4)
+        np.testing.assert_array_equal(energy(model, spins).ravel(), rows)
+    for obs in (magnetization(6), kink_number(6), _RAGGED):
+        rows = [observable_values(s, obs) for s in spins.reshape(-1, 6)]
+        np.testing.assert_array_equal(observable_values(spins, obs).ravel(), rows)
