@@ -150,8 +150,8 @@ def _longrange_charfunc(model: ModelParams, obs: ObservableSpec,
 
 def check_term_count(model: ModelParams, obs: ObservableSpec) -> None:
     """A built-in observable must cover all N sites; custom ones are free."""
-    if obs.kind is not ObsKind.CUSTOM and len(obs.terms) != model.N:
-        raise InputError(f"{obs.kind.value} observable covers {len(obs.terms)} sites, "
+    if obs.kind is not ObsKind.CUSTOM and obs.n != model.N:
+        raise InputError(f"{obs.kind.value} observable covers {obs.n} sites, "
                          f"the model has N={model.N}")
 
 

@@ -108,8 +108,9 @@ def _znn_scaled_arrays(n: int, A, B):
         log_w = np.log(2.0) + (head_exp + np.log(cosh_s)) - logbig
         # log|N w| below -40: 1 - (1 - w)^N = N w to double precision
         tiny = log_w.real + np.log(n) < _TINY_LOG_BRACKET
-        near = np.abs(w) < 0.5  # r near -1; elsewhere the plain bracket does not cancel
-        bracket = np.where(near, -np.expm1(n * _log1p(-w)), 1.0 + ratio_pow)
+        keep = (np.abs(w) < 0.5) & ~tiny  # r near -1, and the bracket is read
+        bracket = 1.0 + ratio_pow
+        bracket[keep] = -np.expm1(n * _log1p(-w[keep]))
         log_bracket = np.where(tiny, np.log(n) + log_w, np.log(bracket))
     return log_scale + log_bracket.real, np.exp(1j * (phase + log_bracket.imag))
 

@@ -88,11 +88,16 @@ def default_time_grid(obs: ObservableSpec, epsilon: float, *,
 
     t_j = theta_j / (2 eps (1 + eta)): with the gate error known in advance
     the pre-warped times make the accumulated phases land exactly on the
-    standard grid, so the corrected inversion is exact.
+    standard grid, so the corrected inversion is exact.  Times that overflow
+    (a subnormal eps) raise InputError.
     """
     _check_gate(epsilon, eta)
     thetas = build_theta_grid(obs, points=points)
-    return thetas / (2.0 * epsilon * (1.0 + eta))
+    with np.errstate(over="ignore"):
+        times = thetas / (2.0 * epsilon * (1.0 + eta))
+    if not np.isfinite(times).all():
+        raise InputError(f"epsilon = {epsilon} is too small: the acquisition times overflow")
+    return times
 
 
 def gate_count(obs: ObservableSpec) -> int:
@@ -102,7 +107,7 @@ def gate_count(obs: ObservableSpec) -> int:
     that set its sign (three gates per term); a nonzero offset adds one
     uncontrolled rotation on the probe.
     """
-    return 3 * len(obs.terms) + (1 if obs.a != 0 else 0)
+    return 3 * obs.n + (1 if obs.a != 0 else 0)
 
 
 def circuit_phase(spins: np.ndarray, obs: ObservableSpec, epsilon: float, t: float,

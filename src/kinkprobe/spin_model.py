@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,36 +64,45 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ObservableSpec:
-    """X = a + b * sum over `terms` of spin products; indices are 1-based."""
+    """X = a + b * sum over the n `terms` of spin products; indices are 1-based.
+
+    A built-in is (kind, n), its terms built on first read; a custom one keeps ``custom_terms``.
+    """
 
     a: float
     b: float
-    terms: tuple = ()
+    n: int
     kind: ObsKind = ObsKind.CUSTOM
+    custom_terms: tuple = ()
 
     def __post_init__(self):
-        n = len(self.terms)
-        builtin = _builtin_terms(self.kind, n)
-        if builtin is not None and tuple(map(tuple, self.terms)) == builtin:
-            object.__setattr__(self, "terms", builtin)  # one comparison checks every term
-        else:
-            object.__setattr__(self, "terms", tuple(tuple(int(i) for i in t) for t in self.terms))
-            for t in self.terms:
-                if len(t) == 0 or any(i < 1 for i in t):
-                    raise InputError("each term needs at least one 1-based spin index")
         if self.kind is ObsKind.MAGNETIZATION:
-            if (self.a, self.b) != (0.0, 1.0) or self.terms != builtin:
-                raise InputError("magnetization tag requires a=0, b=1 and one "
-                                 "singleton per site")
+            if (self.a, self.b) != (0.0, 1.0) or self.n < 0 or len(self.custom_terms):
+                raise InputError("magnetization tag requires a=0, b=1, N >= 0 and no "
+                                 "explicit terms")
         elif self.kind is ObsKind.KINKS:
-            if (self.a, self.b) != (n / 2.0, -0.5) or self.terms != builtin:
-                raise InputError("kink tag requires a=N/2, b=-1/2 and the ring "
-                                 "bond list including the wrap bond")
+            if (self.a, self.b) != (self.n / 2.0, -0.5) or self.n < 0 or len(self.custom_terms):
+                raise InputError("kink tag requires a=N/2, b=-1/2, N >= 0 and no "
+                                 "explicit terms")
+        else:
+            terms = tuple(tuple(int(i) for i in t) for t in self.custom_terms)
+            if self.n != len(terms) or any(len(t) == 0 or min(t) < 1 for t in terms):
+                raise InputError(f"custom observable needs n={self.n} terms, each with at "
+                                 "least one 1-based spin index")
+            object.__setattr__(self, "custom_terms", terms)
+
+    @cached_property
+    def terms(self) -> tuple:
+        """Magnetization: the singletons; kinks: the ring bonds, wrap bond (N, 1) last."""
+        if self.kind is ObsKind.MAGNETIZATION:
+            return tuple(zip(range(1, self.n + 1)))
+        if self.kind is ObsKind.KINKS:
+            return tuple(zip(range(1, self.n + 1), [*range(2, self.n + 1), 1]))
+        return self.custom_terms
 
     def value_bounds(self) -> tuple[int, int]:
-        """Smallest and largest integer value X can take (term sum in [-T, T])."""
-        t = len(self.terms)
-        lo, hi = self.a - abs(self.b) * t, self.a + abs(self.b) * t
+        """Smallest and largest integer value X can take (term sum in [-n, n])."""
+        lo, hi = self.a - abs(self.b) * self.n, self.a + abs(self.b) * self.n
         for v in (lo, hi):
             if abs(v - round(v)) > 1e-9:
                 raise InputError("observable is not integer-valued")
@@ -102,25 +112,15 @@ class ObservableSpec:
         """True at each value in ``x`` that no configuration reaches (by parity)."""
         x = np.asarray(x)
         if self.kind is ObsKind.MAGNETIZATION:
-            return (x - len(self.terms)) % 2 != 0  # M has the parity of N
+            return (x - self.n) % 2 != 0  # M has the parity of N
         if self.kind is ObsKind.KINKS:
             return x % 2 != 0  # domain walls pair up around the closed ring
         return np.zeros(x.shape, dtype=bool)
 
 
-def _builtin_terms(kind: ObsKind, n: int) -> tuple | None:
-    """Terms of a built-in observable on N sites, the wrap bond (N, 1) last; None if custom."""
-    if kind is ObsKind.MAGNETIZATION:
-        return tuple(zip(range(1, n + 1)))
-    if kind is ObsKind.KINKS:
-        return tuple(zip(range(1, n + 1), [*range(2, n + 1), 1]))
-    return None
-
-
 def magnetization(n: int) -> ObservableSpec:
     """M = sum of all spins; integer values in [-N, N] with the parity of N."""
-    return ObservableSpec(a=0.0, b=1.0, terms=_builtin_terms(ObsKind.MAGNETIZATION, n),
-                          kind=ObsKind.MAGNETIZATION)
+    return ObservableSpec(a=0.0, b=1.0, n=n, kind=ObsKind.MAGNETIZATION)
 
 
 def kink_number(n: int) -> ObservableSpec:
@@ -129,12 +129,12 @@ def kink_number(n: int) -> ObservableSpec:
     The wrap bond (N, 1) is always included, so K is an even integer on the
     periodic ring for every configuration.
     """
-    return ObservableSpec(a=n / 2.0, b=-0.5, terms=_builtin_terms(ObsKind.KINKS, n),
-                          kind=ObsKind.KINKS)
+    return ObservableSpec(a=n / 2.0, b=-0.5, n=n, kind=ObsKind.KINKS)
 
 
 def custom_observable(a: float, b: float, terms) -> ObservableSpec:
-    return ObservableSpec(a=a, b=b, terms=tuple(terms), kind=ObsKind.CUSTOM)
+    terms = tuple(terms)
+    return ObservableSpec(a=a, b=b, n=len(terms), kind=ObsKind.CUSTOM, custom_terms=terms)
 
 
 def term_sums(spins: np.ndarray, terms) -> np.ndarray:

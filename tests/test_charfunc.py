@@ -80,6 +80,19 @@ def test_frustrated_ring_matches_oracle(bj, make_obs):
                                        rtol=0, atol=1e-11)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [3, 51])
+@pytest.mark.parametrize("bh", [700.0, -700.0])
+def test_frustrated_odd_ring_kinks_at_the_envelope_edge_raise_no_warning(n, bh):
+    # at beta J = -700 and |beta h| = 700 the bracket 1 + r^N is tiny at some
+    # phases; the form that would overflow there must not even be evaluated
+    model, obs = ring(n, j=-700.0, h=bh, beta=1.0), kink_number(n)
+    grid = build_theta_grid(obs)
+    f = charfunc_values(model, obs, np.concatenate([grid, grid + 0.5 * grid[1]]))
+    assert f[0] == pytest.approx(1.0, abs=1e-14)
+    assert np.abs(f).max() <= 1.0 + 1e-12
+
+
 @pytest.mark.parametrize("n", [7, 8, 50, 51])
 @pytest.mark.parametrize("bj", [0.1, 0.5, 1.0, 3.0])
 def test_ring_magnetization_charfunc_vanishes_at_the_lee_yang_zeros(n, bj):

@@ -97,8 +97,9 @@ def test_infinite_temperature_matches_the_oracle(tmp_path, model, obs):
     (["--eps", "nan"], "epsilon must be finite, got nan"),
     (["--eta", "nan", "--shots", "10"], "eta must be finite, got nan"),
     (["--N", "4", "--eta", "-1", "--correct-eta"], "eta must exceed -1"),
+    (["--eps", "1e-320"], "epsilon = 1e-320 is too small"),
 ], ids=["lr-beta-nan", "lr-J-nan", "lr-kinks-h-inf", "ring-beta-nan", "ring-J-inf",
-        "eps-nan", "eta-nan", "eta-minus-one-warped"])
+        "eps-nan", "eta-nan", "eta-minus-one-warped", "eps-subnormal"])
 def test_refused_input_exits_before_any_numpy_warning(tmp_path, capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -106,6 +107,15 @@ def test_refused_input_exits_before_any_numpy_warning(tmp_path, capsys, argv, me
     assert code == EXIT_INPUT
     assert message in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_tiny_normal_epsilon_runs(tmp_path):
+    # the time grid ends near pi / 1e-300, still finite: only a grid that
+    # overflows (a subnormal eps) is refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["probe", "--N", "10", "--eps", "1e-300",
+                     "--outdir", str(tmp_path / "o")]) == EXIT_OK
 
 
 def test_probe_oracle_flag_rejects_large_n(tmp_path):

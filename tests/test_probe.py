@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from kinkprobe import (InputError, ProbeRecord, charfunc_values, circuit_phase,
-                       custom_observable, energy, enumerate_oracle, gibbs_sampler,
-                       kink_number, magnetization, observable_values,
-                       simulate_probe_shots)
+from kinkprobe import (InputError, ModelKind, ObsKind, ProbeRecord, charfunc_values,
+                       circuit_phase, closed_cumulants, custom_observable, energy,
+                       enumerate_oracle, gibbs_sampler, invert_dft, kink_number,
+                       magnetization, observable_values, simulate_probe_shots,
+                       validate_distribution)
 import kinkprobe.probe as probe
 from kinkprobe.probe import (METROPOLIS_BURNIN_SWEEPS, LongRangeMetropolisSampler,
                              RingGibbsSampler, default_time_grid)
@@ -299,6 +300,28 @@ def test_shot_route_choice(monkeypatch):
     for model, obs in ((ring(5, h=0.2), walked), (longrange(5, beta=0.3), magnetization(5))):
         with pytest.raises(AssertionError, match="must not draw"):
             simulate_probe_shots(model, obs, 0.01, [0.0, 3.0], shots=20, seed=1)
+
+
+@pytest.mark.parametrize("model", [ring(10_000, j=1.0, h=0.1, beta=0.5),
+                                   longrange(1000, j=1.0, h=0.5, beta=0.0005)],
+                         ids=["ring-10000", "longrange-1000"])
+@pytest.mark.parametrize("make_obs", [magnetization, kink_number])
+def test_analytic_routes_build_no_term_tuples(model, make_obs):
+    # a built-in observable is (kind, N): the exact pipeline, and a ring's
+    # binomial shot route, read no spin-product terms, so none are built
+    obs = make_obs(model.N)
+    times = default_time_grid(obs, 0.5)
+    dist = invert_dft(simulate_probe_shots(model, obs, 0.5, times, None))
+    assert validate_distribution(dist).worst_defect() < 1e-9
+    if model.kind is ModelKind.LONG_RANGE and obs.kind is ObsKind.KINKS:
+        with pytest.raises(InputError, match="no closed cumulants"):
+            closed_cumulants(model, obs)
+    else:
+        assert closed_cumulants(model, obs).kappa1 == pytest.approx(dist.mean(), rel=1e-6)
+    assert "terms" not in vars(obs)
+    if model.kind is ModelKind.RING:
+        simulate_probe_shots(model, obs, 0.5, times, shots=100, seed=1)
+        assert "terms" not in vars(obs)
 
 
 def test_binomial_route_has_the_gate_walk_law():

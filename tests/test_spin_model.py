@@ -197,39 +197,40 @@ _KINK_REFUSAL = "kink tag requires"
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 def test_tagged_specs_from_lists_and_numpy_ints_equal_the_builtins(n):
+    # a built-in is (kind, n): a tagged spec with a numpy-int n is the built-in,
+    # and its terms, built on first read, are the explicit lists as Python ints
     sites = np.arange(1, n + 1)
     bonds = np.column_stack((sites, np.roll(sites, -1)))
-    for terms in ([[i] for i in range(1, n + 1)], sites[:, None],
-                  [(np.int64(i),) for i in range(1, n + 1)]):
-        spec = ObservableSpec(0.0, 1.0, terms, ObsKind.MAGNETIZATION)
-        assert spec == magnetization(n)
+    mag = ObservableSpec(0.0, 1.0, np.int64(n), ObsKind.MAGNETIZATION)
+    kinks = ObservableSpec(n / 2.0, -0.5, np.int64(n), ObsKind.KINKS)
+    assert mag == magnetization(n) and kinks == kink_number(n)
+    for spec, lists in ((mag, [[i] for i in range(1, n + 1)]), (kinks, bonds.tolist())):
+        assert "terms" not in vars(spec)
+        assert spec.terms == tuple(map(tuple, lists))
         assert all(type(i) is int for t in spec.terms for i in t)
-    for terms in (bonds.tolist(), bonds, [tuple(b) for b in bonds]):
-        spec = ObservableSpec(n / 2.0, -0.5, terms, ObsKind.KINKS)
-        assert spec == kink_number(n)
-        assert all(type(i) is int for t in spec.terms for i in t)
+        assert spec.terms is spec.terms  # built once
+        assert spec.n == len(spec.terms)
 
 
 def test_tagged_specs_refuse_wrong_coefficients_and_terms():
     n = 5
     mag, kinks = magnetization(n), kink_number(n)
     bad = [
-        (0.5, 1.0, mag.terms, ObsKind.MAGNETIZATION, _MAG_REFUSAL),       # wrong a
-        (0.0, -1.0, mag.terms, ObsKind.MAGNETIZATION, _MAG_REFUSAL),      # wrong b
-        (0.0, 1.0, mag.terms[::-1], ObsKind.MAGNETIZATION, _MAG_REFUSAL),  # permuted
-        (0.0, 1.0, mag.terms[:2] + mag.terms[3:], ObsKind.MAGNETIZATION, _MAG_REFUSAL),
-        (0.0, -0.5, kinks.terms, ObsKind.KINKS, _KINK_REFUSAL),           # wrong a
-        (n / 2.0, 0.5, kinks.terms, ObsKind.KINKS, _KINK_REFUSAL),        # wrong b
-        (n / 2.0, -0.5, kinks.terms[:-1], ObsKind.KINKS, _KINK_REFUSAL),  # no wrap bond
-        ((n - 1) / 2.0, -0.5, kinks.terms[:-1], ObsKind.KINKS, _KINK_REFUSAL),
-        (n / 2.0, -0.5, kinks.terms[1:] + kinks.terms[:1], ObsKind.KINKS, _KINK_REFUSAL),
-        (n / 2.0, -0.5, tuple(b[::-1] for b in kinks.terms), ObsKind.KINKS, _KINK_REFUSAL),
+        (0.5, 1.0, n, ObsKind.MAGNETIZATION, (), _MAG_REFUSAL),             # wrong a
+        (0.0, -1.0, n, ObsKind.MAGNETIZATION, (), _MAG_REFUSAL),            # wrong b
+        (0.0, 1.0, -1, ObsKind.MAGNETIZATION, (), _MAG_REFUSAL),            # negative n
+        (0.0, 1.0, n, ObsKind.MAGNETIZATION, mag.terms, _MAG_REFUSAL),      # terms passed
+        (0.0, 1.0, n, ObsKind.MAGNETIZATION, np.arange(1, n + 1)[:, None], _MAG_REFUSAL),
+        (0.0, -0.5, n, ObsKind.KINKS, (), _KINK_REFUSAL),                   # wrong a
+        (n / 2.0, 0.5, n, ObsKind.KINKS, (), _KINK_REFUSAL),                # wrong b
+        ((n - 1) / 2.0, -0.5, n, ObsKind.KINKS, (), _KINK_REFUSAL),         # a of another N
+        (-0.5, -0.5, -1, ObsKind.KINKS, (), _KINK_REFUSAL),                 # negative n
+        (n / 2.0, -0.5, n, ObsKind.KINKS, kinks.terms, _KINK_REFUSAL),      # terms passed
+        (n / 2.0, -0.5, n, ObsKind.KINKS, [list(t) for t in kinks.terms[:-1]], _KINK_REFUSAL),
     ]
-    for a, b, terms, kind, refusal in bad:
+    for a, b, count, kind, terms, refusal in bad:
         with pytest.raises(InputError, match=refusal):
-            ObservableSpec(a, b, terms, kind)
-        with pytest.raises(InputError, match=refusal):
-            ObservableSpec(a, b, [list(t) for t in terms], kind)
+            ObservableSpec(a, b, count, kind, terms)
 
 
 def test_terms_need_a_one_based_index():
@@ -237,8 +238,17 @@ def test_terms_need_a_one_based_index():
         with pytest.raises(InputError, match="1-based spin index"):
             custom_observable(0.0, 1.0, terms)
     with pytest.raises(InputError, match="1-based spin index"):
-        ObservableSpec(0.0, 1.0, [(0,), (2,)], ObsKind.MAGNETIZATION)
+        ObservableSpec(0.0, 1.0, 2, ObsKind.CUSTOM, [(0,), (2,)])
     assert custom_observable(0.0, 1.0, [[np.int64(2), 1.0]]).terms == ((2, 1),)
+
+
+def test_custom_spec_n_must_count_its_terms():
+    for count, terms in ((3, [(1,), (2,)]), (1, [(1,), (2,)]), (1, []), (0, [(1,)])):
+        with pytest.raises(InputError, match=f"needs n={count} terms"):
+            ObservableSpec(0.0, 1.0, count, ObsKind.CUSTOM, terms)
+    spec = ObservableSpec(0.0, 1.0, 2, ObsKind.CUSTOM, np.array([[1, 2], [2, 3]]))
+    assert spec == custom_observable(0.0, 1.0, [(1, 2), (2, 3)])
+    assert spec.terms == ((1, 2), (2, 3)) and spec.value_bounds() == (-2, 2)
 
 
 def test_one_and_two_site_rings_build():
