@@ -13,19 +13,17 @@ Library layout:
 """
 
 from .charfunc import (CumulantFlavor, CumulantSet, charfunc_values, closed_cumulants,
-                       distribution_cumulants, exact_kink_mean, joint_counts)
-from .distribution import (Distribution, DistributionReport, charfunc_of_distribution,
-                           total_variation, validate_distribution)
+                       distribution_cumulants, exact_kink_mean)
+from .distribution import Distribution, DistributionReport, total_variation, validate_distribution
 from .errors import (EstimationError, GridMismatchError, InputError, KinkprobeError,
                      SizeError)
 from .partition import ScaledComplex, loschmidt_amplitude, partition_function
-from .probe import (ProbeRecord, circuit_phase, default_time_grid, gate_count,
-                    gibbs_sampler, simulate_probe_shots)
+from .probe import (ProbeRecord, circuit_phase, default_time_grid, gibbs_sampler,
+                    simulate_probe_shots)
 from .quantum import (DiagonalEnsemble, PauliObservable, QuantumRegister,
                       noncommuting_test_observable, quantum_probe,
                       thermal_diagonal_ensemble, trotter_error_probe)
-from .reconstruct import (build_theta_grid, estimate_gate_error, gaussian_approx,
-                          invert_dft)
+from .reconstruct import build_theta_grid, estimate_gate_error, invert_dft
 from .spin_model import (ModelKind, ModelParams, ObsKind, ObservableSpec,
                          OracleResult, custom_observable, energy, enumerate_oracle,
                          kink_number, magnetization, observable_values, term_sums)

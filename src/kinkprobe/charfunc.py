@@ -19,8 +19,9 @@ routes.  Four model / observable combinations are dispatched here:
 Both long-range sums have integer values and real weights, so on the
 standard grid theta_j = 2 pi j / M each is one M-point inverse FFT.
 
-Closed-form cumulants (mean, variance, third cumulant) and cumulants from
-the moments of a distribution about its mean are also provided.
+Closed cumulants (mean, variance, third cumulant: ring formulas, and the
+moments of the same long-range sector laws) and cumulants from the moments
+of a distribution about its mean are also provided.
 """
 
 from __future__ import annotations
@@ -139,13 +140,18 @@ def _longrange_kink_log_rows(n: int, logg: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _longrange_charfunc(model: ModelParams, obs: ObservableSpec,
-                        thetas: np.ndarray) -> np.ndarray:
+def _longrange_law(model: ModelParams, obs: ObservableSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Exact sector law of a long-range built-in observable: integer values, log weights.
+
+    M = N - 2k weighs log g(k) over the down-count k; K = 2j weighs the
+    up-run row j of _longrange_kink_log_rows.  F and the closed cumulants
+    both read it.
+    """
     n = model.N
     logg, _ = _longrange_log_g(n, model.beta * model.J, model.beta * model.h)
     if obs.kind is ObsKind.MAGNETIZATION:
-        return _sector_charfunc(n - 2 * np.arange(n + 1), logg, thetas)
-    return _sector_charfunc(2 * np.arange(n // 2 + 1), _longrange_kink_log_rows(n, logg), thetas)
+        return n - 2 * np.arange(n + 1), logg
+    return 2 * np.arange(n // 2 + 1), _longrange_kink_log_rows(n, logg)
 
 
 def check_term_count(model: ModelParams, obs: ObservableSpec) -> None:
@@ -165,30 +171,8 @@ def charfunc_values(model: ModelParams, obs: ObservableSpec, thetas) -> np.ndarr
     if model.kind is ModelKind.RING:
         out = _ring_charfunc(model, obs, th)
     else:
-        out = _longrange_charfunc(model, obs, th)
+        out = _sector_charfunc(*_longrange_law(model, obs), th)
     return _check_magnitude(out)
-
-
-# ---------------------------------------------------------------------------
-# joint (magnetization, kink) configuration counts on the ring
-# ---------------------------------------------------------------------------
-
-def joint_counts(n: int) -> np.ndarray:
-    """Q[m + N, K] = number of ring configurations with magnetization m and K kinks.
-
-    A configuration with u up spins and j up-runs on the cycle has K = 2j
-    kinks.  For 1 <= j <= min(u, N - u) there are (N / j) C(u-1, j-1)
-    C(N-u-1, j-1) of them (Mood, Ann. Math. Stat. 11, 1940); the two uniform
-    configurations have K = 0.  Entries are exact Python ints, dtype=object.
-    """
-    if n < 2:
-        raise InputError("joint counts need N >= 2")
-    q = np.zeros((2 * n + 1, n + 1), dtype=object)
-    q[0, 0] = q[2 * n, 0] = 1
-    for u in range(1, n):
-        for j in range(1, min(u, n - u) + 1):
-            q[2 * u, 2 * j] = n * math.comb(u - 1, j - 1) * math.comb(n - u - 1, j - 1) // j
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -280,34 +264,30 @@ def _ring_kink_cumulants(model: ModelParams) -> CumulantSet:
                        kappa3=0.5 * n * zeta * bracket, flavor=CumulantFlavor.CLOSED_LARGE_N)
 
 
-def _longrange_mag_cumulants(model: ModelParams) -> CumulantSet:
-    """Exact long-range cumulants of the sector law: M = N - 2k with weight g(k)."""
-    n = model.N
-    logg, _ = _longrange_log_g(n, model.beta * model.J, model.beta * model.h)
-    g = np.exp(logg[::-1] - logg.max())  # M = -N, -N + 2, ..., N
-    sectors = Distribution(support=np.arange(-n, n + 1, 2), probs=g / g.sum())
-    return replace(distribution_cumulants(sectors), flavor=CumulantFlavor.EXACT_SMALL_FORMULA)
-
-
 def closed_cumulants(model: ModelParams, obs: ObservableSpec) -> CumulantSet:
-    """Closed-form kappa_1..3 where a formula exists.
+    """kappa_1..3 of a built-in observable from its closed or exact sector law.
 
     Ring formulas keep only the dominant transfer eigenvalue and are accurate
     up to O((lambda_-/lambda_+)^N); a ring cumulant beyond the float range
-    raises InputError.  The long-range magnetization formulas are exact.
-    The long-range kink number has no closed form: take distribution_cumulants
-    of the reconstructed distribution instead.  The exact zero-field ring kink
-    mean is exact_kink_mean.
+    raises InputError.  On the long-range model both observables take the
+    moments of their exact sector law (flavor exact-small-formula).  A custom
+    observable has no closed law: take distribution_cumulants of the
+    reconstructed distribution instead.  The exact zero-field ring kink mean
+    is exact_kink_mean.
     """
+    if obs.kind is ObsKind.CUSTOM:
+        raise InputError("custom observables have no closed cumulants; use the numerical "
+                         "cumulants of the reconstructed distribution")
     check_term_count(model, obs)
-    if model.kind is ModelKind.RING and obs.kind is ObsKind.MAGNETIZATION:
+    if model.kind is ModelKind.LONG_RANGE:
+        x, logw = _longrange_law(model, obs)
+        order = np.argsort(x)
+        w = np.exp(logw[order] - logw.max())
+        law = Distribution(support=x[order], probs=w / w.sum())
+        return replace(distribution_cumulants(law), flavor=CumulantFlavor.EXACT_SMALL_FORMULA)
+    if obs.kind is ObsKind.MAGNETIZATION:
         return _ring_mag_cumulants(model)
-    if model.kind is ModelKind.RING and obs.kind is ObsKind.KINKS:
-        return _ring_kink_cumulants(model)
-    if model.kind is ModelKind.LONG_RANGE and obs.kind is ObsKind.MAGNETIZATION:
-        return _longrange_mag_cumulants(model)
-    raise InputError("no closed cumulants for this model/observable; use the numerical "
-                     "cumulants of the reconstructed distribution")
+    return _ring_kink_cumulants(model)
 
 
 def distribution_cumulants(dist: Distribution) -> CumulantSet:

@@ -95,8 +95,3 @@ def total_variation(a: Distribution, b: Distribution) -> float:
     pb[b.support - lo] = b.probs
     return 0.5 * float(np.abs(pa - pb).sum())
 
-
-def charfunc_of_distribution(dist: Distribution, thetas) -> np.ndarray:
-    """Forward transform F(theta) = sum P(x) exp(i theta x); round-trip oracle."""
-    th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    return np.exp(1j * np.outer(th, dist.support.astype(float))) @ dist.probs.astype(complex)

@@ -36,7 +36,7 @@ import numpy as np
 from .charfunc import charfunc_values, check_term_count
 from .errors import InputError
 from .partition import _log_binomials
-from .reconstruct import build_theta_grid
+from .reconstruct import _check_eta, build_theta_grid
 from .spin_model import ModelKind, ModelParams, ObservableSpec, ObsKind, observable_values
 
 METROPOLIS_BURNIN_SWEEPS = 100  # sweeps of N proposed flips, before the first sample
@@ -73,13 +73,11 @@ class ProbeRecord:
 
 def _check_gate(epsilon: float, eta: float) -> None:
     """Refuse a coupling strength or gate error outside eps > 0, eta > -1 (NaN included)."""
-    for name, value in (("epsilon", epsilon), ("eta", eta)):
-        if not math.isfinite(value):
-            raise InputError(f"{name} must be finite, got {value}")
+    if not math.isfinite(epsilon):
+        raise InputError(f"epsilon must be finite, got {epsilon}")
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
-    if eta <= -1.0:
-        raise InputError("eta must exceed -1")
+    _check_eta(eta)
 
 
 def default_time_grid(obs: ObservableSpec, epsilon: float, *,
@@ -98,16 +96,6 @@ def default_time_grid(obs: ObservableSpec, epsilon: float, *,
     if not np.isfinite(times).all():
         raise InputError(f"epsilon = {epsilon} is too small: the acquisition times overflow")
     return times
-
-
-def gate_count(obs: ObservableSpec) -> int:
-    """Universal-gate budget of one controlled-evolution block.
-
-    Each product term costs one controlled rotation plus the two basis flips
-    that set its sign (three gates per term); a nonzero offset adds one
-    uncontrolled rotation on the probe.
-    """
-    return 3 * obs.n + (1 if obs.a != 0 else 0)
 
 
 def circuit_phase(spins: np.ndarray, obs: ObservableSpec, epsilon: float, t: float,

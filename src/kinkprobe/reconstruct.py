@@ -21,15 +21,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .charfunc import _grid_offset, closed_cumulants
+from .charfunc import _grid_offset
 from .distribution import Distribution
 from .errors import EstimationError, GridMismatchError, InputError
-from .spin_model import ModelKind, ModelParams, ObservableSpec, magnetization
+from .spin_model import ObservableSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from .probe import ProbeRecord
 
-__all__ = ["build_theta_grid", "invert_dft", "estimate_gate_error", "gaussian_approx"]
+__all__ = ["build_theta_grid", "invert_dft", "estimate_gate_error"]
 
 
 def build_theta_grid(obs: ObservableSpec, *, points: int | None = None) -> np.ndarray:
@@ -48,20 +48,27 @@ def build_theta_grid(obs: ObservableSpec, *, points: int | None = None) -> np.nd
     return 2.0 * np.pi * np.arange(m) / m
 
 
+def _check_eta(eta: float) -> None:
+    """Refuse a gate error that is not finite or not above -1 (NaN included)."""
+    if not math.isfinite(eta):
+        raise InputError(f"eta must be finite, got {eta}")
+    if eta <= -1.0:
+        raise InputError("eta must exceed -1")
+
+
 def invert_dft(record: "ProbeRecord", eta: float = 0.0) -> Distribution:
     """Exact finite-sum Fourier inversion of a probe record, as one FFT.
 
     Reads ``record.theta``, ``record.values`` (F at those phases) and
     ``record.observable``, which marks the values no configuration reaches.
-    A gate error eta stretches the phases by (1 + eta), so they must satisfy
-    theta_j (1 + eta) = 2 pi j / M: times pre-warped to
+    A gate error eta (finite, above -1) stretches the phases by (1 + eta),
+    so they must satisfy theta_j (1 + eta) = 2 pi j / M: times pre-warped to
     t_j = theta_j / (2 eps (1 + eta)), or the plain grid at eta = 0.  The
     label is ``dft`` (eta = 0) or ``dft-eta-corrected``, then ``/probe-exact``
     or ``/probe-shots`` by ``record.shots``.  The imaginary residue of each
     amplitude is recorded and dropped; probabilities are returned unclipped.
     """
-    if eta <= -1.0:
-        raise InputError("eta must exceed -1")
+    _check_eta(eta)
     obs = record.observable
     if obs is None:
         raise InputError("no observable attached to the record")
@@ -71,7 +78,7 @@ def invert_dft(record: "ProbeRecord", eta: float = 0.0) -> Distribution:
     m = values.size
     if m < support.size:
         raise GridMismatchError("fewer samples than support points; inversion would alias")
-    if _grid_offset(record.theta * (1.0 + eta)) > 1e-9:
+    if not _grid_offset(record.theta * (1.0 + eta)) <= 1e-9:  # NaN fails too
         raise GridMismatchError("samples do not sit on the uniform grid 2 pi j / M "
                                 "(after the gate-error rescaling, if any)")
     method = "dft" if eta == 0.0 else "dft-eta-corrected"
@@ -117,22 +124,3 @@ def estimate_gate_error(record: "ProbeRecord") -> float:
     t_meas = t[j] if a <= 0 else -b / (2.0 * a)
     return t_ideal / t_meas - 1.0
 
-
-def gaussian_approx(model: ModelParams) -> Distribution:
-    """Gaussian with the closed mean and variance, on the parity-correct support.
-
-    P(m) = C exp[-(m - <M>)^2 / (2 Var M)] for m in [-N, N] with the parity
-    of N; C normalizes over those points.  Valid for the ring magnetization.
-    """
-    if model.kind is not ModelKind.RING:
-        raise InputError("the Gaussian comparison curve is defined for the ring model")
-    n = model.N
-    obs = magnetization(n)
-    cs = closed_cumulants(model, obs)
-    support = np.arange(-n, n + 1)
-    allowed = ~obs.forbidden(support)
-    p = np.zeros(support.size)
-    z = (support[allowed] - cs.kappa1) ** 2 / (2.0 * cs.kappa2)
-    p[allowed] = np.exp(-(z - z.min()))
-    p /= p.sum()
-    return Distribution(support=support, probs=p, forbidden=~allowed, method="gaussian")

@@ -40,7 +40,7 @@ class ObsKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Couplings of one model instance: finite J, h and beta >= 0.
+    """Couplings of one model instance: finite J, h and beta >= 0, finite beta J and beta h.
 
     beta = 0 is the infinite-temperature limit, an ordinary input to every
     route, since no routine divides by beta.
@@ -60,6 +60,11 @@ class ModelParams:
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beta < 0:
             raise InputError("beta must be non-negative")
+        for name, coupling in (("J", self.J), ("h", self.h)):
+            # as Python floats the product overflows to inf silently; numpy scalars would warn
+            if not math.isfinite(float(self.beta) * float(coupling)):
+                raise InputError(f"beta*{name} = {self.beta} * {coupling} overflows "
+                                 "the float range")
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from kinkprobe import (CumulantFlavor, InputError, build_theta_grid,
-                       charfunc_of_distribution, charfunc_values, closed_cumulants,
-                       custom_observable, distribution_cumulants, enumerate_oracle,
-                       exact_kink_mean, invert_dft, joint_counts, kink_number,
+from kinkprobe import (CumulantFlavor, InputError, build_theta_grid, charfunc_values,
+                       closed_cumulants, custom_observable, distribution_cumulants,
+                       enumerate_oracle, exact_kink_mean, invert_dft, kink_number,
                        magnetization, partition_function, validate_distribution)
 from conftest import exact_record, longrange, random_couplings, record_of, ring
+from oracles import charfunc_of_distribution, joint_counts
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +486,46 @@ def test_closed_longrange_cumulants_match_a_decimal_sector_sum_at_n4000():
     assert abs(cs.kappa3 - k3) <= 1e-7
 
 
-def test_closed_cumulants_longrange_kinks_unsupported():
-    with pytest.raises(InputError, match="use the numerical cumulants"):
-        closed_cumulants(longrange(8), kink_number(8))
+def _decimal_longrange_kink_cumulants(n, bj, bh):
+    """kappa_1..3 of the long-range kink number in 40 digits, from exact Mood counts."""
+    q = joint_counts(n)
+    kinks = range(0, n + 1, 2)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        # beta E = -beta J (m^2 - N) / 2 - beta h m depends on the magnetization m alone
+        logw = [decimal.Decimal(bj) * (m * m - n) / 2 + decimal.Decimal(bh) * m
+                for m in range(-n, n + 1)]
+        top = max(logw)
+        w = [(x - top).exp() for x in logw]
+        pk = [sum(int(c) * wm for c, wm in zip(q[:, k], w) if c) for k in kinks]
+        z = sum(pk)
+        mean = sum(p * k for p, k in zip(pk, kinks)) / z
+        return [mean] + [sum(p * (k - mean) ** r for p, k in zip(pk, kinks)) / z
+                         for r in (2, 3)]
+
+
+@pytest.mark.parametrize("n, bj, bh", [(12, 0.3, 0.0), (12, -0.8, 0.25), (12, 0.05, -0.4),
+                                       (200, 0.006, 0.0), (200, -0.02, 0.01),
+                                       (200, 0.004, 0.02)])
+def test_closed_longrange_kink_cumulants_match_exact_counts(n, bj, bh):
+    # the reference shares no log-factorials with the package; kappa_3 can
+    # cancel far below kappa_2^{3/2}, so it is judged on that natural scale
+    k1, k2, k3 = _decimal_longrange_kink_cumulants(n, bj, bh)
+    cs = closed_cumulants(longrange(n, j=bj, h=bh, beta=1.0), kink_number(n))
+    assert cs.flavor is CumulantFlavor.EXACT_SMALL_FORMULA
+    assert abs(decimal.Decimal(cs.kappa1) - k1) <= decimal.Decimal(1e-12) * k1
+    assert abs(decimal.Decimal(cs.kappa2) - k2) <= decimal.Decimal(1e-12) * k2
+    assert abs(decimal.Decimal(cs.kappa3) - k3) <= decimal.Decimal(1e-12) * (k2 ** 3).sqrt()
+
+
+def test_closed_cumulants_refuse_only_custom_observables():
+    # the ring bonds under the custom tag: the same values, but no closed law
+    bonds = custom_observable(4.0, -0.5, [(i, i % 8 + 1) for i in range(1, 9)])
+    for model in (ring(8), longrange(8)):
+        with pytest.raises(InputError, match="use the numerical cumulants"):
+            closed_cumulants(model, bonds)
+    cs = closed_cumulants(longrange(8), kink_number(8))
+    assert cs.flavor is CumulantFlavor.EXACT_SMALL_FORMULA
 
 
 def test_one_entry_point_per_job():

@@ -11,11 +11,12 @@ import pytest
 from scipy.stats import chi2
 
 import kinkprobe.cli as cli
-from kinkprobe import (charfunc_of_distribution, distribution_cumulants, enumerate_oracle,
-                       invert_dft, kink_number, magnetization, simulate_probe_shots)
+from kinkprobe import (distribution_cumulants, enumerate_oracle, invert_dft, kink_number,
+                       magnetization, simulate_probe_shots)
 from kinkprobe.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, PRESETS, main
 from kinkprobe.probe import default_time_grid
 from conftest import exact_record, longrange, ring
+from oracles import charfunc_of_distribution
 
 
 def _read_csv(path):
@@ -98,8 +99,14 @@ def test_infinite_temperature_matches_the_oracle(tmp_path, model, obs):
     (["--eta", "nan", "--shots", "10"], "eta must be finite, got nan"),
     (["--N", "4", "--eta", "-1", "--correct-eta"], "eta must exceed -1"),
     (["--eps", "1e-320"], "epsilon = 1e-320 is too small"),
+    (["--model", "ring", "--J", "1e308", "--beta", "10"], "beta*J = 10.0 * 1e+308 overflows"),
+    (["--model", "longrange", "--J", "1e308", "--beta", "10"], "beta*J"),
+    (["--model", "ring", "--obs", "kinks", "--h", "1e308", "--beta", "10"], "beta*h"),
+    (["--model", "longrange", "--obs", "kinks", "--N", "8", "--h", "1e308", "--beta", "10",
+      "--shots", "10"], "beta*h = 10.0 * 1e+308 overflows"),
 ], ids=["lr-beta-nan", "lr-J-nan", "lr-kinks-h-inf", "ring-beta-nan", "ring-J-inf",
-        "eps-nan", "eta-nan", "eta-minus-one-warped", "eps-subnormal"])
+        "eps-nan", "eta-nan", "eta-minus-one-warped", "eps-subnormal", "ring-beta-J-inf",
+        "lr-beta-J-inf", "ring-kinks-beta-h-inf", "lr-kinks-beta-h-inf-shots"])
 def test_refused_input_exits_before_any_numpy_warning(tmp_path, capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

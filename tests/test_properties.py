@@ -2,19 +2,24 @@
 
 Random distributions on random integer supports, any phase grid M at or
 above the support width, and couplings with |beta J|, |beta h| <= 700.
-Examples are derandomized so the suite is reproducible.
+Examples are derandomized so the suite is reproducible.  One sweep walks a
+fixed grid over the whole envelope, N up to 1e4, with warnings as errors.
 """
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kinkprobe import (Distribution, charfunc_values, charfunc_of_distribution,
-                       custom_observable, invert_dft, kink_number, magnetization)
+from kinkprobe import (Distribution, InputError, ModelKind, ModelParams, charfunc_values,
+                       closed_cumulants, custom_observable, default_time_grid, invert_dft,
+                       kink_number, magnetization, simulate_probe_shots, validate_distribution)
 from conftest import longrange, record_of, ring
+from oracles import charfunc_of_distribution
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -105,3 +110,57 @@ def test_zero_field_ring_charfunc(n, m, c, kinks):
 def test_zero_field_frustrated_odd_ring_charfunc_is_real():
     f = charfunc_values(ring(3, j=-19.0, h=0.0, beta=1.0), magnetization(3), _grid(7))
     np.testing.assert_allclose(f.imag, 0.0, rtol=0, atol=1e-12)
+
+
+SWEEP_BJ = (-700.0, -50.0, -1.0, -1e-3, 0.0, 1e-300, 1e-4, 1.0, 50.0, 700.0)
+SWEEP_BH = (-700.0, -1.0, 0.0, 1.0, 700.0)
+SWEEP_CORNERS = {-700.0, 0.0, 700.0}
+
+
+def _sweep_points():
+    """(model, obs, shot settings) over both models and observables and the coupling grid."""
+    for kind, make_obs, n, bj, bh in itertools.product(
+            ModelKind, (magnetization, kink_number), (2, 3, 51, 1000), SWEEP_BJ, SWEEP_BH):
+        # shots at N <= 51; the gate walk builds its Metropolis law in O(100 N^2),
+        # so the long-range shots take the coupling corners only
+        sampled = n <= 51 and (kind is ModelKind.RING or {bj, bh} <= SWEEP_CORNERS)
+        yield ModelParams(kind=kind, N=n, J=bj, h=bh, beta=1.0), make_obs(n), \
+            (None, 20) if sampled else (None,)
+    for make_obs, (bj, bh) in itertools.product(
+            (magnetization, kink_number), ((700.0, 0.0), (-700.0, 700.0), (1.0, -1.0))):
+        yield ModelParams(kind=ModelKind.RING, N=10_000, J=bj, h=bh, beta=1.0), \
+            make_obs(10_000), (None,)
+
+
+def test_envelope_sweep_validates_or_refuses_cleanly():
+    # each run gives a validated distribution (a shot run: its normalization),
+    # and each point closed cumulants or an InputError naming the kappa beyond
+    # the float range; any warning fails the point
+    bad, closed_refused = [], []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model, obs, shot_settings in _sweep_points():
+            label = (model.kind.value, obs.kind.value, model.N, model.J, model.h)
+            times = default_time_grid(obs, 0.5)
+            for shots in shot_settings:
+                try:
+                    report = validate_distribution(invert_dft(
+                        simulate_probe_shots(model, obs, 0.5, times, shots, seed=1)))
+                    defect = report.worst_defect() if shots is None else report.norm_defect
+                    if not defect <= 1e-9:
+                        bad.append((label, shots, defect))
+                except InputError as exc:
+                    bad.append((label, shots, str(exc)))
+            try:
+                cs = closed_cumulants(model, obs)
+            except InputError as exc:
+                if "kappa2 exceeds the float range" not in str(exc):
+                    bad.append((label, str(exc)))
+                closed_refused.append(label)
+            else:
+                if not all(map(math.isfinite, (cs.kappa1, cs.kappa2, cs.kappa3))):
+                    bad.append((label, cs))
+    assert not bad
+    # the ordered ring's magnetization variance, N e^{2 beta J}, is the only overflow
+    assert {label[:2] + label[3:] for label in closed_refused} == {
+        ("ring", "magnetization", 700.0, 0.0)}

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kinkprobe import (Distribution, EstimationError, GridMismatchError, InputError,
-                       build_theta_grid, estimate_gate_error, exact_kink_mean,
-                       gaussian_approx, invert_dft, kink_number, magnetization,
+                       build_theta_grid, closed_cumulants, estimate_gate_error,
+                       exact_kink_mean, invert_dft, kink_number, magnetization,
                        simulate_probe_shots, total_variation, validate_distribution)
 from kinkprobe.probe import default_time_grid
 from conftest import exact_record, record_of, ring
@@ -137,9 +137,12 @@ def test_naive_inversion_of_distorted_signal_is_wrong():
 
 
 def test_invert_with_gate_error_rejects_eta_below_minus_one():
+    # NaN would pass a plain grid check and label an exact record as corrected
     record = exact_record(ring(4), magnetization(4))
-    with pytest.raises(InputError):
-        invert_dft(record, eta=-1.0)
+    for eta, message in ((-1.0, "eta must exceed -1"), (math.nan, "eta must be finite"),
+                         (math.inf, "eta must be finite")):
+        with pytest.raises(InputError, match=message):
+            invert_dft(record, eta=eta)
 
 
 # ---------------------------------------------------------------------------
@@ -175,38 +178,17 @@ def test_estimate_gate_error_needs_full_period():
 
 
 # ---------------------------------------------------------------------------
-# gaussian comparison curve
+# the skew of a reconstruction
 # ---------------------------------------------------------------------------
 
 
-def test_gaussian_centred_at_zero_field():
-    g = gaussian_approx(ring(30))
-    assert g.mean() == pytest.approx(0.0, abs=1e-12)
-    assert g.probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_gaussian_close_to_exact_but_not_exact():
-    # frozen from this package's own exact pipeline: TV = 0.02775 at N=50,
-    # beta=J=1, h=0 (the quartic cumulant is sizeable, kappa4/kappa2^2 ~ -0.44)
-    exact = invert_dft(exact_record(ring(50), magnetization(50)))
-    tv = total_variation(gaussian_approx(ring(50)), exact.cleaned())
-    assert tv == pytest.approx(0.02775, abs=5e-4)
-    assert tv < 0.03
-
-
-def test_gaussian_misses_skew_at_finite_field():
-    from kinkprobe import closed_cumulants
-
+def test_reconstructed_kappa3_matches_the_closed_form_at_finite_field():
+    # the third cumulant of the exact ring magnetization is -672 here
     model = ring(50, h=0.2)
     exact = invert_dft(exact_record(model, magnetization(50))).cleaned()
-    g = gaussian_approx(model)
     skew_exact = float(exact.probs @ (exact.support - exact.mean()) ** 3)
-    skew_gauss = float(g.probs @ (g.support - g.mean()) ** 3)
-    # the true third cumulant (-672 here, matching the closed form); the
-    # discretized Gaussian keeps a small lattice/truncation remnant (-156)
     assert skew_exact == pytest.approx(closed_cumulants(model, magnetization(50)).kappa3,
                                        rel=1e-5)
-    assert abs(skew_exact) > 4 * abs(skew_gauss)
 
 
 # ---------------------------------------------------------------------------
