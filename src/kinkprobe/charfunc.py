@@ -114,7 +114,8 @@ def _longrange_kink_log_rows(n: int, logg: np.ndarray) -> np.ndarray:
     up spins, hence K = 2j kinks: Q(0, 0) = Q(N, 0) = 1, and for
     1 <= j <= min(k, N - k) Q(k, j) = (N / j) C(k-1, j-1) C(N-k-1, j-1)
     (Mood, Ann. Math. Stat. 11, 1940).  The sum over k is a log-sum-exp,
-    built in blocks of j so memory stays bounded at N = 1e4.
+    built in blocks of j so memory stays bounded at N = 1e4.  log g may hold
+    -inf (a sector of weight 0); a row that no weighted sector reaches is -inf.
     """
     lf = _log_factorials(n)
     # shift before the factorial terms join, so the dominant cells stay small:
@@ -135,20 +136,25 @@ def _longrange_kink_log_rows(n: int, logg: np.ndarray) -> np.ndarray:
         k = np.arange(lo, n - lo + 1)  # every k that some j of the block allows
         t = a[k] - lf_tail[k - j] - lf_tail[n - k - j]
         top = t.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(t - top).sum(axis=1, keepdims=True)) + top
+        top[top == -np.inf] = 0.0  # an empty row: its sum is 0 and its log -inf
+        with np.errstate(divide="ignore"):
+            lse = np.log(np.exp(t - top).sum(axis=1, keepdims=True)) + top
         rows[lo:lo + j.size] = (lse + np.log(n) - lf[j] - lf[j - 1])[:, 0]
     return rows
 
 
-def _longrange_law(model: ModelParams, obs: ObservableSpec) -> tuple[np.ndarray, np.ndarray]:
+def _longrange_law(model: ModelParams, obs: ObservableSpec,
+                   logg: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact sector law of a long-range built-in observable: integer values, log weights.
 
     M = N - 2k weighs log g(k) over the down-count k; K = 2j weighs the
     up-run row j of _longrange_kink_log_rows.  F and the closed cumulants
-    both read it.
+    both read it.  ``logg`` replaces the Boltzmann log g by any law of k
+    whose configurations are uniform given k (the probe's chain law).
     """
     n = model.N
-    logg, _ = _longrange_log_g(n, model.beta * model.J, model.beta * model.h)
+    if logg is None:
+        logg, _ = _longrange_log_g(n, model.beta * model.J, model.beta * model.h)
     if obs.kind is ObsKind.MAGNETIZATION:
         return n - 2 * np.arange(n + 1), logg
     return 2 * np.arange(n // 2 + 1), _longrange_kink_log_rows(n, logg)

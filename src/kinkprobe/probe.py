@@ -11,11 +11,10 @@ emulated here:
 * exact expectations (identical to the analytic characteristic function),
 * finite shot pools of +-1 readouts of sigma_x and sigma_y.  Shots are iid,
   so a pool's mean is 2 Binomial(shots, (1 + Re F)/2)/shots - 1 (Im F for
-  sigma_y); a ring with a built-in observable draws exactly that on the
-  analytic F, at any beta >= 0.  Custom observables and the long-range
-  model walk the gate-level classical circuit: draw a batch of thermal
-  configurations, take the relative phase of each (circuit_phase), then
-  draw each readout,
+  sigma_y), F taken under the law the model's sampler draws; every built-in
+  observable draws exactly that, at any beta >= 0.  Custom observables walk
+  the gate-level classical circuit: draw a batch of thermal configurations,
+  take the relative phase of each (circuit_phase), then draw each readout,
 * a coherent gate miscalibration eps' = (1 + eta) eps on every controlled
   rotation.
 
@@ -23,7 +22,8 @@ Thermal configurations of the ring are drawn exactly by transfer-matrix
 conditionals.  The long-range model draws from the exact law of a 100-sweep
 single-spin-flip Metropolis chain, computed once as a lumped chain on the
 up-count u = 0..N; in the ordered phase that law is still biased against
-the Boltzmann law, because the chain does not tunnel between the wells.
+the Boltzmann law, because the chain does not tunnel between the wells, and
+its shot records follow that chain's law on either route.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfunc import charfunc_values, check_term_count
+from .charfunc import (_check_magnitude, _longrange_law, _sector_charfunc, charfunc_values,
+                       check_term_count)
 from .errors import InputError
 from .partition import _log_binomials
 from .reconstruct import _check_eta, build_theta_grid
@@ -184,11 +185,12 @@ class LongRangeMetropolisSampler:
             raise InputError("LongRangeMetropolisSampler requires the long-range model")
         self.model = model
         n = model.N
+        bj, bh = model.beta * model.J, model.beta * model.h
         u = np.arange(n + 1)
         m = 2.0 * u - n
-        # flipping s: Delta E = 2 J (M s - 1) + 2 h s; up flips have s = +1
-        cost_down = model.beta * np.maximum(2.0 * model.J * (m - 1.0) + 2.0 * model.h, 0.0)
-        cost_up = model.beta * np.maximum(2.0 * model.J * (-m - 1.0) - 2.0 * model.h, 0.0)
+        # flipping s: beta Delta E = 2 beta J (M s - 1) + 2 beta h s; up flips have s = +1
+        cost_down = np.maximum(2.0 * bj * (m - 1.0) + 2.0 * bh, 0.0)
+        cost_up = np.maximum(2.0 * bj * (-m - 1.0) - 2.0 * bh, 0.0)
         frac_up = u / n
         down = frac_up * np.exp(-cost_down)        # P(u -> u - 1)
         up = (1.0 - frac_up) * np.exp(-cost_up)    # P(u -> u + 1)
@@ -213,6 +215,7 @@ class LongRangeMetropolisSampler:
 
 
 def gibbs_sampler(model: ModelParams):
+    """The model's thermal sampler; the gate walk of custom observables draws from it."""
     if model.kind is ModelKind.RING:
         return RingGibbsSampler(model)
     return LongRangeMetropolisSampler(model)
@@ -224,7 +227,7 @@ def gibbs_sampler(model: ModelParams):
 
 
 def _binomial_record(f: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """(M, 2) shot record read off the exact F; all 2M pools from one stream keyed by seed.
+    """(M, 2) shot record read off F; all 2M pools from one stream keyed by seed.
 
     A pool of iid shots reads +1 with probability (1 + Re F_j)/2 for sigma_x
     and (1 + Im F_j)/2 for sigma_y, so its mean is 2 Binomial(shots, p)/shots
@@ -232,6 +235,21 @@ def _binomial_record(f: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """
     p = np.clip(0.5 * (1.0 + np.stack([f.real, f.imag], axis=1)), 0.0, 1.0)
     return 2.0 * np.random.default_rng(seed).binomial(shots, p) / shots - 1.0
+
+
+def _sampled_charfunc(model: ModelParams, obs: ObservableSpec, thetas) -> np.ndarray:
+    """F of a built-in observable under the law the model's sampler draws.
+
+    The ring sampler is exact, so that is the analytic F.  The long-range
+    sampler draws the up-count u from its chain law and places the up spins
+    on a uniform u-subset, so the chain law of the down-count k = N - u takes
+    the place of the Boltzmann log g in the exact sector law.
+    """
+    if model.kind is ModelKind.RING:
+        return charfunc_values(model, obs, thetas)
+    with np.errstate(divide="ignore"):  # sectors the chain never reaches weigh 0
+        logp = np.log(LongRangeMetropolisSampler(model).up_count_law[::-1])
+    return _check_magnitude(_sector_charfunc(*_longrange_law(model, obs, logp), thetas))
 
 
 def _shots_at_time(obs, sampler, eps_eff, t, shots, seed, j):
@@ -261,12 +279,12 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
     p(+1) = (1 + sin Omega t)/2 (one qubit cannot be read in two bases at
     once).  The shots are iid, so a pool's mean is 2 Binomial(shots, p)/shots
     - 1 with p = (1 + Re F)/2 (Im F for sigma_y), F taken at the distorted
-    phases.  A ring with a built-in observable draws exactly that, one
-    Binomial per pool on the analytic F: O(M) instead of O(M shots N).  The
-    gate walk keeps two jobs: custom observables (no analytic F) and the
-    long-range model, whose sampler draws the law of a finite Metropolis
-    chain, not the Boltzmann law.  shots=None returns the exact
-    expectations, F at the distorted phases.
+    phases.  Every built-in observable draws exactly that, one Binomial per
+    pool, O(M) instead of O(M shots N), on the F of its sampler's law: the
+    analytic F on the ring, the sector sum over the 100-sweep chain's law on
+    the long-range model.  The gate walk serves custom observables, which
+    have no sector law.  shots=None returns the exact expectations, the
+    analytic F at the distorted phases.
 
     The binomial route draws the whole record from one stream keyed by the
     seed; the gate walk gives each time point and pool its own stream, keyed
@@ -287,8 +305,8 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
     if shots < 1:
         raise InputError("shots must be at least 1")
 
-    if model.kind is ModelKind.RING and obs.kind is not ObsKind.CUSTOM:
-        arr = _binomial_record(charfunc_values(model, obs, 2.0 * eps_eff * t), shots, seed)
+    if obs.kind is not ObsKind.CUSTOM:
+        arr = _binomial_record(_sampled_charfunc(model, obs, 2.0 * eps_eff * t), shots, seed)
     else:
         sampler = gibbs_sampler(model)
         arr = np.asarray([_shots_at_time(obs, sampler, eps_eff, t[j], shots, seed, j)

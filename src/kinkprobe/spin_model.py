@@ -40,7 +40,10 @@ class ObsKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Couplings of one model instance: finite J, h and beta >= 0, finite beta J and beta h.
+    """Couplings of one model instance: finite J, h and beta >= 0, and route exponents.
+
+    4 |beta J| N^2 and 4 |beta h| N must be finite: they bound every exponent
+    the partition, F and sampler routes form.
 
     beta = 0 is the infinite-temperature limit, an ordinary input to every
     route, since no routine divides by beta.
@@ -60,11 +63,12 @@ class ModelParams:
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beta < 0:
             raise InputError("beta must be non-negative")
-        for name, coupling in (("J", self.J), ("h", self.h)):
-            # as Python floats the product overflows to inf silently; numpy scalars would warn
-            if not math.isfinite(float(self.beta) * float(coupling)):
+        for name, coupling, sites in (("J", self.J, self.N * self.N), ("h", self.h, self.N)):
+            # the largest route exponent is below 4 (|beta J| N^2 + |beta h| N); as Python
+            # floats the products overflow to inf silently, where numpy scalars would warn
+            if not math.isfinite(4.0 * abs(float(self.beta) * float(coupling)) * sites):
                 raise InputError(f"beta*{name} = {self.beta} * {coupling} overflows "
-                                 "the float range")
+                                 f"the float range at N = {self.N}")
 
 
 @dataclass(frozen=True)

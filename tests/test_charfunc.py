@@ -2,6 +2,7 @@ import cmath
 import decimal
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +318,34 @@ def test_longrange_kink_rows_match_exact_joint_counts(n):
         np.testing.assert_allclose(rows - np.logaddexp.reduce(rows),
                                    expected - np.logaddexp.reduce(expected),
                                    rtol=1e-15, atol=1e-12)
+
+
+@pytest.mark.parametrize("unreached", [[0, 1, 5, 9, 10], [0, 1, 2, 4, 5, 6, 7, 8, 9, 10]],
+                         ids=["empty-row-0", "one-sector"])
+def test_longrange_kink_rows_skip_sectors_of_zero_weight(unreached):
+    # a sector of weight 0 (log -inf) drops out; a row no weighted sector
+    # reaches is -inf, with no warning on the way
+    from kinkprobe.charfunc import _longrange_kink_log_rows
+    from kinkprobe.partition import _longrange_log_g
+
+    n = 10
+    logg = _longrange_log_g(n, 0.4, 0.3)[0]
+    logg[unreached] = -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _longrange_kink_log_rows(n, logg)
+    assert not np.isnan(rows).any() and (rows < np.inf).all()
+    # row r: log sum over the reached down-counts k of Q(k, r) g(k) / C(N, k)
+    q = joint_counts(n)
+    expected = np.array([np.logaddexp.reduce(
+        [math.log(q[2 * (n - k), 2 * r]) + logg[k] - math.log(math.comb(n, k))
+         for k in range(n + 1) if q[2 * (n - k), 2 * r] and logg[k] > -np.inf] or [-np.inf])
+        for r in range(n // 2 + 1)])
+    assert np.array_equal(rows == -np.inf, expected == -np.inf)
+    reached = expected > -np.inf
+    np.testing.assert_allclose(rows[reached] - np.logaddexp.reduce(rows[reached]),
+                               expected[reached] - np.logaddexp.reduce(expected[reached]),
+                               rtol=1e-15, atol=1e-12)
 
 
 def test_longrange_kink_charfunc_matches_oracle_at_n20():

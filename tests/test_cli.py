@@ -104,9 +104,19 @@ def test_infinite_temperature_matches_the_oracle(tmp_path, model, obs):
     (["--model", "ring", "--obs", "kinks", "--h", "1e308", "--beta", "10"], "beta*h"),
     (["--model", "longrange", "--obs", "kinks", "--N", "8", "--h", "1e308", "--beta", "10",
       "--shots", "10"], "beta*h = 10.0 * 1e+308 overflows"),
+    # beta J and beta h are finite here, but the route exponents, up to
+    # 4 (|beta J| N^2 + |beta h| N), are not
+    (["--model", "longrange", "--N", "8", "--J", "1e307"],
+     "beta*J = 1.0 * 1e+307 overflows the float range at N = 8"),
+    (["--model", "longrange", "--N", "8", "--J", "1e307", "--shots", "10"], "beta*J"),
+    (["--model", "longrange", "--obs", "kinks", "--N", "8", "--J", "1e307"], "beta*J"),
+    (["--model", "ring", "--N", "8", "--J", "1e308"], "beta*J"),
+    (["--model", "longrange", "--N", "8", "--h", "1e308", "--shots", "10"], "beta*h"),
 ], ids=["lr-beta-nan", "lr-J-nan", "lr-kinks-h-inf", "ring-beta-nan", "ring-J-inf",
         "eps-nan", "eta-nan", "eta-minus-one-warped", "eps-subnormal", "ring-beta-J-inf",
-        "lr-beta-J-inf", "ring-kinks-beta-h-inf", "lr-kinks-beta-h-inf-shots"])
+        "lr-beta-J-inf", "ring-kinks-beta-h-inf", "lr-kinks-beta-h-inf-shots",
+        "lr-J-route-overflow", "lr-J-route-overflow-shots", "lr-kinks-J-route-overflow",
+        "ring-J-route-overflow", "lr-h-route-overflow-shots"])
 def test_refused_input_exits_before_any_numpy_warning(tmp_path, capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -114,6 +124,15 @@ def test_refused_input_exits_before_any_numpy_warning(tmp_path, capsys, argv, me
     assert code == EXIT_INPUT
     assert message in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("model", ["ring", "longrange"])
+def test_large_finite_coupling_inside_the_float_range_runs(tmp_path, model):
+    # 4 |beta J| N^2 = 2.6e202 is finite, so J = 1e200 at N = 8 runs, without warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["probe", "--model", model, "--N", "8", "--J", "1e200",
+                     "--outdir", str(tmp_path / "o")]) == EXIT_OK
 
 
 def test_tiny_normal_epsilon_runs(tmp_path):

@@ -170,6 +170,14 @@ def test_longrange_sampler_law_is_the_full_chain_law(case):
         assert sector.max() - sector.min() <= 1e-12
 
 
+@pytest.mark.parametrize("n", [8, 9])
+def test_longrange_sampler_law_depends_on_beta_j_and_beta_h_only(n):
+    # J = 1e308 times N overflows on its own; beta J = 1 does not
+    huge = LongRangeMetropolisSampler(longrange(n, j=1e308, h=3e307, beta=1e-308))
+    plain = LongRangeMetropolisSampler(longrange(n, j=1.0, h=0.3, beta=1.0))
+    np.testing.assert_allclose(huge.up_count_law, plain.up_count_law, rtol=1e-12, atol=0)
+
+
 def test_longrange_sampler_configurations_follow_the_chain_law():
     # the magnetization depends only on the up-count; this checks the placement
     model = longrange(4, j=0.6, h=0.3, beta=1.0)
@@ -191,6 +199,37 @@ def test_longrange_metropolis_matches_oracle():
         observed = int((m == value).sum())
         sigma = math.sqrt(40_000 * p_th * (1 - p_th))
         assert abs(observed - 40_000 * p_th) < 4 * sigma + 2
+
+
+@pytest.mark.parametrize("case", LONGRANGE_CHAIN_CASES + [
+    dict(n=12, j=0.5, h=0.1, beta=0.6),   # beta J N = 3.6
+    dict(n=11, j=-0.3, h=0.2, beta=1.0),
+    dict(n=8, j=2.0, h=-0.3, beta=1.5),
+    dict(n=3, j=700.0, h=700.0, beta=1.0),  # the chain never reaches some sectors
+])
+@pytest.mark.parametrize("make_obs", [magnetization, kink_number])
+def test_sampled_charfunc_is_the_enumerated_chain_law(case, make_obs):
+    # each configuration with u up spins weighs P(u) / C(N, u) under the chain
+    model = longrange(case["n"], j=case["j"], h=case["h"], beta=case["beta"])
+    n, obs = model.N, make_obs(model.N)
+    law = LongRangeMetropolisSampler(model).up_count_law
+    states = (1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)).astype(np.int8)
+    up = (states == 1).sum(axis=1)
+    weights = law[up] / np.array([math.comb(n, u) for u in range(n + 1)])[up]
+    values = observable_values(states, obs)
+    on_grid = 2.0 * np.pi * np.arange(2 * n + 1) / (2 * n + 1)
+    off_grid = np.random.default_rng(n).uniform(-7.0, 7.0, 9)
+    for thetas in (on_grid, off_grid):
+        expected = np.exp(1j * np.outer(thetas, values)) @ weights / weights.sum()
+        np.testing.assert_allclose(probe._sampled_charfunc(model, obs, thetas), expected,
+                                   rtol=0, atol=1e-12)
+
+
+def test_sampled_charfunc_at_infinite_temperature():
+    # beta = 0: the chain keeps its uniform start, so F of M is cos^N theta
+    thetas = np.concatenate([2.0 * np.pi * np.arange(25) / 25, [0.3, 1.7, -4.1]])
+    f = probe._sampled_charfunc(longrange(12, beta=0.0), magnetization(12), thetas)
+    np.testing.assert_allclose(f, np.cos(thetas) ** 12, rtol=0, atol=1e-12)
 
 
 def test_gibbs_sample_single_draw_roundtrip():
@@ -285,21 +324,24 @@ def test_shots_reject_partial_observable(model, make_obs):
                              shots=50, seed=1)
 
 
-def _refuse_sampling(model):
+def _refuse_sampling(*args):
     raise AssertionError("this record must not draw configurations")
 
 
 def test_shot_route_choice(monkeypatch):
-    # a ring with a built-in observable, beta = 0 included, reads its shots off
-    # the analytic F; every other job walks the gates over sampled configurations
+    # every built-in observable, on either model and at beta = 0 too, reads its
+    # shots off the F of its sampler's law; custom ones walk the gates over
+    # sampled configurations
     monkeypatch.setattr(probe, "gibbs_sampler", _refuse_sampling)
-    for model, obs in ((ring(5, h=0.2), magnetization(5)), (ring(5, h=0.2), kink_number(5)),
-                       (ring(5, beta=0.0), magnetization(5))):
-        simulate_probe_shots(model, obs, 0.01, [0.0, 3.0], shots=20, seed=1)
-    walked = custom_observable(0.0, 1.0, [(i,) for i in range(1, 6)])
-    for model, obs in ((ring(5, h=0.2), walked), (longrange(5, beta=0.3), magnetization(5))):
-        with pytest.raises(AssertionError, match="must not draw"):
+    monkeypatch.setattr(probe, "_shots_at_time", _refuse_sampling)
+    for model in (ring(5, h=0.2), ring(5, beta=0.0), longrange(5, beta=0.3, h=0.2),
+                  longrange(5, beta=0.0)):
+        for obs in (magnetization(5), kink_number(5)):
             simulate_probe_shots(model, obs, 0.01, [0.0, 3.0], shots=20, seed=1)
+    walked = custom_observable(0.0, 1.0, [(i,) for i in range(1, 6)])
+    for model in (ring(5, h=0.2), longrange(5, beta=0.3)):
+        with pytest.raises(AssertionError, match="must not draw"):
+            simulate_probe_shots(model, walked, 0.01, [0.0, 3.0], shots=20, seed=1)
 
 
 @pytest.mark.parametrize("model", [ring(10_000, j=1.0, h=0.1, beta=0.5),
@@ -307,28 +349,35 @@ def test_shot_route_choice(monkeypatch):
                          ids=["ring-10000", "longrange-1000"])
 @pytest.mark.parametrize("make_obs", [magnetization, kink_number])
 def test_analytic_routes_build_no_term_tuples(model, make_obs):
-    # a built-in observable is (kind, N): the exact pipeline, and a ring's
-    # binomial shot route, read no spin-product terms, so none are built
+    # a built-in observable is (kind, N): the exact pipeline and the binomial
+    # shot route read no spin-product terms, so none are built
     obs = make_obs(model.N)
     times = default_time_grid(obs, 0.5)
     dist = invert_dft(simulate_probe_shots(model, obs, 0.5, times, None))
     assert validate_distribution(dist).worst_defect() < 1e-9
     assert closed_cumulants(model, obs).kappa1 == pytest.approx(dist.mean(), rel=1e-6)
     assert "terms" not in vars(obs)
-    if model.kind is ModelKind.RING:
-        simulate_probe_shots(model, obs, 0.5, times, shots=100, seed=1)
-        assert "terms" not in vars(obs)
+    simulate_probe_shots(model, obs, 0.5, times, shots=100, seed=1)
+    assert "terms" not in vars(obs)
 
 
-def test_binomial_route_has_the_gate_walk_law():
-    # the oracle is the gate walk on the magnetization's terms under the custom
+@pytest.mark.parametrize("model, make_obs", [
+    (ring(6, j=0.7, h=0.3, beta=1.0), magnetization),
+    # beta J N = 4: the chain's law is not Boltzmann's, and the record follows the chain
+    (longrange(6, j=1.0, h=0.05, beta=4 / 6), magnetization),
+    (longrange(6, j=1.0, h=0.05, beta=4 / 6), kink_number),
+], ids=["ring-m", "longrange-m", "longrange-k"])
+def test_binomial_route_has_the_gate_walk_law(model, make_obs):
+    # the oracle is the gate walk on the observable's terms under the custom
     # tag; over many seeds both routes' sx and sy must follow one law, which is
     # checked through the first two moments at every (pool, time point)
     n, shots, seeds, eps = 6, 40, 300, 0.01
-    model, obs = ring(n, j=0.7, h=0.3, beta=1.0), magnetization(n)
-    walked = custom_observable(0.0, 1.0, obs.terms)
+    obs = make_obs(n)
+    walked = custom_observable(obs.a, obs.b, obs.terms)
     times = default_time_grid(obs, eps)
-    f = charfunc_values(model, obs, 2.0 * eps * times)
+    f = probe._sampled_charfunc(model, obs, 2.0 * eps * times)
+    if model.kind is ModelKind.LONG_RANGE and make_obs is magnetization:
+        assert np.abs(f - charfunc_values(model, obs, 2.0 * eps * times)).max() > 0.1
     mean = np.stack([f.real, f.imag])            # (pool, j)
     var = (1.0 - mean ** 2) / shots               # of one record entry
 
@@ -374,7 +423,7 @@ def test_binomial_record_clips_the_last_bit_of_f():
 
 def test_gate_walk_record_repeats_bit_for_bit():
     # test_shot_record_deterministic_under_seed covers the binomial route
-    model, obs = longrange(5, beta=0.3), magnetization(5)
+    model, obs = longrange(5, beta=0.3), custom_observable(0.0, 1.0, magnetization(5).terms)
     times = default_time_grid(obs, 0.01)
     a = simulate_probe_shots(model, obs, 0.01, times, shots=300, seed=11)
     b = simulate_probe_shots(model, obs, 0.01, times, shots=300, seed=11)

@@ -121,8 +121,8 @@ def _sweep_points():
     """(model, obs, shot settings) over both models and observables and the coupling grid."""
     for kind, make_obs, n, bj, bh in itertools.product(
             ModelKind, (magnetization, kink_number), (2, 3, 51, 1000), SWEEP_BJ, SWEEP_BH):
-        # shots at N <= 51; the gate walk builds its Metropolis law in O(100 N^2),
-        # so the long-range shots take the coupling corners only
+        # shots at N <= 51; the long-range shots read F off the Metropolis chain's
+        # law, built in O(100 N^2), so they take the coupling corners only
         sampled = n <= 51 and (kind is ModelKind.RING or {bj, bh} <= SWEEP_CORNERS)
         yield ModelParams(kind=kind, N=n, J=bj, h=bh, beta=1.0), make_obs(n), \
             (None, 20) if sampled else (None,)
