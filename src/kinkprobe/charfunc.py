@@ -36,7 +36,7 @@ from .distribution import Distribution
 from .errors import InputError
 from .partition import (_TINY_LOG_BRACKET, _log_binomials, _log_factorials, _longrange_log_g,
                         _znn_scaled_arrays)
-from .spin_model import ModelKind, ModelParams, ObservableSpec, ObsKind
+from .spin_model import ModelKind, ModelParams, ObservableSpec, ObsKind, check_term_count
 
 _ABS_F_SLACK = 1e-9      # |F| may exceed 1 by at most this much
 _GRID_ROUTE_TOL = 1e-12  # phases this close to 2 pi j / M take the FFT route
@@ -160,20 +160,13 @@ def _longrange_law(model: ModelParams, obs: ObservableSpec,
     return 2 * np.arange(n // 2 + 1), _longrange_kink_log_rows(n, logg)
 
 
-def check_term_count(model: ModelParams, obs: ObservableSpec) -> None:
-    """A built-in observable must cover all N sites; custom ones are free."""
-    if obs.kind is not ObsKind.CUSTOM and obs.n != model.N:
-        raise InputError(f"{obs.kind.value} observable covers {obs.n} sites, "
-                         f"the model has N={model.N}")
-
-
 def charfunc_values(model: ModelParams, obs: ObservableSpec, thetas) -> np.ndarray:
     """F(theta) for an array of phases; dispatches on model and observable."""
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
     if obs.kind is ObsKind.CUSTOM:
         raise InputError("custom observables have no analytic route; "
                          "use the enumeration oracle or the probe simulator")
-    check_term_count(model, obs)
+    check_term_count(model.N, obs)
     if model.kind is ModelKind.RING:
         out = _ring_charfunc(model, obs, th)
     else:
@@ -284,7 +277,7 @@ def closed_cumulants(model: ModelParams, obs: ObservableSpec) -> CumulantSet:
     if obs.kind is ObsKind.CUSTOM:
         raise InputError("custom observables have no closed cumulants; use the numerical "
                          "cumulants of the reconstructed distribution")
-    check_term_count(model, obs)
+    check_term_count(model.N, obs)
     if model.kind is ModelKind.LONG_RANGE:
         x, logw = _longrange_law(model, obs)
         order = np.argsort(x)

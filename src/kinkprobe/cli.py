@@ -297,13 +297,18 @@ def _write_outputs(cfg: RunConfig, tables: list, payload: dict, plot, report,
     return EXIT_OK
 
 
+def _acquire(cfg: RunConfig, model, obs, shots, eta: float, warp: float):
+    """Grid -> record -> unclipped inversion; times pre-warped for ``warp``, gates at ``eta``."""
+    times = default_time_grid(obs, cfg.epsilon, eta=warp, points=cfg.grid)
+    record = simulate_probe_shots(model, obs, cfg.epsilon, times, shots, eta=eta,
+                                  seed=cfg.seed)
+    return record, invert_dft(record, eta=warp)
+
+
 def run_probe(cfg: RunConfig) -> int:
     model, obs = _build_model_obs(cfg)
-    warp_eta = cfg.eta if cfg.correct_eta else 0.0
-    times = default_time_grid(obs, cfg.epsilon, eta=warp_eta, points=cfg.grid)
-    record = simulate_probe_shots(model, obs, cfg.epsilon, times, cfg.shots,
-                                  eta=cfg.eta, seed=cfg.seed)
-    raw = invert_dft(record, eta=warp_eta)
+    record, raw = _acquire(cfg, model, obs, cfg.shots, cfg.eta,
+                           cfg.eta if cfg.correct_eta else 0.0)
     report = validate_distribution(raw)
     dist = raw.cleaned()  # clipping would bias the cumulants, so they are taken from raw
 
@@ -327,30 +332,24 @@ def run_probe(cfg: RunConfig) -> int:
     tables = [("coherence.csv", lambda: _coherence_csv(record)),
               ("distribution.csv", lambda: _distribution_csv(dist))]
     return _write_outputs(cfg, tables, payload, plot, report,
-                          _defect_tolerance(cfg.shots, times.size))
+                          _defect_tolerance(cfg.shots, record.time_grid.size))
 
 
 def run_sm_error(cfg: RunConfig) -> int:
     """Gate-error demonstration: ideal vs distorted vs corrected reconstruction."""
     model, obs = _build_model_obs(cfg)
     eta = cfg.eta
-
-    def exact_record(times, error):
-        return simulate_probe_shots(model, obs, cfg.epsilon, times, None, eta=error)
-
-    ideal_times = default_time_grid(obs, cfg.epsilon, points=cfg.grid)
-    ideal = exact_record(ideal_times, 0.0)
-    p_ideal = invert_dft(ideal).cleaned()
-    distorted = exact_record(ideal_times, eta)
-    p_naive = invert_dft(distorted).cleaned()
-    warped_times = default_time_grid(obs, cfg.epsilon, eta=eta, points=cfg.grid)
-    p_corrected = invert_dft(exact_record(warped_times, eta), eta=eta)
+    ideal, p_ideal = _acquire(cfg, model, obs, None, 0.0, 0.0)
+    distorted, p_naive = _acquire(cfg, model, obs, None, eta, 0.0)
+    _, p_corrected = _acquire(cfg, model, obs, None, eta, eta)
+    p_ideal, p_naive = p_ideal.cleaned(), p_naive.cleaned()
     report = validate_distribution(p_corrected)
     corrected = p_corrected.cleaned()
 
     # a long dense record exposes the shifted recurrence for the estimator
     span = 1.3 * math.pi / (cfg.epsilon * min(1.0, 1.0 + eta))
-    eta_hat = estimate_gate_error(exact_record(np.linspace(0.0, span, 4096), eta))
+    eta_hat = estimate_gate_error(simulate_probe_shots(
+        model, obs, cfg.epsilon, np.linspace(0.0, span, 4096), None, eta=eta))
 
     payload = {
         "eta_true": eta,

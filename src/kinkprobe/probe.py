@@ -14,7 +14,9 @@ emulated here:
   sigma_y), F taken under the law the model's sampler draws; every built-in
   observable draws exactly that, at any beta >= 0.  Custom observables walk
   the gate-level classical circuit: draw a batch of thermal configurations,
-  take the relative phase of each (circuit_phase), then draw each readout,
+  take the relative phase of each (circuit_phase), then draw each readout.
+  Either way a record draws from one stream, np.random.default_rng(seed);
+  the walk takes its batches and readouts in (time index, pool) order,
 * a coherent gate miscalibration eps' = (1 + eta) eps on every controlled
   rotation.
 
@@ -33,12 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfunc import (_check_magnitude, _longrange_law, _sector_charfunc, charfunc_values,
-                       check_term_count)
+from .charfunc import _check_magnitude, _longrange_law, _sector_charfunc, charfunc_values
 from .errors import InputError
 from .partition import _log_binomials
 from .reconstruct import _check_eta, build_theta_grid
-from .spin_model import ModelKind, ModelParams, ObservableSpec, ObsKind, observable_values
+from .spin_model import (ModelKind, ModelParams, ObservableSpec, ObsKind, check_term_count,
+                         observable_values)
 
 METROPOLIS_BURNIN_SWEEPS = 100  # sweeps of N proposed flips, before the first sample
 
@@ -99,19 +101,19 @@ def default_time_grid(obs: ObservableSpec, epsilon: float, *,
     return times
 
 
-def circuit_phase(spins: np.ndarray, obs: ObservableSpec, epsilon: float, t: float,
-                  eta: float = 0.0) -> np.ndarray:
-    """Relative probe phase Omega * t accumulated by the gate sequence, per row of spins.
+def circuit_phase(spins: np.ndarray, obs: ObservableSpec, epsilon: float,
+                  t: float) -> np.ndarray:
+    """Relative probe phase Omega * t = 2 eps t X(spins) of the gate sequence, per row.
 
-    One global rotation contributes 2 eps' t a; each controlled rotation
-    contributes +-2 eps' t b with the sign set by the classical spin product
+    One global rotation contributes 2 eps t a; each controlled rotation
+    contributes +-2 eps t b with the sign set by the classical spin product
     of its term (the controlled-NOT pair around each rotation only flips that
     sign, so the net phase is what matters).  All controlled angles share one
     magnitude, so the walk accumulates the integer signed count and scales
-    once.  A gate error eta scales every angle to eps' = (1 + eta) eps; with
-    eta = 0 the result equals 2 eps t X(spins) exactly.
+    once.  ``epsilon`` is the angle the gates run at: under a gate error eta
+    the caller passes eps' = (1 + eta) eps.
     """
-    return 2.0 * ((1.0 + eta) * epsilon) * t * observable_values(spins, obs)
+    return 2.0 * epsilon * t * observable_values(spins, obs)
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +228,15 @@ def gibbs_sampler(model: ModelParams):
 # ---------------------------------------------------------------------------
 
 
-def _binomial_record(f: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """(M, 2) shot record read off F; all 2M pools from one stream keyed by seed.
+def _binomial_record(f: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """(M, 2) shot record read off F; all 2M pools drawn from ``rng`` in one call.
 
     A pool of iid shots reads +1 with probability (1 + Re F_j)/2 for sigma_x
     and (1 + Im F_j)/2 for sigma_y, so its mean is 2 Binomial(shots, p)/shots
     - 1.  p is clipped to [0, 1], which absorbs the last-bit excess of |F|.
     """
     p = np.clip(0.5 * (1.0 + np.stack([f.real, f.imag], axis=1)), 0.0, 1.0)
-    return 2.0 * np.random.default_rng(seed).binomial(shots, p) / shots - 1.0
+    return 2.0 * rng.binomial(shots, p) / shots - 1.0
 
 
 def _sampled_charfunc(model: ModelParams, obs: ObservableSpec, thetas) -> np.ndarray:
@@ -250,19 +252,6 @@ def _sampled_charfunc(model: ModelParams, obs: ObservableSpec, thetas) -> np.nda
     with np.errstate(divide="ignore"):  # sectors the chain never reaches weigh 0
         logp = np.log(LongRangeMetropolisSampler(model).up_count_law[::-1])
     return _check_magnitude(_sector_charfunc(*_longrange_law(model, obs, logp), thetas))
-
-
-def _shots_at_time(obs, sampler, eps_eff, t, shots, seed, j):
-    """Both readout pools at one time point; streams keyed by (seed, j, pool)."""
-    values = np.empty(2)
-    for pool in (0, 1):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, j, pool]))
-        spins = sampler.sample_batch(shots, rng)
-        phases = circuit_phase(spins, obs, eps_eff, t)
-        wave = np.cos(phases) if pool == 0 else np.sin(phases)
-        outcomes = np.where(rng.random(shots) < 0.5 * (1.0 + wave), 1.0, -1.0)
-        values[pool] = outcomes.mean()
-    return values
 
 
 def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float,
@@ -286,15 +275,16 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
     have no sector law.  shots=None returns the exact expectations, the
     analytic F at the distorted phases.
 
-    The binomial route draws the whole record from one stream keyed by the
-    seed; the gate walk gives each time point and pool its own stream, keyed
-    by (seed, time index, pool index).  Either way a fixed seed repeats the
-    record bit for bit; the two routes give the same law, not the same bits.
+    Each record draws from one stream, np.random.default_rng(seed): the
+    binomial route takes all 2M Binomials from it in one call; the gate walk
+    takes each pool's configurations and then its readouts, in (time index,
+    pool) order, sigma_x before sigma_y.  So a fixed seed repeats the record
+    bit for bit; the two routes give the same law, not the same bits.
     A built-in observable that does not cover all N sites, a term index
     above N, or a non-finite epsilon or eta raises InputError.
     """
     _check_gate(epsilon, eta)
-    check_term_count(model, obs)
+    check_term_count(model.N, obs)
     eps_eff = (1.0 + eta) * epsilon
     t = np.asarray(time_grid, dtype=float)
 
@@ -305,11 +295,16 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
     if shots < 1:
         raise InputError("shots must be at least 1")
 
+    rng = np.random.default_rng(seed)
     if obs.kind is not ObsKind.CUSTOM:
-        arr = _binomial_record(_sampled_charfunc(model, obs, 2.0 * eps_eff * t), shots, seed)
+        arr = _binomial_record(_sampled_charfunc(model, obs, 2.0 * eps_eff * t), shots, rng)
     else:
         sampler = gibbs_sampler(model)
-        arr = np.asarray([_shots_at_time(obs, sampler, eps_eff, t[j], shots, seed, j)
-                          for j in range(t.size)])
+        arr = np.empty((t.size, 2))
+        for j, tj in enumerate(t):
+            for pool, wave in enumerate((np.cos, np.sin)):
+                phases = circuit_phase(sampler.sample_batch(shots, rng), obs, eps_eff, tj)
+                hits = rng.random(shots) < 0.5 * (1.0 + wave(phases))
+                arr[j, pool] = np.where(hits, 1.0, -1.0).mean()
     return ProbeRecord(epsilon=epsilon, time_grid=t, sx=arr[:, 0], sy=arr[:, 1],
                        shots=shots, observable=obs)

@@ -5,10 +5,12 @@ system when the ancilla is up, and a Hadamard on the ancilla turns its
 (sigma_z, sigma_y) expectations into (Re F, Im F).  This differs from the
 classical-ensemble readout only in where the basis change sits: there the
 coherence (sigma_x, sigma_y) is read directly, here the extra Hadamard after
-the controlled gate moves the real part onto sigma_z.  For observables built
-from commuting z-type products the controlled evolution factorizes exactly;
-an m-step product formula is also provided so that the first-order error of
-non-commuting mixed-axis observables can be measured directly.
+the controlled gate moves the real part onto sigma_z.  The readout takes the
+ObservableSpec the classical probe takes: its z-type products commute, so
+the controlled evolution is the diagonal phase theta X(s) on each basis
+state s, with X from spin_model.observable_values.  Mixed-axis Pauli strings
+(PauliObservable) only feed the m-step product formula, whose first-order
+error for non-commuting terms trotter_error_probe measures directly.
 
 Basis convention: system site n (1-based) maps to bit N - n of the index,
 bit value 0 meaning spin up (+1); the ancilla bit is the most significant,
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SizeError
-from .spin_model import ModelParams, ObservableSpec, _config_matrix, energy, term_sums
+from .spin_model import (ModelParams, ObservableSpec, _config_matrix, check_term_count, energy,
+                         observable_values)
 
 QUANTUM_SITES_LIMIT = 14
 TROTTER_SITES_LIMIT = 6
@@ -53,10 +56,6 @@ class PauliObservable:
                 if ax not in ("x", "y", "z"):
                     raise InputError(f"unknown Pauli axis {ax!r}")
         object.__setattr__(self, "terms", terms)
-
-    @property
-    def is_diagonal(self) -> bool:
-        return all(ax == "z" for t in self.terms for _, ax in t)
 
     @classmethod
     def from_spec(cls, obs: ObservableSpec, n_sites: int) -> "PauliObservable":
@@ -136,35 +135,29 @@ def thermal_diagonal_ensemble(model: ModelParams) -> DiagonalEnsemble:
     return DiagonalEnsemble(probs=w / w.sum(), n_sites=model.N)
 
 
-def _diagonal_phase(obs: PauliObservable, theta: float) -> np.ndarray:
-    """Phase theta X per basis state, X from the signed sum of the z-products."""
-    signed = term_sums(_config_matrix(obs.n_sites, 0, 1 << obs.n_sites),
-                       [tuple(site for site, _ax in term) for term in obs.terms])
-    return theta * obs.a + theta * obs.b * signed
-
-
-def quantum_probe(state: QuantumRegister | DiagonalEnsemble, obs,
+def quantum_probe(state: QuantumRegister | DiagonalEnsemble, obs: ObservableSpec,
                   theta: float) -> tuple[float, float]:
     """Ancilla readout (<sigma_z>, <sigma_y>) = (Re F, Im F) after the circuit.
 
-    ``state`` is a QuantumRegister (ancilla included) or a DiagonalEnsemble.
-    ``obs`` may be an ObservableSpec (z-type by construction) or a diagonal
-    PauliObservable; off-diagonal observables are outside this readout scheme
-    (see the product-formula error probe).
+    ``state`` is a QuantumRegister (ancilla included) or a DiagonalEnsemble
+    on n = state.n_sites <= 14 sites.  ``obs`` is an ObservableSpec; the
+    phase on basis state s is theta * X(s), X from observable_values.  A
+    PauliObservable is refused with InputError (a z-type one is written with
+    custom_observable), and so is a built-in observable that does not cover
+    all n sites or a term index above n.
     """
-    if isinstance(obs, ObservableSpec):
-        pauli = PauliObservable.from_spec(obs, state.n_sites)
-    else:
-        pauli = obs
-    if not pauli.is_diagonal:
-        raise InputError("quantum_probe reads out diagonal observables only")
-    if pauli.n_sites > QUANTUM_SITES_LIMIT:
+    if not isinstance(obs, ObservableSpec):
+        raise InputError("quantum_probe takes an ObservableSpec; write a z-type Pauli "
+                         "observable as custom_observable(a, b, site tuples)")
+    n = state.n_sites
+    if n > QUANTUM_SITES_LIMIT:
         raise SizeError(f"dense register limited to N <= {QUANTUM_SITES_LIMIT}")
+    check_term_count(n, obs)
 
-    phase = _diagonal_phase(pauli, theta)
+    dim = 1 << n
+    phase = theta * observable_values(_config_matrix(n, 0, dim), obs)
     if isinstance(state, DiagonalEnsemble):
         return (float(state.probs @ np.cos(phase)), float(state.probs @ np.sin(phase)))
-    dim = 1 << pauli.n_sites
     up = state.amplitudes[:dim] * np.exp(1j * phase)  # controlled phase on ancilla-up
     down = state.amplitudes[dim:]
     h_up = (up + down) / math.sqrt(2.0)

@@ -127,6 +127,13 @@ class ObservableSpec:
         return np.zeros(x.shape, dtype=bool)
 
 
+def check_term_count(n: int, obs: ObservableSpec) -> None:
+    """A built-in observable must cover all n sites; custom ones are free."""
+    if obs.kind is not ObsKind.CUSTOM and obs.n != n:
+        raise InputError(f"{obs.kind.value} observable covers {obs.n} sites, "
+                         f"the model has N={n}")
+
+
 def magnetization(n: int) -> ObservableSpec:
     """M = sum of all spins; integer values in [-N, N] with the parity of N."""
     return ObservableSpec(a=0.0, b=1.0, n=n, kind=ObsKind.MAGNETIZATION)
@@ -211,11 +218,12 @@ def enumerate_oracle(model: ModelParams, obs: ObservableSpec) -> OracleResult:
 
     Weights are shifted by the minimum energy internally, so the histogram is
     exact even when exp(-beta*E) itself would overflow.  Cost is 2^N; N above
-    24 is refused.
+    24 is refused, and so is a built-in observable of another size.
     """
     n = model.N
     if n > ENUMERATION_LIMIT:
         raise SizeError(f"enumeration limited to N <= {ENUMERATION_LIMIT}, got {n}")
+    check_term_count(n, obs)
     lo, hi = obs.value_bounds()
     support = np.arange(lo, hi + 1)
     weights = np.zeros(support.size)

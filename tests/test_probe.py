@@ -35,7 +35,7 @@ def test_circuit_phase_with_angle_error():
     cfg = np.array([1, 1, -1, 1, -1], dtype=np.int8)
     obs = kink_number(5)
     base = circuit_phase(cfg, obs, 0.01, 2.0)
-    distorted = circuit_phase(cfg, obs, 0.01, 2.0, eta=0.02)
+    distorted = circuit_phase(cfg, obs, (1.0 + 0.02) * 0.01, 2.0)
     assert distorted == pytest.approx(1.02 * base, rel=1e-15)
 
 
@@ -333,7 +333,6 @@ def test_shot_route_choice(monkeypatch):
     # shots off the F of its sampler's law; custom ones walk the gates over
     # sampled configurations
     monkeypatch.setattr(probe, "gibbs_sampler", _refuse_sampling)
-    monkeypatch.setattr(probe, "_shots_at_time", _refuse_sampling)
     for model in (ring(5, h=0.2), ring(5, beta=0.0), longrange(5, beta=0.3, h=0.2),
                   longrange(5, beta=0.0)):
         for obs in (magnetization(5), kink_number(5)):
@@ -416,7 +415,7 @@ def test_binomial_record_at_theta_zero_reads_unit_sx():
 def test_binomial_record_clips_the_last_bit_of_f():
     # |F| may exceed 1 by float rounding; the readout probability is clipped
     f = np.array([1.0 + 1e-10 + 0j, -1.0 - 1e-10 + (1.0 + 1e-10) * 1j])
-    out = probe._binomial_record(f, 100, seed=3)
+    out = probe._binomial_record(f, 100, np.random.default_rng(3))
     np.testing.assert_array_equal(out[:, 0], [1.0, -1.0])
     assert out[1, 1] == 1.0
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from kinkprobe import (InputError, PauliObservable, QuantumRegister, SizeError,
-                       charfunc_values, kink_number, magnetization,
+                       build_theta_grid, charfunc_values, kink_number, magnetization,
                        noncommuting_test_observable, observable_values,
-                       quantum_probe, thermal_diagonal_ensemble,
+                       quantum_probe, term_sums, thermal_diagonal_ensemble,
                        trotter_error_probe)
 from kinkprobe.quantum import DiagonalEnsemble
 from kinkprobe.spin_model import _config_matrix
@@ -68,10 +68,45 @@ def test_quantum_probe_rejects_offdiagonal_and_oversize():
                       noncommuting_test_observable(3), 0.5)
     with pytest.raises(SizeError):
         thermal_diagonal_ensemble(ring(15))
-    big = PauliObservable(a=0.0, b=1.0, terms=(((1, "z"),),), n_sites=15)
     with pytest.raises(SizeError):
         quantum_probe(DiagonalEnsemble(probs=np.full(1 << 15, 1.0 / (1 << 15)), n_sites=15),
-                      big, 0.2)
+                      magnetization(15), 0.2)
+
+
+def test_quantum_probe_refuses_every_pauli_observable():
+    # the readout takes the ObservableSpec the classical probe takes; a Pauli
+    # string is refused whether it is diagonal, mixed-axis or of another size
+    ensemble = thermal_diagonal_ensemble(ring(5))
+    for obs in (PauliObservable.from_spec(magnetization(5), 5),
+                noncommuting_test_observable(5),
+                PauliObservable.from_spec(kink_number(3), 3)):
+        for state in (ensemble, QuantumRegister.from_basis_state(3, 5)):
+            with pytest.raises(InputError, match="custom_observable"):
+                quantum_probe(state, obs, 0.4)
+
+
+@pytest.mark.parametrize("make_obs", [magnetization, kink_number])
+def test_quantum_probe_rejects_builtin_of_another_size(make_obs):
+    # magnetization(3) or kink_number(3) on 5 sites would read a 3-spin law
+    for state in (thermal_diagonal_ensemble(ring(5)), QuantumRegister.from_basis_state(6, 5)):
+        with pytest.raises(InputError, match="covers 3 sites, the model has N=5"):
+            quantum_probe(state, make_obs(3), 0.4)
+
+
+def test_readouts_on_criterion_09_cases_keep_the_split_phase_values():
+    # the phase theta * (a + b s) reads as theta a + theta b s did, to 1e-12,
+    # on the ensemble and on a register holding its square-root amplitudes
+    for n, make_obs in ((10, magnetization), (10, kink_number), (8, magnetization)):
+        model, obs = ring(n, j=0.9, h=0.3, beta=0.8), make_obs(n)
+        ensemble = thermal_diagonal_ensemble(model)
+        register = QuantumRegister.from_system_state(np.sqrt(ensemble.probs), n)
+        signed = term_sums(_config_matrix(n, 0, 1 << n), obs.terms)
+        for theta in build_theta_grid(obs):
+            split = theta * obs.a + theta * obs.b * signed
+            expect = (ensemble.probs @ np.cos(split), ensemble.probs @ np.sin(split))
+            for state in (ensemble, register):
+                np.testing.assert_allclose(quantum_probe(state, obs, float(theta)), expect,
+                                           rtol=0, atol=1e-12)
 
 
 def test_trotter_error_zero_for_commuting_terms():

@@ -77,6 +77,14 @@ def test_oracle_infinite_temperature_counts(n):
         assert res.dist.prob_of(m) == pytest.approx(expected, abs=1e-14)
 
 
+@pytest.mark.parametrize("model", [ring(5), longrange(5)])
+@pytest.mark.parametrize("make_obs", [magnetization, kink_number])
+def test_oracle_rejects_builtin_of_another_size(model, make_obs):
+    # the oracle refuses the size mismatch charfunc_values and the shot route refuse
+    with pytest.raises(InputError, match="covers 3 sites, the model has N=5"):
+        enumerate_oracle(model, make_obs(3))
+
+
 def test_oracle_refuses_large_n():
     with pytest.raises(SizeError):
         enumerate_oracle(ring(25), magnetization(25))
