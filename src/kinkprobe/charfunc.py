@@ -34,8 +34,7 @@ import numpy as np
 
 from .distribution import Distribution
 from .errors import InputError
-from .partition import (_TINY_LOG_BRACKET, _log_binomials, _log_factorials, _longrange_log_g,
-                        _znn_scaled_arrays)
+from .partition import _log_binomials, _log_factorials, _longrange_log_g, _znn_scaled_arrays
 from .spin_model import ModelKind, ModelParams, ObservableSpec, ObsKind, check_term_count
 
 _ABS_F_SLACK = 1e-9      # |F| may exceed 1 by at most this much
@@ -179,36 +178,29 @@ def charfunc_values(model: ModelParams, obs: ObservableSpec, thetas) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
+def _law_cumulants(x: np.ndarray, logw: np.ndarray) -> CumulantSet:
+    """kappa_1..3 of an exact sector law: integer values x, log weights logw (any order)."""
+    order = np.argsort(x)
+    w = np.exp(logw[order] - logw.max())
+    law = Distribution(support=x[order], probs=w / w.sum())
+    return replace(distribution_cumulants(law), flavor=CumulantFlavor.EXACT_SMALL_FORMULA)
+
+
 def exact_kink_mean(model: ModelParams) -> float:
     """Exact thermal mean kink number of the zero-field ring, any N.
 
-    <K> = (N/2) e^{-beta J} [cosh^{N-1} - sinh^{N-1}] / [cosh^N + sinh^N]
-        = N / (1 + e^{2 beta J}) * (1 - r^{N-1}) / (1 + r^N),
-
-    with r = tanh(beta J); the second form, its first factor taken in logs, never overflows.
-    On a frustrated odd ring (beta J < 0, N odd) r rounds to -1 below beta J ~ -19, so
-    both brackets are formed as 1 - (1 - w)^n from w = 1 + r = 2 / (1 + e^{-2 beta J}).
+    The bond products s_n s_{n+1} of a ring multiply to 1, so K is even and
+    each even K <= N has 2 C(N, K) configurations of weight e^{beta J (N - 2K)}.
+    <K> is the mean of that sector law, weighed in logs, so it neither
+    overflows nor cancels at any beta J in the envelope.
     """
     if model.kind is not ModelKind.RING:
         raise InputError("the exact kink mean is a ring result")
     if model.h != 0.0:
         raise InputError("the exact kink mean requires h = 0")
-    bj, n = model.beta * model.J, model.N
-    lead = n * math.exp(-np.logaddexp(0.0, 2.0 * bj))
-    if bj < 0 and n % 2:
-        # r^{N-1} = (1 - w)^{N-1} and r^N = -(1 - w)^N; w cancels from the ratio
-        log_w = _LOG2 - float(np.logaddexp(0.0, -2.0 * bj))
-        return lead * _one_minus_power_over_w(n - 1, log_w) / _one_minus_power_over_w(n, log_w)
-    r = math.tanh(bj)
-    return lead * (1.0 - r ** (n - 1)) / (1.0 + r ** n)
-
-
-def _one_minus_power_over_w(n: int, log_w: float) -> float:
-    """(1 - (1 - w)^n) / w for 0 < w < 1 from log w; n once log(n w) < -40 (w may underflow)."""
-    if n and math.log(n) + log_w >= _TINY_LOG_BRACKET:
-        w = math.exp(log_w)
-        return -math.expm1(n * math.log1p(-w)) / w
-    return float(n)
+    n = model.N
+    k = np.arange(0, n + 1, 2)
+    return _law_cumulants(k, _log_binomials(n)[k] - 2.0 * model.beta * model.J * k).kappa1
 
 
 def _ring_log_ratios(model: ModelParams) -> tuple[float, float, float]:
@@ -279,11 +271,7 @@ def closed_cumulants(model: ModelParams, obs: ObservableSpec) -> CumulantSet:
                          "cumulants of the reconstructed distribution")
     check_term_count(model.N, obs)
     if model.kind is ModelKind.LONG_RANGE:
-        x, logw = _longrange_law(model, obs)
-        order = np.argsort(x)
-        w = np.exp(logw[order] - logw.max())
-        law = Distribution(support=x[order], probs=w / w.sum())
-        return replace(distribution_cumulants(law), flavor=CumulantFlavor.EXACT_SMALL_FORMULA)
+        return _law_cumulants(*_longrange_law(model, obs))
     if obs.kind is ObsKind.MAGNETIZATION:
         return _ring_mag_cumulants(model)
     return _ring_kink_cumulants(model)

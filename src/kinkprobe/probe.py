@@ -281,7 +281,8 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
     pool) order, sigma_x before sigma_y.  So a fixed seed repeats the record
     bit for bit; the two routes give the same law, not the same bits.
     A built-in observable that does not cover all N sites, a term index
-    above N, or a non-finite epsilon or eta raises InputError.
+    above N, a non-finite epsilon or eta, or a shot count that is not an
+    integer >= 1 (a bool included) raises InputError.
     """
     _check_gate(epsilon, eta)
     check_term_count(model.N, obs)
@@ -292,6 +293,8 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
         f = charfunc_values(model, obs, 2.0 * eps_eff * t)
         return ProbeRecord(epsilon=epsilon, time_grid=t, sx=f.real, sy=f.imag,
                            shots=None, observable=obs)
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise InputError(f"shots must be an integer or None, got {shots!r}")
     if shots < 1:
         raise InputError("shots must be at least 1")
 

@@ -2,15 +2,15 @@
 
 The ancilla starts in |+>, a controlled gate applies e^{i theta X} to the
 system when the ancilla is up, and a Hadamard on the ancilla turns its
-(sigma_z, sigma_y) expectations into (Re F, Im F).  This differs from the
-classical-ensemble readout only in where the basis change sits: there the
-coherence (sigma_x, sigma_y) is read directly, here the extra Hadamard after
-the controlled gate moves the real part onto sigma_z.  The readout takes the
-ObservableSpec the classical probe takes: its z-type products commute, so
-the controlled evolution is the diagonal phase theta X(s) on each basis
-state s, with X from spin_model.observable_values.  Mixed-axis Pauli strings
-(PauliObservable) only feed the m-step product formula, whose first-order
-error for non-commuting terms trotter_error_probe measures directly.
+(sigma_z, sigma_y) expectations into (Re F, Im F): sigma_z + i sigma_y is
+the one inner product 2 <down| e^{i theta X} |up> of the register's ancilla
+halves, and a diagonal ensemble reads the weighted mean of e^{i theta X(s)}.
+The readout takes the ObservableSpec the classical probe takes: its z-type
+products commute, so the controlled evolution is the diagonal phase
+theta X(s) on each basis state s, with X from spin_model.observable_values.
+Mixed-axis Pauli strings (PauliObservable) only feed the m-step product
+formula, whose first-order error for non-commuting terms trotter_error_probe
+measures directly.
 
 Basis convention: system site n (1-based) maps to bit N - n of the index,
 bit value 0 meaning spin up (+1); the ancilla bit is the most significant,
@@ -155,16 +155,12 @@ def quantum_probe(state: QuantumRegister | DiagonalEnsemble, obs: ObservableSpec
     check_term_count(n, obs)
 
     dim = 1 << n
-    phase = theta * observable_values(_config_matrix(n, 0, dim), obs)
+    rot = np.exp(1j * theta * observable_values(_config_matrix(n, 0, dim), obs))
     if isinstance(state, DiagonalEnsemble):
-        return (float(state.probs @ np.cos(phase)), float(state.probs @ np.sin(phase)))
-    up = state.amplitudes[:dim] * np.exp(1j * phase)  # controlled phase on ancilla-up
-    down = state.amplitudes[dim:]
-    h_up = (up + down) / math.sqrt(2.0)
-    h_down = (up - down) / math.sqrt(2.0)
-    sz = float((np.abs(h_up) ** 2 - np.abs(h_down) ** 2).sum())
-    sy = float(2.0 * np.imag(np.conj(h_up) @ h_down))
-    return sz, sy
+        f = state.probs @ rot
+    else:  # sigma_z + i sigma_y after the Hadamard is 2 <down| e^{i theta X} |up>
+        f = 2.0 * np.vdot(state.amplitudes[dim:], state.amplitudes[:dim] * rot)
+    return float(f.real), float(f.imag)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ class ObsKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Couplings of one model instance: finite J, h and beta >= 0, and route exponents.
+    """One model instance: a ModelKind, an integer N >= 1, finite J, h and beta >= 0.
 
     4 |beta J| N^2 and 4 |beta h| N must be finite: they bound every exponent
     the partition, F and sampler routes form.
@@ -56,8 +56,10 @@ class ModelParams:
     beta: float
 
     def __post_init__(self):
-        if self.N < 1:
-            raise InputError("N must be a positive integer")
+        if not isinstance(self.kind, ModelKind):
+            raise InputError(f"kind must be a ModelKind, got {self.kind!r}")
+        if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)) or self.N < 1:
+            raise InputError(f"N must be a positive integer, got {self.N!r}")
         for name in ("J", "h", "beta"):
             if not math.isfinite(getattr(self, name)):
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")

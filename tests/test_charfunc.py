@@ -578,6 +578,29 @@ def test_exact_kink_mean_matches_oracle():
         assert exact_kink_mean(model) == pytest.approx(oracle_mean, rel=1e-12)
 
 
+def _kink_mean_50_digits(n, bj):
+    """<K> of the zero-field ring as a 50-digit sum of C(N, K) e^{-2 beta J K} over even K."""
+    ctx = decimal.Context(prec=50, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    step = ctx.exp(ctx.multiply(-4, decimal.Decimal(bj)))  # K -> K + 2
+    num = den = decimal.Decimal(0)
+    weight = decimal.Decimal(1)
+    for k in range(0, n + 1, 2):
+        term = ctx.multiply(math.comb(n, k), weight)
+        den, num = ctx.add(den, term), ctx.add(num, ctx.multiply(k, term))
+        weight = ctx.multiply(weight, step)
+    return ctx.divide(num, den)
+
+
+def test_exact_kink_mean_matches_a_50_digit_sector_sum():
+    # from beta J ~ 20 the mean is below 1e-33 at N = 10, and must keep its relative digits
+    for n in (1, 2, 3, 9, 10, 50, 51, 200, 1001):
+        for bj in (-700.0, -40.0, -19.5, -5.0, -0.8, 0.0, 1e-4, 0.5, 1.0, 2.5, 6.0, 10.0,
+                   18.0, 40.0, 150.0):
+            want = _kink_mean_50_digits(n, bj)
+            got = exact_kink_mean(ring(n, j=bj, h=0.0, beta=1.0))
+            assert abs(decimal.Decimal(got) - want) <= decimal.Decimal(1e-12) * want, (n, bj)
+
+
 def test_exact_kink_mean_requires_zero_field():
     with pytest.raises(InputError):
         exact_kink_mean(ring(8, h=0.1))

@@ -235,6 +235,44 @@ def test_config_values_of_every_accepted_type(tmp_path):
     assert main(["probe", "--config", str(cfg), "--outdir", str(tmp_path / "p")]) == EXIT_OK
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--shots", "abc"], "--shots expects an integer or 'exact', got 'abc'"),
+    (["--shots", "0"], "--shots must be at least 1"),
+    (["--formats", "csv,pdf"], "unknown output format 'pdf'"),
+], ids=["shots-abc", "shots-0", "formats-pdf"])
+def test_refused_flag_value_is_input_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert main(["probe", "--N", "6", *argv, "--outdir", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("kinkprobe: error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("file_cfg, message", [
+    ({"formats": ["csv", "pdf"]}, "unknown output format 'pdf'"),
+    ({"model": "chain"}, "unknown model 'chain'"),
+    ({"obs": "energy"}, "unknown observable 'energy'"),
+], ids=["formats-pdf", "model-chain", "obs-energy"])
+def test_refused_config_value_is_input_error(tmp_path, capsys, file_cfg, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 6, **file_cfg}))
+    out = tmp_path / "o"
+    assert main(["probe", "--config", str(cfg), "--outdir", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("kinkprobe: error: ") and message in err
+    assert not out.exists()
+
+
+def test_repro_without_outdir_writes_under_the_preset_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["repro", "fig3b"]) == EXIT_OK
+    out = tmp_path / "kinkprobe-out" / "fig3b"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "coherence.csv", "cumulants.json", "distribution.csv", "effective-config.json"]
+    assert json.loads((out / "effective-config.json").read_text())["outdir"] == str(
+        Path("kinkprobe-out") / "fig3b")
+
+
 def test_uncorrected_gate_error_trips_validation(tmp_path):
     # exact-mode acquisition with a miscalibrated angle and no correction:
     # the reconstruction is corrupted and the exact-run gate must flag it

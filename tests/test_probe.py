@@ -314,6 +314,19 @@ def test_shots_reject_observable_beyond_the_model(shots):
         simulate_probe_shots(ring(4), obs, 0.01, times, shots=shots, seed=1)
 
 
+@pytest.mark.parametrize("shots, message", [
+    (2.5, "shots must be an integer"), (True, "shots must be an integer"),
+    (3.0, "shots must be an integer"), ("10", "shots must be an integer"),
+    (0, "shots must be at least 1"), (np.int64(-2), "shots must be at least 1"),
+])
+@pytest.mark.parametrize("custom", [False, True], ids=["binomial", "gate-walk"])
+def test_shots_must_be_a_positive_integer(shots, message, custom):
+    # 2.5 shots would read 2 * 2 / 2.5 - 1 = 0.6, which no pool reads; True would run 1 shot
+    obs = custom_observable(0.0, 1.0, [(1,), (2,), (3,), (4,)]) if custom else magnetization(4)
+    with pytest.raises(InputError, match=message):
+        simulate_probe_shots(ring(4), obs, 0.01, [0.0, 1.0], shots=shots, seed=1)
+
+
 @pytest.mark.parametrize("model", [ring(4), longrange(4)], ids=["ring", "longrange"])
 @pytest.mark.parametrize("make_obs", [magnetization, kink_number])
 def test_shots_reject_partial_observable(model, make_obs):

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from kinkprobe import (InputError, ObservableSpec, ObsKind, QuantumRegister, SizeError,
-                       circuit_phase, custom_observable, energy, enumerate_oracle,
-                       kink_number, magnetization, observable_values, quantum_probe,
-                       simulate_probe_shots, term_sums)
+from kinkprobe import (InputError, ModelKind, ModelParams, ObservableSpec, ObsKind,
+                       QuantumRegister, SizeError, circuit_phase, custom_observable, energy,
+                       enumerate_oracle, kink_number, magnetization, observable_values,
+                       quantum_probe, simulate_probe_shots, term_sums)
 from conftest import longrange, random_couplings, ring
 
 
@@ -83,6 +83,22 @@ def test_oracle_rejects_builtin_of_another_size(model, make_obs):
     # the oracle refuses the size mismatch charfunc_values and the shot route refuse
     with pytest.raises(InputError, match="covers 3 sites, the model has N=5"):
         enumerate_oracle(model, make_obs(3))
+
+
+@pytest.mark.parametrize("kind, n", [("ring", 6), (None, 6), (ModelKind.RING, 6.5),
+                                     (ModelKind.RING, True), (ModelKind.LONG_RANGE, "6"),
+                                     (ModelKind.RING, np.float64(6.0))])
+def test_model_params_refuse_a_kind_or_size_they_cannot_model(kind, n):
+    # a string kind would fall through every ModelKind.RING test to the long-range routes
+    with pytest.raises(InputError, match="kind must be a ModelKind|N must be a positive"):
+        ModelParams(kind=kind, N=n, J=1.0, h=0.2, beta=1.0)
+
+
+def test_model_params_take_numpy_integer_sizes():
+    kw = dict(kind=ModelKind.RING, J=1.0, h=0.2, beta=1.0)
+    a = enumerate_oracle(ModelParams(N=np.int64(6), **kw), magnetization(6)).dist
+    b = enumerate_oracle(ModelParams(N=6, **kw), magnetization(6)).dist
+    np.testing.assert_array_equal(a.probs, b.probs)
 
 
 def test_oracle_refuses_large_n():
