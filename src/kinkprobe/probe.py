@@ -43,6 +43,7 @@ from .spin_model import (ModelKind, ModelParams, ObservableSpec, ObsKind, check_
                          observable_values)
 
 METROPOLIS_BURNIN_SWEEPS = 100  # sweeps of N proposed flips, before the first sample
+_CHAIN_BLOCK = 50  # proposals per banded kernel; min(N, 50) divides 100 * N
 
 
 @dataclass(frozen=True)
@@ -168,6 +169,27 @@ class RingGibbsSampler:
         return out.T
 
 
+def _up_count_steps(model: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P(u -> u - 1), P(u -> u + 1) and P(u -> u) of one proposal, u = 0..N.
+
+    One proposal of the long-range Metropolis chain picks a site uniformly
+    and flips it with probability min(1, e^{-beta Delta E}); the stay
+    probability is written with expm1, so it is never negative.
+    """
+    n = model.N
+    bj, bh = model.beta * model.J, model.beta * model.h
+    u = np.arange(n + 1)
+    m = 2.0 * u - n
+    # flipping s: beta Delta E = 2 beta J (M s - 1) + 2 beta h s; up flips have s = +1
+    cost_down = np.maximum(2.0 * bj * (m - 1.0) + 2.0 * bh, 0.0)
+    cost_up = np.maximum(2.0 * bj * (-m - 1.0) - 2.0 * bh, 0.0)
+    frac_up = u / n
+    down = frac_up * np.exp(-cost_down)
+    up = (1.0 - frac_up) * np.exp(-cost_up)
+    stay = -(frac_up * np.expm1(-cost_down) + (1.0 - frac_up) * np.expm1(-cost_up))
+    return down, up, stay
+
+
 class LongRangeMetropolisSampler:
     """Exact law of a single-spin-flip Metropolis chain on the all-to-all model.
 
@@ -176,10 +198,15 @@ class LongRangeMetropolisSampler:
     proposals).  Its energy depends only on the up-count u and every site is
     proposed with the same probability, so the chain lumps exactly onto a
     birth-death chain on u = 0..N; given u the configuration is a uniform
-    u-subset.  The law of u after the burn-in is propagated once here, so a
-    draw needs no proposals.  That law is the chain's, not the Boltzmann law:
-    in the ordered phase the chain does not tunnel between wells in 100
-    sweeps, and the bias stays.
+    u-subset.  The law of u after the burn-in is built once here, in blocks
+    of k = min(N, 50) proposals: k single steps build the k-step kernel, an
+    (N + 1) x (2k + 1) band since u moves at most k in k steps, and 100 N / k
+    banded products apply it to the uniform start.  That is O(N^2) flops and
+    O(N) memory, and a draw needs no proposals.  The law is the chain's, not
+    the Boltzmann law: in the ordered phase the chain does not tunnel between
+    wells in 100 sweeps, so the records it feeds are biased there until a
+    sampler of the Boltzmann sector weights replaces this one (ROADMAP.md,
+    item 1, step B).
     """
 
     def __init__(self, model: ModelParams):
@@ -187,24 +214,30 @@ class LongRangeMetropolisSampler:
             raise InputError("LongRangeMetropolisSampler requires the long-range model")
         self.model = model
         n = model.N
-        bj, bh = model.beta * model.J, model.beta * model.h
-        u = np.arange(n + 1)
-        m = 2.0 * u - n
-        # flipping s: beta Delta E = 2 beta J (M s - 1) + 2 beta h s; up flips have s = +1
-        cost_down = np.maximum(2.0 * bj * (m - 1.0) + 2.0 * bh, 0.0)
-        cost_up = np.maximum(2.0 * bj * (-m - 1.0) - 2.0 * bh, 0.0)
-        frac_up = u / n
-        down = frac_up * np.exp(-cost_down)        # P(u -> u - 1)
-        up = (1.0 - frac_up) * np.exp(-cost_up)    # P(u -> u + 1)
-        stay = -(frac_up * np.expm1(-cost_down) + (1.0 - frac_up) * np.expm1(-cost_up))
-        law = np.exp(_log_binomials(n))  # Binomial(N, 1/2) up to its norm; the centre is 1
-        law /= law.sum()
-        for _ in range(METROPOLIS_BURNIN_SWEEPS * n):
-            nxt = law * stay
-            nxt[:-1] += law[1:] * down[1:]
-            nxt[1:] += law[:-1] * up[:-1]
-            law = nxt
-        self.up_count_law = law  # P(u) after the burn-in
+        down, up, stay = _up_count_steps(model)
+        # kernel[v, k + u - v] = P_k(u -> v): the k-step band, one step at a time;
+        # after s steps only the columns k - s .. k + s are filled
+        k = min(n, _CHAIN_BLOCK)
+        kernel = np.zeros((n + 1, 2 * k + 1))
+        kernel[:, k] = 1.0
+        for s in range(k):
+            band = kernel[:, k - s - 1:k + s + 2]
+            nxt = band * stay[:, None]
+            nxt[:-1, 1:] += band[1:, :-1] * down[1:, None]
+            nxt[1:, :-1] += band[:-1, 1:] * up[:-1, None]
+            band[:] = nxt
+        padded = np.zeros(n + 1 + 2 * k)
+        law = padded[k:-k]  # P(u), u = 0..N, inside k zeros on each side
+        # Binomial(N, 1/2) up to its norm, carried at 2^900 times its size: a
+        # power of two scales exactly, the mass (~2^900 sqrt(N)) stays far below
+        # the float range, and the tails and their products stay out of the
+        # subnormal range, where the processor takes a slow path
+        law[:] = np.ldexp(np.exp(_log_binomials(n)), 900)
+        windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * k + 1)  # u = v-k..v+k
+        for _ in range(METROPOLIS_BURNIN_SWEEPS * n // k):
+            law[:] = np.einsum("ij,ij->i", windows, kernel)
+        # every block repeats one kernel's rounding of the total mass; the norm takes it out
+        self.up_count_law = law / law.sum()  # P(u) after the burn-in
 
     def sample_batch(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """(count, N) array of +-1 spins: u from the chain's law, then a u-subset."""

@@ -5,6 +5,8 @@ import math
 import numpy as np
 
 from kinkprobe import Distribution, InputError
+from kinkprobe.partition import _log_binomials
+from kinkprobe.probe import METROPOLIS_BURNIN_SWEEPS, _up_count_steps
 
 
 def joint_counts(n: int) -> np.ndarray:
@@ -29,3 +31,21 @@ def charfunc_of_distribution(dist: Distribution, thetas) -> np.ndarray:
     """Forward transform F(theta) = sum P(x) exp(i theta x); round-trip oracle."""
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
     return np.exp(1j * np.outer(th, dist.support.astype(float))) @ dist.probs.astype(complex)
+
+
+def metropolis_up_count_law_stepwise(model) -> np.ndarray:
+    """P(u) after the long-range Metropolis burn-in, one proposal per step.
+
+    The lumped birth-death chain of ``LongRangeMetropolisSampler``, run for
+    100 N single proposals from Binomial(N, 1/2); the sampler applies the
+    same chain in banded blocks of proposals.
+    """
+    down, up, stay = _up_count_steps(model)
+    law = np.exp(_log_binomials(model.N))
+    law /= law.sum()
+    for _ in range(METROPOLIS_BURNIN_SWEEPS * model.N):
+        nxt = law * stay
+        nxt[:-1] += law[1:] * down[1:]
+        nxt[1:] += law[:-1] * up[:-1]
+        law = nxt
+    return law

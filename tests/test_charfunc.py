@@ -570,7 +570,8 @@ def test_one_entry_point_per_job():
 
 
 def test_exact_kink_mean_matches_oracle():
-    # odd rings below beta J ~ -19 round tanh to -1; the mean there is N - 1
+    # odd rings below beta J ~ -18.5 are frustrated: their kink mean is N - 1, and the
+    # ring F there takes the odd-N bracket of _znn_scaled_arrays
     for n, bj in ((4, 0.7), (8, 1.0), (10, 2.5), (9, -0.8), (1, -40.0), (3, -40.0),
                   (9, -19.5), (9, -700.0), (11, -5.0)):
         model = ring(n, j=bj, h=0.0, beta=1.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import kinkprobe.probe as probe
 from kinkprobe.probe import (METROPOLIS_BURNIN_SWEEPS, LongRangeMetropolisSampler,
                              RingGibbsSampler, default_time_grid)
 from conftest import longrange, ring
+from oracles import metropolis_up_count_law_stepwise
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +178,49 @@ def test_longrange_sampler_law_depends_on_beta_j_and_beta_h_only(n):
     huge = LongRangeMetropolisSampler(longrange(n, j=1e308, h=3e307, beta=1e-308))
     plain = LongRangeMetropolisSampler(longrange(n, j=1.0, h=0.3, beta=1.0))
     np.testing.assert_allclose(huge.up_count_law, plain.up_count_law, rtol=1e-12, atol=0)
+
+
+BLOCK_LAW_CASES = {
+    "beta0": lambda n: longrange(n, j=1.0, h=0.3, beta=0.0),
+    "disordered": lambda n: longrange(n, j=1.0, h=1.0, beta=0.5 / n),   # beta J N = 0.5
+    "ordered": lambda n: longrange(n, j=1.0, h=0.05, beta=3.0 / n),     # beta J N = 3
+    "antiferromagnetic": lambda n: longrange(n, j=-0.7, h=0.2, beta=1.0),
+}
+
+
+def _assert_same_chain_law(law, stepwise):
+    assert np.array_equal(law == 0, stepwise == 0)
+    big = stepwise > 1e-250
+    np.testing.assert_allclose(law[big], stepwise[big], rtol=1e-12, atol=0)
+
+
+# N <= 50 takes blocks of k = N proposals, N > 50 blocks of 50
+@pytest.mark.parametrize("n", [1, 2, 3, 49, 50, 51, 120, 200])
+@pytest.mark.parametrize("case", BLOCK_LAW_CASES)
+def test_longrange_sampler_law_is_the_stepwise_chain_law(n, case):
+    model = BLOCK_LAW_CASES[case](n)
+    _assert_same_chain_law(LongRangeMetropolisSampler(model).up_count_law,
+                           metropolis_up_count_law_stepwise(model))
+
+
+def test_longrange_sampler_law_keeps_the_unreached_sectors():
+    model = longrange(3, j=700.0, h=700.0, beta=1.0)
+    stepwise = metropolis_up_count_law_stepwise(model)
+    assert (stepwise == 0).any()
+    _assert_same_chain_law(LongRangeMetropolisSampler(model).up_count_law, stepwise)
+
+
+def test_longrange_sampler_memory_is_linear_in_n():
+    # the k-step kernel is an (N + 1) x (2k + 1) band, not an (N + 1)^2 matrix
+    n = 1000
+    model = longrange(n, j=1.0, h=1.0, beta=0.5 / n)
+    tracemalloc.start()
+    try:
+        LongRangeMetropolisSampler(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (n + 1) ** 2 / 2
 
 
 def test_longrange_sampler_configurations_follow_the_chain_law():
