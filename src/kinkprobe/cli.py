@@ -187,11 +187,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         merged["formats"] = tuple(f.strip() for f in merged["formats"].split(",") if f.strip())
     elif isinstance(merged.get("formats"), list):
         merged["formats"] = tuple(merged["formats"])
-    cfg = RunConfig(**merged)
-    for fmt in cfg.formats:
-        if fmt not in ("csv", "json", "svg"):
-            raise InputError(f"unknown output format {fmt!r}")
-    return cfg
+    return RunConfig(**merged)
 
 
 def _build_model_obs(cfg: RunConfig):
@@ -381,6 +377,9 @@ def run_sm_error(cfg: RunConfig) -> int:
 
 
 def run(cfg: RunConfig) -> int:
+    for fmt in cfg.formats:
+        if fmt not in ("csv", "json", "svg"):
+            raise InputError(f"unknown output format {fmt!r}")
     if cfg.command == "sm-error":
         return run_sm_error(cfg)
     return run_probe(cfg)

@@ -314,8 +314,10 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
     pool) order, sigma_x before sigma_y.  So a fixed seed repeats the record
     bit for bit; the two routes give the same law, not the same bits.
     A built-in observable that does not cover all N sites, a term index
-    above N, a non-finite epsilon or eta, or a shot count that is not an
-    integer >= 1 (a bool included) raises InputError.
+    above N, a non-finite epsilon or eta, a shot count that is not an
+    integer in [1, 2**63 - 1] (a bool included), a custom observable with
+    shots=None, or, with shots, a seed that is not an integer >= 0 (a bool
+    included) raises InputError.
     """
     _check_gate(epsilon, eta)
     check_term_count(model.N, obs)
@@ -323,6 +325,9 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
     t = np.asarray(time_grid, dtype=float)
 
     if shots is None:
+        if obs.kind is ObsKind.CUSTOM:
+            raise InputError("an exact record (shots=None) needs an analytic F, and custom "
+                             "observables have no analytic route; they take finite shots")
         f = charfunc_values(model, obs, 2.0 * eps_eff * t)
         return ProbeRecord(epsilon=epsilon, time_grid=t, sx=f.real, sy=f.imag,
                            shots=None, observable=obs)
@@ -330,6 +335,10 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
         raise InputError(f"shots must be an integer or None, got {shots!r}")
     if shots < 1:
         raise InputError("shots must be at least 1")
+    if shots > np.iinfo(np.int64).max:  # numpy's Binomial refuses n >= 2**63
+        raise InputError(f"shots must be at most 2**63 - 1, got {shots}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
 
     rng = np.random.default_rng(seed)
     if obs.kind is not ObsKind.CUSTOM:

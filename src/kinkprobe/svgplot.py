@@ -1,4 +1,5 @@
-"""Tiny self-contained SVG writer for coherence traces and distribution bars."""
+"""Tiny self-contained SVG writer: each chart returns its panel, the elements of
+one 960 x 360 row, and ``stack_svgs`` writes the one document that stacks them."""
 
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ def _axes(title, x_label, y_label, x_lo, x_hi, y_lo, y_hi):
 
 
 def line_chart(x, series, title="", x_label="", y_label="") -> str:
-    """Polyline chart; ``series`` is a list of (label, y-array) pairs."""
+    """Polyline panel; ``series`` is a list of (label, y-array) pairs."""
     x = np.asarray(x, dtype=float)
     ys = [np.asarray(y, dtype=float) for _, y in series]
     y_lo = min(float(y.min()) for y in ys)
@@ -55,9 +56,7 @@ def line_chart(x, series, title="", x_label="", y_label="") -> str:
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>')
         parts.append(f'<text x="{_W - 140}" y="{28 + 16 * i}" font-size="12" '
                      f'fill="{color}">{escape(label)}</text>')
-    body = "\n".join(parts)
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-            f'viewBox="0 0 {_W} {_H}">\n{body}\n</svg>\n')
+    return "\n".join(parts)
 
 
 def bar_chart(x, heights, title="", x_label="", y_label="") -> str:
@@ -72,19 +71,12 @@ def bar_chart(x, heights, title="", x_label="", y_label="") -> str:
     bar = f'<rect x="%.2f" y="%.2f" width="{width:.2f}" height="%.2f" fill="#1f77b4"/>'
     parts += map(bar.__mod__, zip((xp - width / 2).tolist(), tops.tolist(),
                                   (base - tops).tolist()))
-    body = "\n".join(parts)
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-            f'viewBox="0 0 {_W} {_H}">\n{body}\n</svg>\n')
+    return "\n".join(parts)
 
 
-def stack_svgs(svgs: list[str]) -> str:
-    """Concatenate chart blocks vertically into one document."""
-    inner = []
-    for i, svg in enumerate(svgs):
-        start = svg.index(">") + 1
-        end = svg.rindex("</svg>")
-        inner.append(f'<g transform="translate(0 {i * _H})">{svg[start:end]}</g>')
-    total_h = _H * len(svgs)
-    body = "\n".join(inner)
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{total_h}" '
-            f'viewBox="0 0 {_W} {total_h}">\n{body}\n</svg>\n')
+def stack_svgs(panels: list[str]) -> str:
+    """The SVG document of the chart panels, stacked top to bottom."""
+    rows = [f'<g transform="translate(0 {i * _H})">\n{p}\n</g>' for i, p in enumerate(panels)]
+    h = _H * len(panels)
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{h}" '
+            f'viewBox="0 0 {_W} {h}">\n' + "\n".join(rows) + "\n</svg>\n")

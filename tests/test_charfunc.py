@@ -11,6 +11,7 @@ from kinkprobe import (CumulantFlavor, InputError, build_theta_grid, charfunc_va
                        closed_cumulants, custom_observable, distribution_cumulants,
                        enumerate_oracle, exact_kink_mean, invert_dft, kink_number,
                        magnetization, partition_function, validate_distribution)
+from kinkprobe.probe import RingGibbsSampler
 from conftest import exact_record, longrange, random_couplings, record_of, ring
 from oracles import charfunc_of_distribution, joint_counts
 
@@ -605,6 +606,35 @@ def test_exact_kink_mean_matches_a_50_digit_sector_sum():
 def test_exact_kink_mean_requires_zero_field():
     with pytest.raises(InputError):
         exact_kink_mean(ring(8, h=0.1))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 13.0])
+@pytest.mark.parametrize("make", [ring, longrange], ids=["ring", "longrange"])
+@pytest.mark.parametrize("n", [9, 12])
+def test_routes_read_beta_j_and_beta_h_only(make, n, beta):
+    # (J, h, beta) and (beta J, beta h, 1) are one model to every route, bit for
+    # bit, so a tilt may fold into the couplings without a new signature
+    j, h = 0.7, -0.4
+    pairs = [(make(n, j=j, h=h, beta=beta), make(n, j=beta * j, h=beta * h, beta=1.0))]
+    if make is ring:  # the exact kink mean is a zero-field result
+        pairs.append((ring(n, j=j, h=0.0, beta=beta), ring(n, j=beta * j, h=0.0, beta=1.0)))
+    for a, b in pairs:
+        for obs in (magnetization(n), kink_number(n)):
+            for thetas in (build_theta_grid(obs), np.linspace(-2.9, 7.3, 17)):
+                assert _bits(charfunc_values(a, obs, thetas)) == \
+                    _bits(charfunc_values(b, obs, thetas))
+            ca, cb = closed_cumulants(a, obs), closed_cumulants(b, obs)
+            assert ca.flavor is cb.flavor
+            assert _bits([ca.kappa1, ca.kappa2, ca.kappa3]) == \
+                _bits([cb.kappa1, cb.kappa2, cb.kappa3])
+        if make is ring:
+            assert _bits(RingGibbsSampler(a)._p_down) == _bits(RingGibbsSampler(b)._p_down)
+            if a.h == 0.0:
+                assert _bits(exact_kink_mean(a)) == _bits(exact_kink_mean(b))
 
 
 def test_closed_cumulants_scale_linearly_in_n():

@@ -11,8 +11,8 @@ import pytest
 from scipy.stats import chi2
 
 import kinkprobe.cli as cli
-from kinkprobe import (distribution_cumulants, enumerate_oracle, invert_dft, kink_number,
-                       magnetization, simulate_probe_shots)
+from kinkprobe import (InputError, distribution_cumulants, enumerate_oracle, invert_dft,
+                       kink_number, magnetization, simulate_probe_shots)
 from kinkprobe.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, PRESETS, main
 from kinkprobe.probe import default_time_grid
 from conftest import exact_record, longrange, ring
@@ -239,12 +239,36 @@ def test_config_values_of_every_accepted_type(tmp_path):
     (["--shots", "abc"], "--shots expects an integer or 'exact', got 'abc'"),
     (["--shots", "0"], "--shots must be at least 1"),
     (["--formats", "csv,pdf"], "unknown output format 'pdf'"),
-], ids=["shots-abc", "shots-0", "formats-pdf"])
+    (["--shots", "9223372036854775808"], "shots must be at most 2**63 - 1"),
+    (["--model", "longrange", "--shots", "100000000000000000000"],
+     "shots must be at most 2**63 - 1"),
+    (["--seed", "-1", "--shots", "10"], "seed must be a non-negative integer, got -1"),
+    (["--model", "longrange", "--seed", "-1", "--shots", "10"],
+     "seed must be a non-negative integer, got -1"),
+], ids=["shots-abc", "shots-0", "formats-pdf", "shots-2-63", "lr-shots-1e20", "seed-minus-one",
+        "lr-seed-minus-one"])
 def test_refused_flag_value_is_input_error(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     assert main(["probe", "--N", "6", *argv, "--outdir", str(out)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("kinkprobe: error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["ring", "longrange"])
+def test_exact_run_ignores_the_seed(tmp_path, model):
+    # only a shot record draws from the seeded stream
+    assert main(["probe", "--model", model, "--N", "6", "--seed", "-1",
+                 "--outdir", str(tmp_path / "o")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["probe", "sm-error"])
+def test_run_refuses_an_unknown_format_before_writing(tmp_path, command):
+    # the check sits in run itself, so direct callers meet it too
+    out = tmp_path / "o"
+    cfg = cli.RunConfig(command=command, formats=("csv", "pdf"), N=4, outdir=str(out))
+    with pytest.raises(InputError, match="unknown output format 'pdf'"):
+        cli.run(cfg)
     assert not out.exists()
 
 

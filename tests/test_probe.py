@@ -363,13 +363,39 @@ def test_shots_reject_observable_beyond_the_model(shots):
     (2.5, "shots must be an integer"), (True, "shots must be an integer"),
     (3.0, "shots must be an integer"), ("10", "shots must be an integer"),
     (0, "shots must be at least 1"), (np.int64(-2), "shots must be at least 1"),
+    (2**63, "shots must be at most"),
 ])
 @pytest.mark.parametrize("custom", [False, True], ids=["binomial", "gate-walk"])
 def test_shots_must_be_a_positive_integer(shots, message, custom):
-    # 2.5 shots would read 2 * 2 / 2.5 - 1 = 0.6, which no pool reads; True would run 1 shot
+    # 2.5 shots would read 2 * 2 / 2.5 - 1 = 0.6, which no pool reads; True would run 1 shot;
+    # numpy's Binomial cannot draw 2**63 shots
     obs = custom_observable(0.0, 1.0, [(1,), (2,), (3,), (4,)]) if custom else magnetization(4)
     with pytest.raises(InputError, match=message):
         simulate_probe_shots(ring(4), obs, 0.01, [0.0, 1.0], shots=shots, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-3), True, 2.0, "7", None])
+@pytest.mark.parametrize("custom", [False, True], ids=["binomial", "gate-walk"])
+def test_shot_seed_must_be_a_non_negative_integer(seed, custom):
+    obs = custom_observable(0.0, 1.0, [(1,), (2,), (3,), (4,)]) if custom else magnetization(4)
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        simulate_probe_shots(ring(4), obs, 0.01, [0.0, 1.0], shots=10, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, np.uint64(2**64 - 1), 2**70])
+@pytest.mark.parametrize("custom", [False, True], ids=["binomial", "gate-walk"])
+def test_shot_seed_takes_any_non_negative_integer(seed, custom):
+    obs = custom_observable(0.0, 1.0, [(1,), (2,), (3,), (4,)]) if custom else magnetization(4)
+    record = simulate_probe_shots(ring(4), obs, 0.01, [0.0, 1.0], shots=10, seed=seed)
+    assert record.shots == 10
+
+
+@pytest.mark.parametrize("model", [ring(4), longrange(4)], ids=["ring", "longrange"])
+def test_exact_records_refuse_custom_observables(model):
+    # the exact route reads F analytically; a custom observable has no sector law
+    obs = custom_observable(0.0, 1.0, [(1, 2), (3, 4)])
+    with pytest.raises(InputError, match="exact record .* needs an analytic F.*finite shots"):
+        simulate_probe_shots(model, obs, 0.01, [0.0, 1.0], None)
 
 
 @pytest.mark.parametrize("model", [ring(4), longrange(4)], ids=["ring", "longrange"])

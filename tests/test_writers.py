@@ -1,6 +1,8 @@
 """The CSV and SVG writers against per-value reference formatters.
 
-The references below format one value per call, as the writers once did.
+The references below format one value per call, as the writers once did, and
+the stacked figure is checked against its old construction: one SVG document
+per chart, sliced open and wrapped again.
 The writers format whole files in a few bulk operations and must give the
 same bytes for any input, including -0.0, +-inf, nan, subnormals, the %g
 exponent switch points (1e16/1e17 and 1e-4/1e-5) and large integer supports.
@@ -62,9 +64,7 @@ def _ref_line_chart(x, series, title="", x_label="", y_label="") -> str:
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>')
         parts.append(f'<text x="{_W - 140}" y="{28 + 16 * i}" font-size="12" '
                      f'fill="{color}">{escape(label)}</text>')
-    body = "\n".join(parts)
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-            f'viewBox="0 0 {_W} {_H}">\n{body}\n</svg>\n')
+    return "\n".join(parts)
 
 
 def _ref_bar_chart(x, heights, title="", x_label="", y_label="") -> str:
@@ -79,9 +79,25 @@ def _ref_bar_chart(x, heights, title="", x_label="", y_label="") -> str:
         top = _scale([max(hi, 0.0)], 0.0, y_hi, base, 12)[0]
         parts.append(f'<rect x="{xi - width / 2:.2f}" y="{top:.2f}" width="{width:.2f}" '
                      f'height="{base - top:.2f}" fill="#1f77b4"/>')
-    body = "\n".join(parts)
+    return "\n".join(parts)
+
+
+def _ref_document(panel: str) -> str:
     return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-            f'viewBox="0 0 {_W} {_H}">\n{body}\n</svg>\n')
+            f'viewBox="0 0 {_W} {_H}">\n{panel}\n</svg>\n')
+
+
+def _ref_stack_svgs(svgs: list[str]) -> str:
+    # the figure as once built: one document per chart, sliced open and re-wrapped
+    inner = []
+    for i, svg in enumerate(svgs):
+        start = svg.index(">") + 1
+        end = svg.rindex("</svg>")
+        inner.append(f'<g transform="translate(0 {i * _H})">{svg[start:end]}</g>')
+    total_h = _H * len(svgs)
+    body = "\n".join(inner)
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{total_h}" '
+            f'viewBox="0 0 {_W} {total_h}">\n{body}\n</svg>\n')
 
 
 @WRITERS
@@ -138,4 +154,27 @@ def test_bar_chart_matches_the_per_value_reference(m, data):
     with np.errstate(all="ignore"):
         got = svgplot.bar_chart(x, h, title="P", x_label="x", y_label="P")
         want = _ref_bar_chart(x, h, title="P", x_label="x", y_label="P")
+    assert got == want
+
+
+@WRITERS
+@given(m=st.integers(1, 40), k=st.integers(1, 5), data=st.data())
+@example(m=SPECIAL_COLUMN.size, k=2, data=None)
+def test_stacked_figure_matches_the_sliced_chart_documents(m, k, data):
+    if data is None:
+        x, ys = np.linspace(0.0, 9.0, m), [SPECIAL_COLUMN, np.roll(SPECIAL_COLUMN, 3)]
+        support, h = np.arange(m) - 2**40, SPECIAL_COLUMN
+    else:
+        x = data.draw(arrays(float, m, elements=values))
+        ys = [data.draw(arrays(float, m, elements=values)) for _ in range(k)]
+        support = data.draw(arrays(np.int64, m, elements=ints))
+        h = data.draw(arrays(float, m, elements=values))
+    series = [(f"<s{i}> & co", y) for i, y in enumerate(ys)]
+    with np.errstate(all="ignore"):
+        got = svgplot.stack_svgs([
+            svgplot.line_chart(x, series, title="t", x_label="x", y_label="y"),
+            svgplot.bar_chart(support, h, title="P", x_label="x", y_label="P")])
+        want = _ref_stack_svgs([
+            _ref_document(_ref_line_chart(x, series, title="t", x_label="x", y_label="y")),
+            _ref_document(_ref_bar_chart(support, h, title="P", x_label="x", y_label="P"))])
     assert got == want
