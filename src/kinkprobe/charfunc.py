@@ -34,7 +34,7 @@ import numpy as np
 
 from .distribution import Distribution
 from .errors import InputError
-from .partition import _log_binomials, _log_factorials, _longrange_log_g, _znn_scaled_arrays
+from .partition import _log_binomials, _longrange_log_g, _znn_scaled_arrays
 from .spin_model import ModelKind, ModelParams, ObservableSpec, ObsKind, check_term_count
 
 _ABS_F_SLACK = 1e-9      # |F| may exceed 1 by at most this much
@@ -106,39 +106,29 @@ def _sector_charfunc(x: np.ndarray, logw: np.ndarray, thetas: np.ndarray) -> np.
 
 
 def _longrange_kink_log_rows(n: int, logg: np.ndarray) -> np.ndarray:
-    """log row[j] = log sum_k Q(k, j) w(k) for j = 0..N // 2, from log g(k).
+    """log row[j] = log sum_k g(k) P(j | k) + log C(N, N // 2) for j = 0..N // 2.
 
-    w(k) ~ g(k) / C(N, k) weighs one configuration with k down spins, and
-    Q(k, j) counts the ring configurations with k down spins and j runs of
-    up spins, hence K = 2j kinks: Q(0, 0) = Q(N, 0) = 1, and for
-    1 <= j <= min(k, N - k) Q(k, j) = (N / j) C(k-1, j-1) C(N-k-1, j-1)
-    (Mood, Ann. Math. Stat. 11, 1940).  The sum over k is a log-sum-exp,
-    built in blocks of j so memory stays bounded at N = 1e4.  log g may hold
-    -inf (a sector of weight 0); a row that no weighted sector reaches is -inf.
+    P(j | k) is the share of the ring configurations with k down spins that
+    have j runs of up spins, hence K = 2j kinks: P(0 | 0) = P(0 | N) = 1, and
+    for 1 <= j <= min(k, N - k), P(j | k) = (N / j) C(k-1, j-1) C(N-k-1, j-1)
+    / C(N, k) (Mood, Ann. Math. Stat. 11, 1940).  Each sector starts at
+    P(1 | k) = N / C(N, k) and moves from row j to row j + 1 by the run-count
+    ratio P(j+1 | k) / P(j | k) = (k (N - k) - j (N - j)) / (j (j + 1)), so no
+    log-factorial is formed.  log g may hold -inf (a sector of weight 0); a
+    row that no weighted sector reaches is -inf.
     """
-    lf = _log_factorials(n)
-    # shift before the factorial terms join, so the dominant cells stay small:
-    # a large common offset would round every cell to its own last bit
-    logw = (logg - logg.max()) - _log_binomials(n)
-    rows = np.empty(n // 2 + 1)
-    rows[0] = np.logaddexp(logw[0], logw[n])
-    # log Q(k, j) w(k) = a_k - lf[k - j] - lf[N - k - j] + log N - lf[j] - lf[j - 1]
-    inner = np.arange(1, n)
-    a = np.full(n + 1, -np.inf)
-    a[inner] = logw[inner] + lf[inner - 1] + lf[n - 1 - inner]
-    # a negative index reads +inf from the tail, so a cell with k < j or
-    # k > N - j, which no configuration has, weighs 0
-    lf_tail = np.concatenate((lf, np.full(n, np.inf)))
-    block = max(1, (1 << 18) // n)  # (j, k) cells per block: 2 MB per temporary
-    for lo in range(1, n // 2 + 1, block):
-        j = np.arange(lo, min(lo + block, n // 2 + 1))[:, None]
-        k = np.arange(lo, n - lo + 1)  # every k that some j of the block allows
-        t = a[k] - lf_tail[k - j] - lf_tail[n - k - j]
-        top = t.max(axis=1, keepdims=True)
-        top[top == -np.inf] = 0.0  # an empty row: its sum is 0 and its log -inf
-        with np.errstate(divide="ignore"):
-            lse = np.log(np.exp(t - top).sum(axis=1, keepdims=True)) + top
-        rows[lo:lo + j.size] = (lse + np.log(n) - lf[j] - lf[j - 1])[:, 0]
+    logc = _log_binomials(n)
+    rows = np.full(n // 2 + 1, -np.inf)
+    rows[0] = np.logaddexp(logg[0], logg[n]) - logc[0]
+    k = np.arange(n + 1)
+    spread = k * (n - k)
+    t = logg + math.log(n) - logc  # log g(k) P(1 | k) + log C(N, N // 2)
+    for j in range(1, n // 2 + 1):
+        cells = t[j:n - j + 1]  # the sectors with j up-runs: j <= k <= N - j
+        top = cells.max()
+        if top > -np.inf:
+            rows[j] = top + math.log(np.exp(cells - top).sum())
+        t[j + 1:n - j] += np.log((spread[j + 1:n - j] - j * (n - j)) / (j * (j + 1.0)))
     return rows
 
 
@@ -147,7 +137,8 @@ def _longrange_law(model: ModelParams, obs: ObservableSpec,
     """Exact sector law of a long-range built-in observable: integer values, log weights.
 
     M = N - 2k weighs log g(k) over the down-count k; K = 2j weighs the
-    up-run row j of _longrange_kink_log_rows.  F and the closed cumulants
+    up-run row j of _longrange_kink_log_rows, which carries each sector from
+    row to row by Mood's run-count ratio.  F and the closed cumulants
     both read it.  ``logg`` replaces the Boltzmann log g by any law of k
     whose configurations are uniform given k (the probe's chain law).
     """
@@ -187,7 +178,7 @@ def _law_cumulants(x: np.ndarray, logw: np.ndarray) -> CumulantSet:
 
 
 def exact_kink_mean(model: ModelParams) -> float:
-    """Exact thermal mean kink number of the zero-field ring, any N.
+    """Exact thermal mean kink number of the zero-field ring (beta h = 0), any N.
 
     The bond products s_n s_{n+1} of a ring multiply to 1, so K is even and
     each even K <= N has 2 C(N, K) configurations of weight e^{beta J (N - 2K)}.
@@ -196,8 +187,8 @@ def exact_kink_mean(model: ModelParams) -> float:
     """
     if model.kind is not ModelKind.RING:
         raise InputError("the exact kink mean is a ring result")
-    if model.h != 0.0:
-        raise InputError("the exact kink mean requires h = 0")
+    if model.beta * model.h != 0.0:
+        raise InputError("the exact kink mean requires beta*h = 0")
     n = model.N
     k = np.arange(0, n + 1, 2)
     return _law_cumulants(k, _log_binomials(n)[k] - 2.0 * model.beta * model.J * k).kappa1

@@ -115,11 +115,6 @@ def _znn_scaled_arrays(n: int, A, B):
     return log_scale + log_bracket.real, np.exp(1j * (phase + log_bracket.imag))
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    """log k! for k = 0..N as cumulative sums of logs (no factorials)."""
-    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1, dtype=float)))))
-
-
 def _log_binomials(n: int) -> np.ndarray:
     """log C(N, k) - log C(N, N // 2) for k = 0..N, zero at the centre.
 

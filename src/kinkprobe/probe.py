@@ -39,8 +39,8 @@ from .charfunc import _check_magnitude, _longrange_law, _sector_charfunc, charfu
 from .errors import InputError
 from .partition import _log_binomials
 from .reconstruct import _check_eta, build_theta_grid
-from .spin_model import (ModelKind, ModelParams, ObservableSpec, ObsKind, check_term_count,
-                         observable_values)
+from .spin_model import (ModelKind, ModelParams, ObservableSpec, ObsKind, _is_integer,
+                         check_term_count, observable_values)
 
 METROPOLIS_BURNIN_SWEEPS = 100  # sweeps of N proposed flips, before the first sample
 _CHAIN_BLOCK = 50  # proposals per banded kernel; min(N, 50) divides 100 * N
@@ -331,13 +331,13 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
         f = charfunc_values(model, obs, 2.0 * eps_eff * t)
         return ProbeRecord(epsilon=epsilon, time_grid=t, sx=f.real, sy=f.imag,
                            shots=None, observable=obs)
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+    if not _is_integer(shots):
         raise InputError(f"shots must be an integer or None, got {shots!r}")
     if shots < 1:
         raise InputError("shots must be at least 1")
     if shots > np.iinfo(np.int64).max:  # numpy's Binomial refuses n >= 2**63
         raise InputError(f"shots must be at most 2**63 - 1, got {shots}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
 
     rng = np.random.default_rng(seed)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, SizeError
-from .spin_model import (ModelParams, ObservableSpec, _config_matrix, check_term_count, energy,
-                         observable_values)
+from .spin_model import (ModelParams, ObservableSpec, _config_matrix, _is_integer,
+                         check_term_count, energy, observable_values)
 
 QUANTUM_SITES_LIMIT = 14
 TROTTER_SITES_LIMIT = 6
@@ -189,6 +189,8 @@ def trotter_error_probe(obs: PauliObservable, theta: float, steps: int) -> float
     """
     if obs.n_sites > TROTTER_SITES_LIMIT:
         raise SizeError(f"dense error probe limited to N <= {TROTTER_SITES_LIMIT}")
+    if not _is_integer(steps):
+        raise InputError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise InputError("steps must be at least 1")
     dim = 1 << obs.n_sites

@@ -24,7 +24,7 @@ import numpy as np
 from .charfunc import _grid_offset
 from .distribution import Distribution
 from .errors import EstimationError, GridMismatchError, InputError
-from .spin_model import ObservableSpec
+from .spin_model import ObservableSpec, _is_integer
 
 if TYPE_CHECKING:  # pragma: no cover
     from .probe import ProbeRecord
@@ -38,11 +38,14 @@ def build_theta_grid(obs: ObservableSpec, *, points: int | None = None) -> np.nd
     The minimal M equals the support width: 2N+1 for the magnetization, N+1
     for the kink number, (x_max - x_min) + 1 for a custom integer observable.
     A larger ``points`` oversamples (denser traces); the inversion stays
-    exact for any M at or above the minimum.
+    exact for any M at or above the minimum.  A ``points`` that is not an
+    integer (a bool, a float or a string) raises InputError.
     """
+    if points is not None and not _is_integer(points):
+        raise InputError(f"points must be an integer or None, got {points!r}")
     lo, hi = obs.value_bounds()
     minimal = hi - lo + 1
-    m = minimal if points is None else int(points)
+    m = minimal if points is None else points
     if m < minimal:
         raise InputError(f"grid needs at least {minimal} points to resolve the support")
     return 2.0 * np.pi * np.arange(m) / m

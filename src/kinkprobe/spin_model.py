@@ -27,6 +27,11 @@ ENUMERATION_LIMIT = 24  # 2^N configurations; refuse above this
 _ENUM_CHUNK = 1 << 16  # fixed chunking keeps the summation order deterministic
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, and not a bool: the rule for every count and seed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class ModelKind(enum.Enum):
     RING = "ring"
     LONG_RANGE = "longrange"
@@ -58,7 +63,7 @@ class ModelParams:
     def __post_init__(self):
         if not isinstance(self.kind, ModelKind):
             raise InputError(f"kind must be a ModelKind, got {self.kind!r}")
-        if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)) or self.N < 1:
+        if not _is_integer(self.N) or self.N < 1:
             raise InputError(f"N must be a positive integer, got {self.N!r}")
         for name in ("J", "h", "beta"):
             if not math.isfinite(getattr(self, name)):

@@ -349,6 +349,56 @@ def test_longrange_kink_rows_skip_sectors_of_zero_weight(unreached):
                                rtol=1e-15, atol=1e-12)
 
 
+def _mood_kink_law(n, bj, bh):
+    """P(K = 2j), j = 0..N // 2, on the long-range model from exact run counts.
+
+    Q(k, j) = (N / j) C(k-1, j-1) C(N-k-1, j-1) configurations have k down
+    spins and j up-runs (Mood 1940); both binomials are Python ints carried
+    from j to j + 1.  Each weighs e^{bj (M^2 - N) / 2 + bh M} in 40-digit
+    decimals.  Sectors lighter than e^{-50} times the heaviest are left out.
+    """
+    def log_sector(k):
+        m = n - 2 * k
+        return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                + bj * (m * m - n) / 2 + bh * m)
+
+    top = max(log_sector(k) for k in range(n + 1))
+    law = [decimal.Decimal(0)] * (n // 2 + 1)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for k in range(n + 1):
+            if log_sector(k) < top - 50:
+                continue
+            m = n - 2 * k
+            w = (decimal.Decimal(bj) * (m * m - n) / 2 + decimal.Decimal(bh) * m).exp()
+            if k in (0, n):
+                law[0] += w
+                continue
+            c_down, c_up, total = 1, 1, 0  # C(k-1, j-1), C(N-k-1, j-1) at j = 1
+            for j in range(1, min(k, n - k) + 1):
+                q = n * c_down * c_up // j
+                law[j] += decimal.Decimal(q) * w
+                total += q
+                c_down = c_down * (k - j) // j
+                c_up = c_up * (n - k - j) // j
+            assert total == math.comb(n, k)
+        norm = sum(law)
+        return np.array([float(x / norm) for x in law])
+
+
+@pytest.mark.parametrize("n", [1000, 2000, 4000])
+def test_longrange_kink_law_matches_exact_counts_at_large_n(n):
+    # log N! is 2.9e4 at N = 4000: rows that difference log-factorials lose
+    # about 3e-12 of the law here, so the rows must form none
+    from kinkprobe.charfunc import _longrange_law
+
+    bj, bh = 0.5 / n, 1.0
+    values, logw = _longrange_law(longrange(n, j=bj, h=bh, beta=1.0), kink_number(n))
+    assert np.array_equal(values, 2 * np.arange(n // 2 + 1))
+    w = np.exp(logw - logw.max())  # normalized as F and the closed cumulants read it
+    assert np.abs(w / w.sum() - _mood_kink_law(n, bj, bh)).sum() <= 1e-12
+
+
 def test_longrange_kink_charfunc_matches_oracle_at_n20():
     model = longrange(20, j=0.6, h=0.4, beta=0.05)
     obs = kink_number(20)
@@ -604,8 +654,10 @@ def test_exact_kink_mean_matches_a_50_digit_sector_sum():
 
 
 def test_exact_kink_mean_requires_zero_field():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="beta\\*h = 0"):
         exact_kink_mean(ring(8, h=0.1))
+    # at beta = 0 a field has no weight: each of the N bonds is a kink with chance 1/2
+    assert exact_kink_mean(ring(8, h=0.3, beta=0.0)) == pytest.approx(4.0, rel=1e-15)
 
 
 def _bits(x) -> bytes:
@@ -620,7 +672,7 @@ def test_routes_read_beta_j_and_beta_h_only(make, n, beta):
     # bit, so a tilt may fold into the couplings without a new signature
     j, h = 0.7, -0.4
     pairs = [(make(n, j=j, h=h, beta=beta), make(n, j=beta * j, h=beta * h, beta=1.0))]
-    if make is ring:  # the exact kink mean is a zero-field result
+    if make is ring:  # the exact kink mean is a zero-field result: beta h = 0
         pairs.append((ring(n, j=j, h=0.0, beta=beta), ring(n, j=beta * j, h=0.0, beta=1.0)))
     for a, b in pairs:
         for obs in (magnetization(n), kink_number(n)):
@@ -633,7 +685,7 @@ def test_routes_read_beta_j_and_beta_h_only(make, n, beta):
                 _bits([cb.kappa1, cb.kappa2, cb.kappa3])
         if make is ring:
             assert _bits(RingGibbsSampler(a)._p_down) == _bits(RingGibbsSampler(b)._p_down)
-            if a.h == 0.0:
+            if a.beta * a.h == 0.0:
                 assert _bits(exact_kink_mean(a)) == _bits(exact_kink_mean(b))
 
 

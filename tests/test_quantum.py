@@ -111,7 +111,7 @@ def test_readouts_on_criterion_09_cases_keep_the_split_phase_values():
 
 def test_trotter_error_zero_for_commuting_terms():
     kinks = PauliObservable.from_spec(kink_number(4), 4)
-    for m in (1, 2, 8, 64):
+    for m in (1, 2, 8, 64, np.int64(8)):
         assert trotter_error_probe(kinks, 1.1, m) < 1e-12
 
 
@@ -131,6 +131,13 @@ def test_trotter_error_decays_as_one_over_m():
     # log-log slope within a factor two of -1
     slope = np.polyfit(np.log(steps[4:]), np.log(errors[4:]), 1)[0]
     assert -2.0 < slope < -0.5
+
+
+@pytest.mark.parametrize("steps", [2.5, 2.0, "2", True])
+def test_trotter_error_refuses_a_step_count_that_is_not_an_integer(steps):
+    # a count is never rounded or parsed, and True is no step count though it equals 1
+    with pytest.raises(InputError, match="steps must be an integer"):
+        trotter_error_probe(noncommuting_test_observable(4), 0.9, steps)
 
 
 def test_trotter_probe_size_limit():

@@ -16,12 +16,23 @@ def test_grid_sizes():
     assert build_theta_grid(kink_number(50)).size == 51
     assert build_theta_grid(magnetization(1)).size == 3
     assert build_theta_grid(magnetization(5), points=44).size == 44
+    assert default_time_grid(magnetization(5), 0.01, points=np.int64(44)).size == 44
     with pytest.raises(InputError):
         build_theta_grid(magnetization(5), points=10)
     with pytest.raises(TypeError):  # the size once passed second would be taken as M
         build_theta_grid(magnetization(5), 44)
     with pytest.raises(TypeError):
         default_time_grid(magnetization(5), 5, 0.01)
+
+
+@pytest.mark.parametrize("points", [12.9, 9.99, 12.0, "12", True])
+def test_grid_refuses_a_point_count_that_is_not_an_integer(points):
+    # a count is never rounded or parsed: 12.9 is not 12, nor "12"
+    obs = magnetization(5)
+    with pytest.raises(InputError, match="points must be an integer"):
+        build_theta_grid(obs, points=points)
+    with pytest.raises(InputError, match="points must be an integer"):
+        default_time_grid(obs, 0.01, points=points)
 
 
 def test_invert_constant_f_gives_point_mass_at_zero():
