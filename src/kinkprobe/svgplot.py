@@ -3,13 +3,17 @@ one 960 x 360 row, and ``stack_svgs`` writes the one document that stacks them."
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 _W, _H = 960, 360
 _MARGIN = 56
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+
+
+def _escape(text: str) -> str:
+    """``xml.sax.saxutils.escape`` without entities: &, < and > in that order.
+    Importing saxutils would load urllib.request, http.client, ssl and email."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _scale(vals, lo, hi, out_lo, out_hi):
@@ -22,10 +26,10 @@ def _axes(title, x_label, y_label, x_lo, x_hi, y_lo, y_hi):
         f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>',
         f'<line x1="{_MARGIN}" y1="{_H - _MARGIN}" x2="{_W - 12}" y2="{_H - _MARGIN}" stroke="black"/>',
         f'<line x1="{_MARGIN}" y1="{_H - _MARGIN}" x2="{_MARGIN}" y2="{12}" stroke="black"/>',
-        f'<text x="{_W // 2}" y="20" text-anchor="middle" font-size="14">{escape(title)}</text>',
-        f'<text x="{_W // 2}" y="{_H - 10}" text-anchor="middle" font-size="12">{escape(x_label)}</text>',
+        f'<text x="{_W // 2}" y="20" text-anchor="middle" font-size="14">{_escape(title)}</text>',
+        f'<text x="{_W // 2}" y="{_H - 10}" text-anchor="middle" font-size="12">{_escape(x_label)}</text>',
         f'<text x="16" y="{_H // 2}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 16 {_H // 2})">{escape(y_label)}</text>',
+        f'transform="rotate(-90 16 {_H // 2})">{_escape(y_label)}</text>',
     ]
     for frac in (0.0, 0.5, 1.0):
         xv = x_lo + frac * (x_hi - x_lo)
@@ -55,7 +59,7 @@ def line_chart(x, series, title="", x_label="", y_label="") -> str:
         color = _COLORS[i % len(_COLORS)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>')
         parts.append(f'<text x="{_W - 140}" y="{28 + 16 * i}" font-size="12" '
-                     f'fill="{color}">{escape(label)}</text>')
+                     f'fill="{color}">{_escape(label)}</text>')
     return "\n".join(parts)
 
 

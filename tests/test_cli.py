@@ -464,6 +464,16 @@ def test_console_entry_point(tmp_path):
     assert (tmp_path / "cli" / "distribution.csv").exists()
 
 
+def test_importing_the_cli_loads_no_network_modules():
+    # xml.sax.saxutils would load these, about 28 ms of every run's start-up
+    code = ("import sys, kinkprobe.cli; print(*sorted("
+            "{'urllib.request', 'http.client', 'ssl', 'email'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
+
+
 def _written(out, capsys):
     """The files a run printed, by name; effective-config.json without its outdir."""
     names = [Path(line).name for line in capsys.readouterr().out.splitlines()]

@@ -3,9 +3,12 @@
 The references below format one value per call, as the writers once did, and
 the stacked figure is checked against its old construction: one SVG document
 per chart, sliced open and wrapped again.
-The writers format whole files in a few bulk operations and must give the
-same bytes for any input, including -0.0, +-inf, nan, subnormals, the %g
-exponent switch points (1e16/1e17 and 1e-4/1e-5) and large integer supports.
+Tables below ``cli._BULK_ROWS`` rows take the % line; larger ones are
+formatted in numpy chunks of ``cli._CHUNK_CELLS`` values.  Both routes must
+give the same bytes for any input, including -0.0, +-inf, nan, subnormals, the
+%g exponent switch points (1e16/1e17 and 1e-4/1e-5) and their neighbours,
+exact rounding ties and large integer supports, at the switch between the
+routes and at the chunk boundaries.
 """
 
 from types import SimpleNamespace
@@ -21,13 +24,41 @@ from kinkprobe.svgplot import _COLORS, _H, _MARGIN, _W, _axes, _scale
 
 WRITERS = settings(max_examples=80, deadline=None, derandomize=True)
 
-SPECIAL = (-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
-           1e16, 9999999999999998.0, 1e17, 1e-4, 9.999999999999999e-05, 1e-5, 0.1, -1 / 3,
-           1e300, -1.5)
+SWITCHES = np.array([1e16, 1e17, 1e-4, 1e-5])  # where %g changes notation
+SPECIAL = tuple(map(float, (
+    -0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+    1.7976931348623157e308, *SWITCHES, *np.nextafter(SWITCHES, 0.0),
+    *np.nextafter(SWITCHES, np.inf), 0.1, -1 / 3, 1e300, -1.5,
+    2**49 + 0.125, 2**49 + 0.375,  # exact ties: 562949953421312.12 and ...38
+    9.508396845224331e-07, 3.888475069819475e-07)))  # 8.9e-16 and 4.4e-16 off a tie
+INT_SPECIAL = (0, -1, 2**53 + 1, -(2**62), -(2**63), 2**63 - 1)
 values = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
-ints = st.one_of(st.sampled_from((0, -1, 2**53 + 1, -(2**62), 2**63 - 1)),
-                 st.integers(-(2**63), 2**63 - 1))
+ints = st.one_of(st.sampled_from(INT_SPECIAL), st.integers(-(2**63), 2**63 - 1))
 SPECIAL_COLUMN = np.array(SPECIAL)
+
+
+def _sizes(columns: int):
+    """Row counts of small tables, and of a table of ``columns`` columns next to
+    the switch between the two routes and next to a chunk boundary."""
+    step = cli._CHUNK_CELLS // columns
+    return st.one_of(st.integers(0, 40), st.sampled_from(
+        (cli._BULK_ROWS - 1, cli._BULK_ROWS, step - 1, step, step + 1)))
+
+
+def _column(data, m: int, elements, dtype):
+    """m entries: a seeded background of every magnitude, and up to 40 drawn
+    ``elements`` at a drawn offset."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if dtype == float:
+        bits = rng.integers(0, 2**64, m, dtype=np.uint64).view(float)
+        scaled = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 20, m)
+        out = np.where(rng.random(m) < 0.5, bits, scaled)
+    else:
+        out = rng.integers(-(2**63), 2**63, m, dtype=np.int64) >> rng.integers(0, 64, m)
+    drawn = data.draw(arrays(dtype, min(m, 40), elements=elements))
+    start = data.draw(st.integers(0, m - drawn.size))
+    out[start:start + drawn.size] = drawn
+    return out
 
 
 def _ref_fmt(x: float) -> str:
@@ -101,29 +132,37 @@ def _ref_stack_svgs(svgs: list[str]) -> str:
 
 
 @WRITERS
-@given(m=st.integers(0, 40), data=st.data())
+@given(m=_sizes(4), data=st.data())
 @example(m=SPECIAL_COLUMN.size, data=None)
+@example(m=cli._BULK_ROWS, data=None)
 def test_coherence_csv_matches_the_per_value_reference(m, data):
     if data is None:
-        cols = [np.roll(SPECIAL_COLUMN, k) for k in range(4)]
+        cols = [np.resize(np.roll(SPECIAL_COLUMN, k), m) for k in range(4)]
     else:
-        cols = [data.draw(arrays(float, m, elements=values)) for _ in range(4)]
+        cols = [_column(data, m, values, float) for _ in range(4)]
     record = SimpleNamespace(time_grid=cols[0], theta=cols[1], sx=cols[2], sy=cols[3])
     assert cli._coherence_csv(record) == _ref_coherence_csv(record)
 
 
 @WRITERS
-@given(data=st.data())
-@example(data=None)
-def test_distribution_csv_matches_the_per_value_reference(data):
+@given(m=_sizes(2), data=st.data())
+@example(m=SPECIAL_COLUMN.size, data=None)
+@example(m=cli._BULK_ROWS, data=None)
+def test_distribution_csv_matches_the_per_value_reference(m, data):
     if data is None:
-        dist = SimpleNamespace(support=np.arange(SPECIAL_COLUMN.size) - 2**62,
-                               probs=SPECIAL_COLUMN)
+        dist = SimpleNamespace(support=np.resize(np.array(INT_SPECIAL), m),
+                               probs=np.resize(SPECIAL_COLUMN, m))
     else:
-        support = data.draw(arrays(np.int64, st.integers(0, 40), elements=ints))
-        probs = data.draw(arrays(float, support.size, elements=values))
-        dist = SimpleNamespace(support=support, probs=probs)
+        dist = SimpleNamespace(support=_column(data, m, ints, np.int64),
+                               probs=_column(data, m, values, float))
     assert cli._distribution_csv(dist) == _ref_distribution_csv(dist)
+
+
+@WRITERS
+@given(text=st.text())
+@example(text="<s0> & co &amp; ]]> \"'")
+def test_escape_matches_saxutils(text):
+    assert svgplot._escape(text) == escape(text)
 
 
 @WRITERS
