@@ -16,8 +16,13 @@ routes.  Four model / observable combinations are dispatched here:
   long-range + magnetization           -> sector sum over the down-count k
   long-range + kinks                   -> sector sum over the up-run count j
 
-Both long-range sums have integer values and real weights, so on the
-standard grid theta_j = 2 pi j / M each is one M-point inverse FFT.
+Every built-in X is an integer with real Boltzmann weights, so
+F(2 pi - theta) = conj F(theta) exactly.  On the standard grid
+theta_j = 2 pi j / M (to within _GRID_ROUTE_TOL) every route therefore
+evaluates F_j for j <= M // 2 only and fills F_{M-j} = conj F_j, with F at
+theta = pi real (_mirrored): the ring ratio at those phases, and for both
+long-range sums, whose phases reduce in integers there, the conjugate of one
+M-point real FFT.  Off-grid phases are evaluated in full.
 
 Closed cumulants (mean, variance, third cumulant: ring formulas, and the
 moments of the same long-range sector laws) and cumulants from the moments
@@ -72,10 +77,10 @@ def _ring_charfunc(model: ModelParams, obs: ObservableSpec, thetas: np.ndarray) 
     B = model.beta * model.h
     ls_den, v_den = _znn_scaled_arrays(model.N, A, B)
     if obs.kind is ObsKind.MAGNETIZATION:
-        ls_num, v_num = _znn_scaled_arrays(model.N, np.full_like(thetas, A) + 0j, B + 1j * thetas)
+        ls_num, v_num = _znn_scaled_arrays(model.N, complex(A), B + 1j * thetas)
         phase = np.ones_like(thetas)
     else:
-        ls_num, v_num = _znn_scaled_arrays(model.N, A - 0.5j * thetas, np.full_like(thetas, B) + 0j)
+        ls_num, v_num = _znn_scaled_arrays(model.N, A - 0.5j * thetas, complex(B))
         phase = np.exp(1j * thetas * model.N / 2.0)
     return phase * np.exp(ls_num - ls_den[0]) * (v_num / v_den[0])
 
@@ -86,17 +91,37 @@ def _grid_offset(thetas: np.ndarray) -> float:
     return float(np.abs(thetas - 2.0 * np.pi * np.arange(m) / m).max())
 
 
+def _on_grid(thetas: np.ndarray) -> bool:
+    """Whether the phases are the standard grid, to within _GRID_ROUTE_TOL."""
+    return thetas.size > 0 and _grid_offset(thetas) <= _GRID_ROUTE_TOL
+
+
+def _mirrored(half: np.ndarray, m: int) -> np.ndarray:
+    """F on the M-point standard grid from F_j, j = 0..M // 2.
+
+    F_{M-j} = conj F_j, and F at theta = pi (even M) is real.
+    """
+    out = np.empty(m, dtype=complex)
+    out[:half.size] = half
+    out[half.size:] = np.conj(half[m - half.size:0:-1])
+    if m % 2 == 0:
+        out[m // 2] = half[-1].real
+    return out
+
+
 def _sector_charfunc(x: np.ndarray, logw: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """sum_s w_s e^{i theta x_s} / sum_s w_s for integer values x_s and log weights.
 
     On the grid theta_j = 2 pi j / M the phase x_s theta_j reduces in
-    integers, so w_s folds into bin x_s mod M and the sum is M times one
-    inverse FFT.  Other phases take the direct sum, O(len(thetas) len(x)).
+    integers, so w_s folds into bin x_s mod M and the sum for j <= M // 2 is
+    the conjugate of one real FFT; _mirrored gives the rest.  Other phases
+    take the direct sum, O(len(thetas) len(x)).
     """
     w = np.exp(logw - logw.max())
     m = thetas.size
-    if m and _grid_offset(thetas) <= _GRID_ROUTE_TOL:
-        return m * np.fft.ifft(np.bincount(x % m, weights=w, minlength=m)) / w.sum()
+    if _on_grid(thetas):
+        half = np.conj(np.fft.rfft(np.bincount(x % m, weights=w, minlength=m)))
+        return _mirrored(half / w.sum(), m)
     num = np.empty(m, dtype=complex)
     block = max(1, (1 << 22) // x.size)  # bound the outer product at ~64 MB
     for lo in range(0, m, block):
@@ -157,10 +182,12 @@ def charfunc_values(model: ModelParams, obs: ObservableSpec, thetas) -> np.ndarr
         raise InputError("custom observables have no analytic route; "
                          "use the enumeration oracle or the probe simulator")
     check_term_count(model.N, obs)
-    if model.kind is ModelKind.RING:
-        out = _ring_charfunc(model, obs, th)
-    else:
+    if model.kind is not ModelKind.RING:
         out = _sector_charfunc(*_longrange_law(model, obs), th)
+    elif _on_grid(th):
+        out = _mirrored(_ring_charfunc(model, obs, th[:th.size // 2 + 1]), th.size)
+    else:
+        out = _ring_charfunc(model, obs, th)
     return _check_magnitude(out)
 
 
@@ -276,7 +303,8 @@ def distribution_cumulants(dist: Distribution) -> CumulantSet:
     """
     mu = dist.mean()
     dev = dist.support - mu
-    return CumulantSet(kappa1=mu, kappa2=float(dist.probs @ dev ** 2),
-                       kappa3=float(dist.probs @ dev ** 3),
+    d2 = dev * dev
+    return CumulantSet(kappa1=mu, kappa2=float(dist.probs @ d2),
+                       kappa3=float(dist.probs @ (d2 * dev)),
                        flavor=CumulantFlavor.NUMERICAL_FROM_F)
 

@@ -370,9 +370,9 @@ def _csv_chunk(ints, floats, line: str) -> bytes:
     return b"".join(out)
 
 
-def _csv_table(header: str, ints, floats) -> str:
+def _csv_table(header: str, ints, floats) -> bytes:
     """``header`` and one line per row: the ``ints`` columns as '%d', then the
-    ``floats`` columns as '%.17g', comma separated; the bytes of the % line.
+    ``floats`` columns as '%.17g', comma separated; the ASCII bytes of the % line.
 
     CPython writes '%.17g' through dtoa's bignum path, 0.5 to 0.7 us a value,
     so a table of _BULK_ROWS rows or more is formatted in numpy instead, in
@@ -401,24 +401,24 @@ def _csv_table(header: str, ints, floats) -> str:
         cells = [None] * (n * len(cols))
         for k, c in enumerate(cols):
             cells[k::len(cols)] = c.tolist()
-        return header + line * n % tuple(cells)
+        return (header + line * n % tuple(cells)).encode("ascii")
     step = _CHUNK_CELLS // len(cols)
     return b"".join([header.encode()] + [
         _csv_chunk([c[s:s + step] for c in ints], [c[s:s + step] for c in floats], line)
-        for s in range(0, n, step)]).decode("ascii")
+        for s in range(0, n, step)])
 
 
-def _coherence_csv(record) -> str:
+def _coherence_csv(record) -> bytes:
     return _csv_table("t,theta,sx,sy\n", (),
                       (record.time_grid, record.theta, record.sx, record.sy))
 
 
-def _distribution_csv(dist) -> str:
+def _distribution_csv(dist) -> bytes:
     return _csv_table("x,p\n", (dist.support,), (dist.probs,))
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _json_bytes(payload) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
 
 
 def _cumulant_payload(cs) -> dict:
@@ -461,32 +461,34 @@ def _write_outputs(cfg: RunConfig, tables: list, payload: dict, plot, report,
                    tolerance: float) -> int:
     """The output tail shared by every command.
 
-    Writes effective-config.json, then the (name, text thunk) ``tables`` as
+    Writes effective-config.json, then the (name, bytes thunk) ``tables`` as
     CSV, cumulants.json and the ``plot`` thunk's SVG as ``cfg.formats`` asks;
     prints each path and returns EXIT_VALIDATION when the worst defect of
     ``report`` exceeds ``tolerance`` (NaN included).
 
-    Each file is overwritten in place and then cut to the new text's length,
-    since opening with O_TRUNC first frees the old blocks, which on ext4 made
-    a re-run's write several times slower.  A thunk runs before its file is
-    opened, so one that raises leaves the file as it was.  The write is not
-    atomic: a crash part way can leave a file of new bytes and old ones.
+    Each thunk returns its file's bytes, written in binary mode: the CSV
+    tables as built, the JSON and SVG text encoded once.  Each file is
+    overwritten in place and then cut to the new length, since opening with
+    O_TRUNC first frees the old blocks, which on ext4 made a re-run's write
+    several times slower.  A thunk runs before its file is opened, so one
+    that raises leaves the file as it was.  The write is not atomic: a crash
+    part way can leave a file of new bytes and old ones.
     Files the run does not write keep their old contents.
     """
-    files = [("effective-config.json", lambda: _json_text(asdict(cfg)))]
+    files = [("effective-config.json", lambda: _json_bytes(asdict(cfg)))]
     if "csv" in cfg.formats:
         files += tables
     if "json" in cfg.formats:
-        files.append(("cumulants.json", lambda: _json_text(payload)))
+        files.append(("cumulants.json", lambda: _json_bytes(payload)))
     if "svg" in cfg.formats:
         files.append(("plot.svg", plot))
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, thunk in files:
-        text = thunk()
+        data = thunk()
         fd = os.open(outdir / name, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(fd, "wb") as fh:
+            fh.write(data)
             fh.truncate()
     for name, _ in files:
         print(outdir / name)
@@ -527,7 +529,7 @@ def run_probe(cfg: RunConfig) -> int:
                                     x_label="t", y_label="coherence")
         bars = svgplot.bar_chart(dist.support, dist.probs,
                                  title=f"P(x) for {cfg.obs}", x_label="x", y_label="P")
-        return svgplot.stack_svgs([traces, bars])
+        return svgplot.stack_svgs([traces, bars]).encode()
 
     tables = [("coherence.csv", lambda: _coherence_csv(record)),
               ("distribution.csv", lambda: _distribution_csv(dist))]
@@ -570,7 +572,7 @@ def run_sm_error(cfg: RunConfig) -> int:
             title=f"gate-error demonstration (eta={eta})", x_label="t", y_label="coherence")
         bars = svgplot.bar_chart(corrected.support, corrected.probs,
                                  title="corrected P(m)", x_label="m", y_label="P")
-        return svgplot.stack_svgs([traces, bars])
+        return svgplot.stack_svgs([traces, bars]).encode()
 
     tables = [("coherence.csv", lambda: _coherence_csv(ideal)),
               ("coherence-distorted.csv", lambda: _coherence_csv(distorted)),

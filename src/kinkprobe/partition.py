@@ -25,6 +25,7 @@ from .errors import InputError
 from .spin_model import ModelKind, ModelParams
 
 _TINY_LOG_BRACKET = -40.0  # below this log|N (1 + r)|, the odd-N bracket is N (1 + r)
+_DEAD_LOG_POWER = -800.0  # |r|^N below e^-800 rounds to exactly 0
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,8 @@ def _znn_scaled_arrays(n: int, A, B):
     form.  There it is built from 1 + r = 2 term / big, which does not
     cancel, as 1 + r^N = -expm1(N log1p(-(1 + r))), and its logarithm is
     folded into log_scale, so it cannot underflow for beta J down to -700.
+    r^N is raised only where |r|^N >= e^-800; elsewhere it rounds to exactly
+    0, which the power would return too, at the cost of a complex log and exp.
     """
     c, lp, lm, head_exp, cosh_s = _scaled_lambdas(A, B)
     lp, lm, c = np.atleast_1d(lp), np.atleast_1d(lm), np.atleast_1d(c)
@@ -98,7 +101,10 @@ def _znn_scaled_arrays(n: int, A, B):
     if np.any(big == 0):
         raise InputError("both transfer eigenvalues vanish; parameters are singular")
     logbig = np.log(big)
-    ratio_pow = (small / big) ** n
+    r = small / big
+    ratio_pow = np.zeros_like(r)
+    live = ~(np.abs(r) < math.exp(_DEAD_LOG_POWER / n))  # NaN stays live
+    ratio_pow[live] = r[live] ** n
     log_scale = n * (c + logbig.real)
     phase = n * logbig.imag
     if n % 2 == 0:

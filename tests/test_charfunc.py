@@ -252,6 +252,81 @@ def test_longrange_probe_phases_take_the_grid_route():
     assert np.array_equal(record.sx, f.real) and np.array_equal(record.sy, f.imag)
 
 
+# (N, J, h, beta): ordinary couplings, infinite temperature, and the frustrated
+# odd ring at the envelope edge; each on its minimal grid and oversampled by one
+# point, so both parities of M occur for both observables
+MIRROR_CASES = [(9, 0.8, 0.35, 1.1), (12, 0.7, -0.4, 0.0), (51, -700.0, 700.0, 1.0),
+                (51, -700.0, -700.0, 1.0)]
+
+
+def _grids(obs):
+    minimal = build_theta_grid(obs)
+    return minimal, build_theta_grid(obs, points=minimal.size + 1)
+
+
+@pytest.mark.parametrize("n, j, h, beta", MIRROR_CASES)
+@pytest.mark.parametrize("make", [ring, longrange], ids=["ring", "longrange"])
+@pytest.mark.parametrize("obs_builder", [magnetization, kink_number])
+def test_standard_grid_charfunc_is_its_own_mirror_bitwise(obs_builder, make, n, j, h, beta):
+    # X is an integer with real weights, so F(2 pi - theta) = conj F(theta): on
+    # the grid F_{M-j} is the conjugate of F_j to the bit, and F(pi) is real
+    obs = obs_builder(n)
+    for thetas in _grids(obs):
+        f = charfunc_values(make(n, j=j, h=h, beta=beta), obs, thetas)
+        pairs = (thetas.size - 1) // 2  # j = 1..pairs meets M - j; an even M leaves pi
+        assert _bits(f[:-pairs - 1:-1]) == _bits(np.conj(f[1:pairs + 1]))
+        if thetas.size % 2 == 0:
+            assert f[thetas.size // 2].imag == 0.0
+
+
+@pytest.mark.parametrize("n, j, h, beta", MIRROR_CASES)
+@pytest.mark.parametrize("obs_builder", [magnetization, kink_number])
+def test_ring_half_grid_is_the_route_at_those_phases(obs_builder, n, j, h, beta):
+    from kinkprobe import charfunc as cf
+
+    model, obs = ring(n, j=j, h=h, beta=beta), obs_builder(n)
+    for thetas in _grids(obs):
+        half = thetas.size // 2 + 1
+        f = charfunc_values(model, obs, thetas)[:half]
+        direct = cf._ring_charfunc(model, obs, thetas[:half])
+        if thetas.size % 2 == 0:  # at theta = pi only the real part is kept
+            assert _bits(f[-1].real) == _bits(direct[-1].real)
+            f, direct = f[:-1], direct[:-1]
+        assert _bits(f) == _bits(direct)
+
+
+@pytest.mark.parametrize("n, j, h, beta", [(9, 0.8, 0.35, 1.1), (12, 0.7, -0.4, 0.0),
+                                           (11, -700.0, 700.0, 1.0), (10, 0.3, 0.05, 2.0)])
+@pytest.mark.parametrize("make", [ring, longrange], ids=["ring", "longrange"])
+@pytest.mark.parametrize("obs_builder", [magnetization, kink_number])
+def test_standard_grid_charfunc_matches_oracle(obs_builder, make, n, j, h, beta):
+    model, obs = make(n, j=j, h=h, beta=beta), obs_builder(n)
+    for thetas in _grids(obs):
+        f = charfunc_values(model, obs, thetas)
+        assert np.abs(f - _oracle_charfunc(model, obs, thetas)).max() <= 1e-12
+
+
+def test_ring_kink_charfunc_matches_the_bond_sector_law_at_n10000():
+    # the ring-k-10000 benchmark job: at h = 0, K is even and weighs C(N, K)
+    # e^{-2 beta J K}; its F with phases (j K mod M) reduced in integers is the
+    # reference, at every grid point
+    from kinkprobe.partition import _log_binomials
+
+    n, bj = 10000, 0.5
+    obs = kink_number(n)
+    thetas = build_theta_grid(obs)
+    m = thetas.size
+    f = charfunc_values(ring(n, j=1.0, h=0.0, beta=bj), obs, thetas)
+    k = np.arange(0, n + 1, 2)
+    logw = _log_binomials(n)[k] - 2.0 * bj * k
+    w = np.exp(logw - logw.max())
+    w /= w.sum()
+    turn = np.exp(2j * np.pi * np.arange(m) / m)
+    k, w = k[w > 1e-300], w[w > 1e-300]  # the lighter sectors add nothing a double holds
+    ref = np.array([turn[(jj * k) % m] @ w for jj in range(m)])
+    assert np.abs(f - ref).max() <= 2.5e-12
+
+
 def test_charfunc_rejects_custom():
     with pytest.raises(InputError, match="no analytic route"):
         charfunc_values(ring(4), custom_observable(0.0, 1.0, [(1, 2)]), [0.5])

@@ -141,7 +141,7 @@ def test_coherence_csv_matches_the_per_value_reference(m, data):
     else:
         cols = [_column(data, m, values, float) for _ in range(4)]
     record = SimpleNamespace(time_grid=cols[0], theta=cols[1], sx=cols[2], sy=cols[3])
-    assert cli._coherence_csv(record) == _ref_coherence_csv(record)
+    assert cli._coherence_csv(record) == _ref_coherence_csv(record).encode("ascii")
 
 
 @WRITERS
@@ -155,7 +155,7 @@ def test_distribution_csv_matches_the_per_value_reference(m, data):
     else:
         dist = SimpleNamespace(support=_column(data, m, ints, np.int64),
                                probs=_column(data, m, values, float))
-    assert cli._distribution_csv(dist) == _ref_distribution_csv(dist)
+    assert cli._distribution_csv(dist) == _ref_distribution_csv(dist).encode("ascii")
 
 
 @WRITERS
