@@ -1,14 +1,18 @@
 """Command-line frontend: model -> probe record -> distribution -> files.
 
 Outputs per run directory: effective-config.json (the resolved settings),
-coherence.csv (t, theta, sx, sy), distribution.csv (x, p; clipped), cumulants.json
-(closed cumulants, those of the unclipped inversion, validation report, extras)
-and an optional plot.svg.  CSV floats are '%.17g' and integers '%d'; a table
-of _BULK_ROWS rows or more is formatted in numpy chunks to the same bytes
-(_csv_table).  A re-run into a used directory overwrites each file
-it writes in place and leaves every other file as it was.  The argparse tree is
-built once per process.  Exit codes: 0 ok, 1 input error, 2 validation-report
-defects above tolerance, 64 usage error.
+coherence.csv (t, theta, sx, sy), distribution.csv (x, p; clipped),
+cumulants.json and an optional plot.svg; sm-error adds coherence-distorted.csv,
+distribution-naive.csv and distribution-corrected.csv.  Every run reports
+through _report, from the record it inverted: cumulants.json holds the
+validation, numerical (of the unclipped inversion), closed and, with --oracle,
+oracle blocks beside the run's own keys; plot.svg stacks the coherence above
+the clipped distribution; the exit gate is that record's tolerance.  CSV floats
+are '%.17g' and integers '%d'; a table of _BULK_ROWS rows or more is formatted
+in numpy chunks to the same bytes (_csv_table).  A re-run into a used directory
+overwrites each file it writes in place and leaves every other file as it was.
+The argparse tree is built once per process.  Exit codes: 0 ok, 1 input error,
+2 validation-report defects above tolerance, 64 usage error.
 """
 
 from __future__ import annotations
@@ -106,8 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kinkprobe",
                      description="Distributions of Ising observables via a probe-qubit protocol")
     sub = parser.add_subparsers(dest="command")
+    shared = argparse.ArgumentParser(add_help=False)  # the flags both subcommands take
+    shared.add_argument("--outdir", type=str)
+    shared.add_argument("--formats", type=str, help="comma list from csv,json,svg")
+    shared.add_argument("--grid", type=int, help="phase-grid points (>= minimal)")
+    shared.add_argument("--oracle", action="store_true", default=None,
+                        help=f"append enumeration comparison (N <= {ORACLE_N_LIMIT})")
 
-    probe = sub.add_parser("probe", help="run the full pipeline once")
+    probe = sub.add_parser("probe", parents=[shared], help="run the full pipeline once")
     probe.add_argument("--model", choices=sorted(_MODEL_KINDS))
     probe.add_argument("--obs", choices=sorted(_OBS_BUILDERS))
     probe.add_argument("--N", type=int, dest="N")
@@ -121,19 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="correct_eta", help="pre-warp the grid and invert with the "
                        "gate-error-aware transform")
     probe.add_argument("--seed", type=int)
-    probe.add_argument("--grid", type=int, help="phase-grid points (>= minimal)")
-    probe.add_argument("--outdir", type=str)
-    probe.add_argument("--formats", type=str, help="comma list from csv,json,svg")
-    probe.add_argument("--oracle", action="store_true", default=None,
-                       help=f"append enumeration comparison (N <= {ORACLE_N_LIMIT})")
     probe.add_argument("--config", type=str, help="JSON file with RunConfig fields")
 
-    repro = sub.add_parser("repro", help="regenerate a named figure dataset")
+    repro = sub.add_parser("repro", parents=[shared], help="regenerate a named figure dataset")
     repro.add_argument("preset", choices=sorted(PRESETS))
-    repro.add_argument("--outdir", type=str)
-    repro.add_argument("--formats", type=str)
-    repro.add_argument("--grid", type=int)
-    repro.add_argument("--oracle", action="store_true", default=None)
     return parser
 
 
@@ -429,25 +430,6 @@ def _cumulant_payload(cs) -> dict:
             "kappa3": clean(cs.kappa3), "flavor": cs.flavor.value}
 
 
-def _closed_block(model, obs) -> dict:
-    """The closed cumulants, or null and the reason where none can be given."""
-    try:
-        return {"closed": _cumulant_payload(closed_cumulants(model, obs))}
-    except InputError as exc:
-        return {"closed": None, "closed_unavailable": str(exc)}
-
-
-def _oracle_block(cfg: RunConfig, model, obs, dist) -> dict:
-    """``dist`` against the enumeration oracle when ``cfg.oracle`` asks for it."""
-    if not cfg.oracle:  # _build_model_obs has checked N
-        return {}
-    oracle = enumerate_oracle(model, obs).dist
-    return {"oracle_comparison": {
-        "max_abs_prob_deviation": float(np.abs(dist.probs - oracle.probs).max()),
-        "oracle_mean": oracle.mean(),
-    }}
-
-
 def _defect_tolerance(shots, grid_points: int) -> float:
     """Exact runs must be clean; sampled runs get a gate well above their
     expected noise floor (parity mass scales like sqrt(M / shots)), so exit
@@ -507,34 +489,55 @@ def _acquire(cfg: RunConfig, model, obs, shots, eta: float, warp: float):
     return record, invert_dft(record, eta=warp)
 
 
+def _report(cfg: RunConfig, model, obs, record, raw, shown, tables: list, traces,
+            titles, keys: dict) -> int:
+    """The report every run writes, and its exit gate.
+
+    ``record`` is the probe record inverted to ``raw``, and ``shown`` is the
+    clipped distribution the files hold.  cumulants.json holds ``keys`` and the
+    shared blocks: the validation report and the cumulants of ``raw`` (clipping
+    would bias them), the closed cumulants or the reason there are none, and,
+    with ``cfg.oracle``, ``shown`` against the enumeration oracle.  plot.svg
+    stacks the coherence ``traces`` (t, [(label, values), ...]) above the bars
+    of ``shown``; ``titles`` are those of the two panels and the bars' x label.
+    The defect tolerance is that of ``record``.
+    """
+    report = validate_distribution(raw)
+    payload = {**keys, "validation": asdict(report),
+               "numerical": _cumulant_payload(distribution_cumulants(raw))}
+    try:
+        payload["closed"] = _cumulant_payload(closed_cumulants(model, obs))
+    except InputError as exc:
+        payload.update(closed=None, closed_unavailable=str(exc))
+    if cfg.oracle:  # _build_model_obs has checked N
+        oracle = enumerate_oracle(model, obs).dist
+        payload["oracle_comparison"] = {
+            "max_abs_prob_deviation": float(np.abs(shown.probs - oracle.probs).max()),
+            "oracle_mean": oracle.mean(),
+        }
+
+    def plot():
+        line_title, bar_title, x_label = titles
+        return svgplot.stack_svgs([
+            svgplot.line_chart(*traces, title=line_title, x_label="t", y_label="coherence"),
+            svgplot.bar_chart(shown.support, shown.probs, title=bar_title, x_label=x_label,
+                              y_label="P")]).encode()
+
+    return _write_outputs(cfg, tables, payload, plot, report,
+                          _defect_tolerance(record.shots, record.time_grid.size))
+
+
 def run_probe(cfg: RunConfig) -> int:
     model, obs = _build_model_obs(cfg)
     record, raw = _acquire(cfg, model, obs, cfg.shots, cfg.eta,
                            cfg.eta if cfg.correct_eta else 0.0)
-    report = validate_distribution(raw)
-    dist = raw.cleaned()  # clipping would bias the cumulants, so they are taken from raw
-
-    payload = {
-        "method": raw.method,
-        "validation": asdict(report),
-        "numerical": _cumulant_payload(distribution_cumulants(raw)),
-        **_closed_block(model, obs),
-        **_oracle_block(cfg, model, obs, dist),
-    }
-
-    def plot():
-        traces = svgplot.line_chart(record.time_grid,
-                                    [("<sigma_x>", record.sx), ("<sigma_y>", record.sy)],
-                                    title=f"probe coherence ({cfg.model}, {cfg.obs})",
-                                    x_label="t", y_label="coherence")
-        bars = svgplot.bar_chart(dist.support, dist.probs,
-                                 title=f"P(x) for {cfg.obs}", x_label="x", y_label="P")
-        return svgplot.stack_svgs([traces, bars]).encode()
-
+    dist = raw.cleaned()
     tables = [("coherence.csv", lambda: _coherence_csv(record)),
               ("distribution.csv", lambda: _distribution_csv(dist))]
-    return _write_outputs(cfg, tables, payload, plot, report,
-                          _defect_tolerance(cfg.shots, record.time_grid.size))
+    traces = (record.time_grid, [("<sigma_x>", record.sx), ("<sigma_y>", record.sy)])
+    titles = (f"probe coherence ({cfg.model}, {cfg.obs})", f"P(x) for {cfg.obs}", "x")
+    return _report(cfg, model, obs, record, raw, dist, tables, traces, titles,
+                   {"method": raw.method})
 
 
 def run_sm_error(cfg: RunConfig) -> int:
@@ -543,43 +546,27 @@ def run_sm_error(cfg: RunConfig) -> int:
     eta = cfg.eta
     ideal, p_ideal = _acquire(cfg, model, obs, None, 0.0, 0.0)
     distorted, p_naive = _acquire(cfg, model, obs, None, eta, 0.0)
-    _, p_corrected = _acquire(cfg, model, obs, None, eta, eta)
-    p_ideal, p_naive = p_ideal.cleaned(), p_naive.cleaned()
-    report = validate_distribution(p_corrected)
-    corrected = p_corrected.cleaned()
+    warped, p_corrected = _acquire(cfg, model, obs, None, eta, eta)
+    p_ideal, p_naive, corrected = p_ideal.cleaned(), p_naive.cleaned(), p_corrected.cleaned()
 
     # a long dense record exposes the shifted recurrence for the estimator
     span = 1.3 * math.pi / (cfg.epsilon * min(1.0, 1.0 + eta))
     eta_hat = estimate_gate_error(simulate_probe_shots(
         model, obs, cfg.epsilon, np.linspace(0.0, span, 4096), None, eta=eta))
 
-    payload = {
-        "eta_true": eta,
-        "eta_estimate": eta_hat,
-        "tv_naive_vs_ideal": total_variation(p_naive, p_ideal),
-        "tv_corrected_vs_ideal": total_variation(corrected, p_ideal),
-        "validation": asdict(report),
-        "numerical": _cumulant_payload(distribution_cumulants(p_corrected)),
-        **_closed_block(model, obs),
-        **_oracle_block(cfg, model, obs, corrected),
-    }
-
-    def plot():
-        traces = svgplot.line_chart(
-            ideal.time_grid,
-            [("<sigma_x> ideal", ideal.sx), ("<sigma_y> ideal", ideal.sy),
-             ("<sigma_x> distorted", distorted.sx), ("<sigma_y> distorted", distorted.sy)],
-            title=f"gate-error demonstration (eta={eta})", x_label="t", y_label="coherence")
-        bars = svgplot.bar_chart(corrected.support, corrected.probs,
-                                 title="corrected P(m)", x_label="m", y_label="P")
-        return svgplot.stack_svgs([traces, bars]).encode()
-
     tables = [("coherence.csv", lambda: _coherence_csv(ideal)),
               ("coherence-distorted.csv", lambda: _coherence_csv(distorted)),
               ("distribution.csv", lambda: _distribution_csv(p_ideal)),
               ("distribution-naive.csv", lambda: _distribution_csv(p_naive)),
               ("distribution-corrected.csv", lambda: _distribution_csv(corrected))]
-    return _write_outputs(cfg, tables, payload, plot, report, EXACT_DEFECT_TOL)
+    traces = (ideal.time_grid,
+              [("<sigma_x> ideal", ideal.sx), ("<sigma_y> ideal", ideal.sy),
+               ("<sigma_x> distorted", distorted.sx), ("<sigma_y> distorted", distorted.sy)])
+    titles = (f"gate-error demonstration (eta={eta})", "corrected P(m)", "m")
+    return _report(cfg, model, obs, warped, p_corrected, corrected, tables, traces, titles,
+                   {"eta_true": eta, "eta_estimate": eta_hat,
+                    "tv_naive_vs_ideal": total_variation(p_naive, p_ideal),
+                    "tv_corrected_vs_ideal": total_variation(corrected, p_ideal)})
 
 
 def run(cfg: RunConfig) -> int:

@@ -838,3 +838,15 @@ def test_cumulants_at_infinite_temperature(n):
     cs = closed_cumulants(ring(n, h=0.3, beta=0.0), kink_number(n))
     assert (cs.kappa1, cs.kappa2, cs.kappa3) == pytest.approx((n / 2, n / 4, 0.0), abs=1e-12 * n)
     assert exact_kink_mean(ring(n, beta=0.0)) == pytest.approx(n / 2, rel=1e-15)
+
+
+def test_exact_kink_mean_refuses_the_longrange_model():
+    with pytest.raises(InputError, match="exact kink mean is a ring result"):
+        exact_kink_mean(longrange(6))
+
+
+def test_charfunc_refuses_a_route_that_breaks_the_unit_disc(monkeypatch):
+    monkeypatch.setattr(sys.modules["kinkprobe.charfunc"], "_ring_charfunc",
+                        lambda model, obs, thetas: np.full(thetas.shape, 1.1 + 0j))
+    with pytest.raises(InputError, match=r"\|F\| = 1.1 exceeds 1"):
+        charfunc_values(ring(4), magnetization(4), np.array([0.1, 0.2]))

@@ -417,6 +417,42 @@ def test_nan_defect_trips_validation(tmp_path, monkeypatch, argv):
     assert main(argv + ["--outdir", str(tmp_path / "out")]) == EXIT_VALIDATION
 
 
+def _cli(*argv):
+    return lambda out: main([*argv, "--outdir", str(out), "--formats", "csv,json,svg"])
+
+
+_PROBE_KEYS = {"method", "validation", "numerical", "closed"}
+_SM_ERROR_KEYS = {"eta_true", "eta_estimate", "tv_naive_vs_ideal", "tv_corrected_vs_ideal",
+                  "validation", "numerical", "closed"}
+
+
+@pytest.mark.parametrize("run, keys", [
+    (_cli("probe", "--N", "8"), _PROBE_KEYS),
+    (_cli("probe", "--N", "8", "--shots", "200", "--seed", "3"), _PROBE_KEYS),
+    (_cli("probe", "--N", "8", "--oracle"), _PROBE_KEYS | {"oracle_comparison"}),
+    (_cli("probe", "--N", "50", "--J", "700", "--h", "0"), _PROBE_KEYS | {"closed_unavailable"}),
+    (_cli("repro", "sm-error"), _SM_ERROR_KEYS),
+    (lambda out: cli.run(cli.RunConfig(**{**PRESETS["sm-error"], "N": 10, "oracle": True,
+                                          "outdir": str(out), "formats": ("json", "svg")})),
+     _SM_ERROR_KEYS | {"oracle_comparison"}),
+], ids=["probe-exact", "probe-shots", "probe-oracle", "probe-closed-overflow", "sm-error",
+        "sm-error-oracle"])
+def test_every_run_writes_the_shared_report(tmp_path, run, keys):
+    # both commands write one cumulants.json schema, apart from their own keys,
+    # and one figure: the coherence traces above the bars of the clipped P
+    out = tmp_path / "run"
+    assert run(out) == EXIT_OK
+    payload = json.loads((out / "cumulants.json").read_text())
+    assert set(payload) == keys
+    assert set(payload["validation"]) == {"norm_defect", "min_prob", "parity_violation_mass",
+                                          "residual_imag"}
+    assert (payload["closed"] is None) == ("closed_unavailable" in keys)
+    svg = "{http://www.w3.org/2000/svg}"
+    traces, bars = ET.parse(out / "plot.svg").getroot()
+    assert traces.findall(svg + "polyline") and not bars.findall(svg + "polyline")
+    assert len(bars.findall(svg + "rect")) > 1  # the background and at least one bar
+
+
 def test_repro_presets_exist_and_fig_preset_is_byte_stable(tmp_path):
     for name in ("fig2b", "fig2c", "fig3b", "fig3c", "sm-m-a", "sm-m-b",
                  "sm-m-c", "sm-m-d", "sm-k-a", "sm-k-b", "sm-error"):

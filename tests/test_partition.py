@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from kinkprobe import enumerate_oracle, loschmidt_amplitude, magnetization, partition_function
+from kinkprobe import (ScaledComplex, enumerate_oracle, loschmidt_amplitude, magnetization,
+                       partition_function)
 from kinkprobe.spin_model import _config_matrix, energy
 from conftest import longrange, random_couplings, ring
 
@@ -180,3 +181,8 @@ def test_loschmidt_at_infinite_temperature_matches_spectral_sum(make, rng):
     for t in rng.uniform(0, 10, size=10):
         expected = _spectral_amplitude(model, float(t))
         assert loschmidt_amplitude(model, float(t)) == pytest.approx(expected, abs=1e-11)
+
+
+def test_ratio_against_a_vanishing_partition_function_raises():
+    with pytest.raises(ZeroDivisionError, match="vanishing partition function"):
+        ScaledComplex(0.0, 1.0).ratio(ScaledComplex(0.0, 0.0))

@@ -567,3 +567,12 @@ def test_custom_observable_through_shot_pipeline():
     dist = invert_dft(record).cleaned()
     oracle = enumerate_oracle(model, obs).dist
     assert total_variation(dist, oracle) < 0.02  # P(1) = P(3) = 1/2 at beta = 0
+
+
+@pytest.mark.parametrize("sampler, model, fragment", [
+    (RingGibbsSampler, longrange(4), "requires the ring model"),
+    (LongRangeMetropolisSampler, ring(4), "requires the long-range model"),
+], ids=["ring-on-longrange", "longrange-on-ring"])
+def test_samplers_refuse_the_other_model(sampler, model, fragment):
+    with pytest.raises(InputError, match=fragment):
+        sampler(model)

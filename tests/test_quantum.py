@@ -143,3 +143,24 @@ def test_trotter_error_refuses_a_step_count_that_is_not_an_integer(steps):
 def test_trotter_probe_size_limit():
     with pytest.raises(SizeError):
         trotter_error_probe(noncommuting_test_observable(7), 0.5, 2)
+
+
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: PauliObservable(a=0.0, b=1.0, terms=(((3, "z"),),), n_sites=2),
+     "site 3 outside 1..2"),
+    (lambda: PauliObservable(a=0.0, b=1.0, terms=(((1, "w"),),), n_sites=2),
+     "unknown Pauli axis 'w'"),
+    (lambda: noncommuting_test_observable(1), "at least two sites"),
+    (lambda: DiagonalEnsemble(probs=np.ones(3) / 3, n_sites=2), r"length 2\^N"),
+    (lambda: DiagonalEnsemble(probs=np.ones(4) / 2, n_sites=2), "sum to 1"),
+    (lambda: QuantumRegister(amplitudes=np.ones(4) / 2, n_sites=2), r"length 2\^\(N\+1\)"),
+    (lambda: QuantumRegister(amplitudes=np.ones(8), n_sites=2), "must be normalized"),
+    (lambda: QuantumRegister.from_system_state(np.ones(3), 2), r"length 2\^N"),
+    (lambda: QuantumRegister.from_system_state(np.zeros(4), 2), "must be non-zero"),
+    (lambda: trotter_error_probe(noncommuting_test_observable(3), 0.5, 0), "at least 1"),
+], ids=["site-out-of-range", "unknown-axis", "one-site-test-observable",
+        "ensemble-length", "ensemble-unnormalised", "register-length",
+        "register-unnormalised", "system-state-length", "zero-system-state", "zero-steps"])
+def test_quantum_refusals(make, fragment):
+    with pytest.raises(InputError, match=fragment):
+        make()

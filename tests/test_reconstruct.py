@@ -246,3 +246,39 @@ def test_reconstructed_kink_mean_matches_exact_formula():
         model = ring(n, j=1.0, h=0.0, beta=0.8)
         dist = invert_dft(exact_record(model, kink_number(n)))
         assert dist.mean() == pytest.approx(exact_kink_mean(model), abs=1e-10)
+
+
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: Distribution(support=np.arange(3), probs=np.ones(2)), "1-d arrays of equal length"),
+    (lambda: Distribution(support=np.zeros((2, 2)), probs=np.ones((2, 2))),
+     "1-d arrays of equal length"),
+    (lambda: Distribution(support=np.array([0, 2, 1]), probs=np.ones(3) / 3),
+     "strictly increasing"),
+    (lambda: Distribution(support=np.arange(3), probs=np.array([-0.5, 0.0, -0.5])).cleaned(),
+     "no positive mass"),
+], ids=["unequal", "2-d", "not-increasing", "no-mass"])
+def test_distribution_refusals(make, fragment):
+    with pytest.raises(InputError, match=fragment):
+        make()
+
+
+def test_prob_of_outside_the_support_is_zero():
+    dist = Distribution(support=np.array([-1, 1]), probs=np.array([0.5, 0.5]))
+    assert [dist.prob_of(x) for x in (-3, 0, 2)] == [0.0, 0.0, 0.0]
+
+
+def _flat(points, span):
+    """A record at eps = 1/2 (full period 2 pi) reading -1 up to its last point."""
+    values = -np.ones(points)
+    values[-1] = 1.0
+    return record_of(np.linspace(0.0, span, points), values)
+
+
+@pytest.mark.parametrize("record, fragment", [
+    (record_of(np.linspace(0.0, 3.0, 4), np.ones(4)), "too short"),
+    (record_of(np.linspace(0.0, 3 * math.pi, 64), -np.ones(64)), "no coherence recurrence"),
+    (_flat(64, 2 * math.pi), "on the record edge"),
+], ids=["four-points", "no-recurrence", "edge"])
+def test_gate_error_estimate_refusals(record, fragment):
+    with pytest.raises(EstimationError, match=fragment):
+        estimate_gate_error(record)

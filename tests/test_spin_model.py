@@ -302,3 +302,15 @@ def test_batch_energy_and_values_match_row_by_row(rng):
     for obs in (magnetization(6), kink_number(6), _RAGGED):
         rows = [observable_values(s, obs) for s in spins.reshape(-1, 6)]
         np.testing.assert_array_equal(observable_values(spins, obs).ravel(), rows)
+
+
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: ModelParams(kind=ModelKind.RING, N=4, J=1.0, h=0.0, beta=-0.5),
+     "beta must be non-negative"),
+    # the bounds a -+ |b| n = -+1 are integers, but sums of three spins over 3 are not
+    (lambda: enumerate_oracle(ring(3), custom_observable(0.0, 1 / 3, [(1,), (2,), (3,)])),
+     "not integer-valued on some configuration"),
+], ids=["negative-beta", "custom-thirds"])
+def test_spin_model_refusals(make, fragment):
+    with pytest.raises(InputError, match=fragment):
+        make()
