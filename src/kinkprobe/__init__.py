@@ -23,7 +23,7 @@ from .probe import (ProbeRecord, circuit_phase, default_time_grid, gibbs_sampler
 from .quantum import (DiagonalEnsemble, PauliObservable, QuantumRegister,
                       noncommuting_test_observable, quantum_probe,
                       thermal_diagonal_ensemble, trotter_error_probe)
-from .reconstruct import build_theta_grid, estimate_gate_error, invert_dft
+from .reconstruct import build_theta_grid, estimate_gate_error, gate_error_times, invert_dft
 from .spin_model import (ModelKind, ModelParams, ObsKind, ObservableSpec,
                          OracleResult, custom_observable, energy, enumerate_oracle,
                          kink_number, magnetization, observable_values, term_sums)

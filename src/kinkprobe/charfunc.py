@@ -73,16 +73,22 @@ def _check_magnitude(values: np.ndarray) -> np.ndarray:
 
 
 def _ring_charfunc(model: ModelParams, obs: ObservableSpec, thetas: np.ndarray) -> np.ndarray:
+    """Z(deformed) / Z(physical) on the ring, both from one transfer-matrix call.
+
+    The physical point leads the deformed array as complex(A) or complex(B),
+    whose imaginary part is +0.0 as in a call at the real couplings.
+    """
     A = model.beta * model.J
     B = model.beta * model.h
-    ls_den, v_den = _znn_scaled_arrays(model.N, A, B)
     if obs.kind is ObsKind.MAGNETIZATION:
-        ls_num, v_num = _znn_scaled_arrays(model.N, complex(A), B + 1j * thetas)
+        ls, v = _znn_scaled_arrays(model.N, complex(A),
+                                   np.concatenate(([complex(B)], B + 1j * thetas)))
         phase = np.ones_like(thetas)
     else:
-        ls_num, v_num = _znn_scaled_arrays(model.N, A - 0.5j * thetas, complex(B))
+        ls, v = _znn_scaled_arrays(model.N, np.concatenate(([complex(A)], A - 0.5j * thetas)),
+                                   complex(B))
         phase = np.exp(1j * thetas * model.N / 2.0)
-    return phase * np.exp(ls_num - ls_den[0]) * (v_num / v_den[0])
+    return phase * np.exp(ls[1:] - ls[0]) * (v[1:] / v[0])
 
 
 def _grid_offset(thetas: np.ndarray) -> float:

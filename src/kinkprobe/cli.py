@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .charfunc import closed_cumulants, distribution_cumulants
 from .distribution import total_variation, validate_distribution
 from .errors import InputError, KinkprobeError
 from .probe import default_time_grid, simulate_probe_shots
-from .reconstruct import estimate_gate_error, invert_dft
+from .reconstruct import estimate_gate_error, gate_error_times, invert_dft
 from .spin_model import (ModelKind, ModelParams, enumerate_oracle, kink_number,
                          magnetization)
 
@@ -448,16 +448,18 @@ def _write_outputs(cfg: RunConfig, tables: list, payload: dict, plot, report,
     prints each path and returns EXIT_VALIDATION when the worst defect of
     ``report`` exceeds ``tolerance`` (NaN included).
 
-    Each thunk returns its file's bytes, written in binary mode: the CSV
-    tables as built, the JSON and SVG text encoded once.  Each file is
-    overwritten in place and then cut to the new length, since opening with
+    Each thunk returns its file's bytes: the CSV tables as built, the JSON
+    and SVG text encoded once.  Each path string is built once, as pathlib
+    would join it, and serves both os.open and the printed line.  The bytes
+    go out by os.write calls until none is left, then os.ftruncate cuts the
+    file to the new length: it is overwritten in place, since opening with
     O_TRUNC first frees the old blocks, which on ext4 made a re-run's write
     several times slower.  A thunk runs before its file is opened, so one
     that raises leaves the file as it was.  The write is not atomic: a crash
     part way can leave a file of new bytes and old ones.
     Files the run does not write keep their old contents.
     """
-    files = [("effective-config.json", lambda: _json_bytes(asdict(cfg)))]
+    files = [("effective-config.json", lambda: _json_bytes(vars(cfg)))]
     if "csv" in cfg.formats:
         files += tables
     if "json" in cfg.formats:
@@ -466,16 +468,22 @@ def _write_outputs(cfg: RunConfig, tables: list, payload: dict, plot, report,
         files.append(("plot.svg", plot))
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    prefix = str(outdir / "_")[:-1]  # pathlib's text for outdir / name, less the name
+    paths = []
     for name, thunk in files:
         data = thunk()
-        fd = os.open(outdir / name, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "wb") as fh:
-            fh.write(data)
-            fh.truncate()
-    for name, _ in files:
-        print(outdir / name)
+        paths.append(prefix + name)
+        fd = os.open(paths[-1], os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
+    print("\n".join(paths))
     if not report.worst_defect() <= tolerance:  # NaN fails
-        print(f"validation defects above tolerance: {asdict(report)}",
+        print(f"validation defects above tolerance: {vars(report)}",
               file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK
@@ -503,7 +511,7 @@ def _report(cfg: RunConfig, model, obs, record, raw, shown, tables: list, traces
     The defect tolerance is that of ``record``.
     """
     report = validate_distribution(raw)
-    payload = {**keys, "validation": asdict(report),
+    payload = {**keys, "validation": vars(report),
                "numerical": _cumulant_payload(distribution_cumulants(raw))}
     try:
         payload["closed"] = _cumulant_payload(closed_cumulants(model, obs))
@@ -549,10 +557,9 @@ def run_sm_error(cfg: RunConfig) -> int:
     warped, p_corrected = _acquire(cfg, model, obs, None, eta, eta)
     p_ideal, p_naive, corrected = p_ideal.cleaned(), p_naive.cleaned(), p_corrected.cleaned()
 
-    # a long dense record exposes the shifted recurrence for the estimator
-    span = 1.3 * math.pi / (cfg.epsilon * min(1.0, 1.0 + eta))
+    # a dense exact record around the shifted recurrence, only where the estimator reads it
     eta_hat = estimate_gate_error(simulate_probe_shots(
-        model, obs, cfg.epsilon, np.linspace(0.0, span, 4096), None, eta=eta))
+        model, obs, cfg.epsilon, gate_error_times(cfg.epsilon, eta), None, eta=eta))
 
     tables = [("coherence.csv", lambda: _coherence_csv(ideal)),
               ("coherence-distorted.csv", lambda: _coherence_csv(distorted)),

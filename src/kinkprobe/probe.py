@@ -30,7 +30,6 @@ its shot records follow that chain's law on either route.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,7 @@ import numpy as np
 from .charfunc import _check_magnitude, _longrange_law, _sector_charfunc, charfunc_values
 from .errors import InputError
 from .partition import _log_binomials
-from .reconstruct import _check_eta, build_theta_grid
+from .reconstruct import _check_gate, build_theta_grid
 from .spin_model import (ModelKind, ModelParams, ObservableSpec, ObsKind, _is_integer,
                          check_term_count, observable_values)
 
@@ -73,15 +72,6 @@ class ProbeRecord:
     def values(self) -> np.ndarray:
         """The coherence <sigma_x> + i <sigma_y>, which samples F at ``theta``."""
         return self.sx + 1j * self.sy
-
-
-def _check_gate(epsilon: float, eta: float) -> None:
-    """Refuse a coupling strength or gate error outside eps > 0, eta > -1 (NaN included)."""
-    if not math.isfinite(epsilon):
-        raise InputError(f"epsilon must be finite, got {epsilon}")
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
-    _check_eta(eta)
 
 
 def default_time_grid(obs: ObservableSpec, epsilon: float, *,

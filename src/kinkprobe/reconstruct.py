@@ -29,7 +29,13 @@ from .spin_model import ObservableSpec, _is_integer
 if TYPE_CHECKING:  # pragma: no cover
     from .probe import ProbeRecord
 
-__all__ = ["build_theta_grid", "invert_dft", "estimate_gate_error"]
+__all__ = ["build_theta_grid", "invert_dft", "estimate_gate_error", "gate_error_times"]
+
+# the estimator record: _RECORD_POINTS times over 0 .. _RECORD_SPAN pi / (eps min(1, 1 + eta));
+# the recurrence is sought at t / (pi / eps) in [_WINDOW_LO, _WINDOW_HI]
+_RECORD_POINTS = 4096
+_RECORD_SPAN = 1.3
+_WINDOW_LO, _WINDOW_HI = 0.72, 1.45
 
 
 def build_theta_grid(obs: ObservableSpec, *, points: int | None = None) -> np.ndarray:
@@ -57,6 +63,15 @@ def _check_eta(eta: float) -> None:
         raise InputError(f"eta must be finite, got {eta}")
     if eta <= -1.0:
         raise InputError("eta must exceed -1")
+
+
+def _check_gate(epsilon: float, eta: float) -> None:
+    """Refuse a coupling strength or gate error outside eps > 0, eta > -1 (NaN included)."""
+    if not math.isfinite(epsilon):
+        raise InputError(f"epsilon must be finite, got {epsilon}")
+    if epsilon <= 0:
+        raise InputError("epsilon must be positive")
+    _check_eta(eta)
 
 
 def invert_dft(record: "ProbeRecord", eta: float = 0.0) -> Distribution:
@@ -93,6 +108,21 @@ def invert_dft(record: "ProbeRecord", eta: float = 0.0) -> Distribution:
                         method=f"{method}/{source}")
 
 
+def gate_error_times(epsilon: float, eta: float) -> np.ndarray:
+    """The acquisition times of the record estimate_gate_error reads.
+
+    The grid is _RECORD_POINTS times from 0 to 1.3 pi / (eps min(1, 1 + eta)),
+    which spans the recurrence for either sign of eta.  The estimator reads
+    only the samples from the window start 0.72 pi / eps on, and the one
+    before it, so only those times are returned: the same grid points, so the
+    estimate is that of the full record, bit for bit.
+    """
+    _check_gate(epsilon, eta)
+    span = _RECORD_SPAN * math.pi / (epsilon * min(1.0, 1.0 + eta))
+    t = np.linspace(0.0, span, _RECORD_POINTS)
+    return t[np.searchsorted(t, _WINDOW_LO * (math.pi / epsilon)) - 1:]
+
+
 def estimate_gate_error(record: "ProbeRecord") -> float:
     """Infer eta from the shifted recurrence time of the probe coherence.
 
@@ -102,14 +132,15 @@ def estimate_gate_error(record: "ProbeRecord") -> float:
     (excluding earlier half-period recurrences that parity structure can
     produce) and sharpens it with a parabolic fit, then returns
     eta = T_ideal / T_measured - 1.  The record must span the measured
-    period, so for negative eta acquire a bit beyond pi / eps.
+    period, so for negative eta acquire a bit beyond pi / eps;
+    gate_error_times builds such a record's times.
     """
     t, c = record.time_grid, record.values
     if t.size < 5:
         raise EstimationError("record too short for period detection")
     t_ideal = math.pi / record.epsilon
     g2 = np.abs(c - 1.0) ** 2
-    window = (t >= 0.72 * t_ideal) & (t <= 1.45 * t_ideal)
+    window = (t >= _WINDOW_LO * t_ideal) & (t <= _WINDOW_HI * t_ideal)
     if window.sum() < 3:
         raise EstimationError("record does not span the expected recurrence window")
     idx = np.flatnonzero(window)

@@ -55,7 +55,7 @@ def line_chart(x, series, title="", x_label="", y_label="") -> str:
     xp = _scale(x, x.min(), x.max(), _MARGIN, _W - 12)
     for i, (label, y) in enumerate(series):
         yp = _scale(ys[i], y_lo, y_hi, _H - _MARGIN, 12)
-        pts = " ".join(map("%.2f,%.2f".__mod__, zip(xp.tolist(), yp.tolist())))
+        pts = " ".join(["%.2f,%.2f"] * x.size) % tuple(np.column_stack((xp, yp)).ravel().tolist())
         color = _COLORS[i % len(_COLORS)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>')
         parts.append(f'<text x="{_W - 140}" y="{28 + 16 * i}" font-size="12" '
@@ -73,8 +73,8 @@ def bar_chart(x, heights, title="", x_label="", y_label="") -> str:
     base = _H - _MARGIN
     tops = _scale(np.maximum(h, 0.0), 0.0, y_hi, base, 12)
     bar = f'<rect x="%.2f" y="%.2f" width="{width:.2f}" height="%.2f" fill="#1f77b4"/>'
-    parts += map(bar.__mod__, zip((xp - width / 2).tolist(), tops.tolist(),
-                                  (base - tops).tolist()))
+    parts.append("\n".join([bar] * x.size) % tuple(
+        np.column_stack((xp - width / 2, tops, base - tops)).ravel().tolist()))
     return "\n".join(parts)
 
 

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 
-from kinkprobe import Distribution, InputError
-from kinkprobe.partition import _log_binomials
+from kinkprobe import Distribution, InputError, ObsKind
+from kinkprobe.charfunc import _check_magnitude, _mirrored, _on_grid
+from kinkprobe.partition import _log_binomials, _znn_scaled_arrays
 from kinkprobe.probe import METROPOLIS_BURNIN_SWEEPS, _up_count_steps
 
 
@@ -31,6 +32,28 @@ def charfunc_of_distribution(dist: Distribution, thetas) -> np.ndarray:
     """Forward transform F(theta) = sum P(x) exp(i theta x); round-trip oracle."""
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
     return np.exp(1j * np.outer(th, dist.support.astype(float))) @ dist.probs.astype(complex)
+
+
+def ring_charfunc_two_calls(model, obs, thetas) -> np.ndarray:
+    """Ring F as charfunc_values gives it, with Z(physical) from a call of its own.
+
+    One transfer-matrix call at the real couplings gives the denominator and
+    a second call at the deformed ones the numerator; on the standard grid
+    F_j is evaluated for j <= M // 2 and mirrored, as charfunc_values does.
+    """
+    th = np.atleast_1d(np.asarray(thetas, dtype=float))
+    grid = _on_grid(th)
+    part = th[:th.size // 2 + 1] if grid else th
+    A, B = model.beta * model.J, model.beta * model.h
+    ls_den, v_den = _znn_scaled_arrays(model.N, A, B)
+    if obs.kind is ObsKind.MAGNETIZATION:
+        ls_num, v_num = _znn_scaled_arrays(model.N, complex(A), B + 1j * part)
+        phase = np.ones_like(part)
+    else:
+        ls_num, v_num = _znn_scaled_arrays(model.N, A - 0.5j * part, complex(B))
+        phase = np.exp(1j * part * model.N / 2.0)
+    f = phase * np.exp(ls_num - ls_den[0]) * (v_num / v_den[0])
+    return _check_magnitude(_mirrored(f, th.size) if grid else f)
 
 
 def metropolis_up_count_law_stepwise(model) -> np.ndarray:

@@ -13,7 +13,7 @@ from kinkprobe import (CumulantFlavor, InputError, build_theta_grid, charfunc_va
                        magnetization, partition_function, validate_distribution)
 from kinkprobe.probe import RingGibbsSampler
 from conftest import exact_record, longrange, random_couplings, record_of, ring
-from oracles import charfunc_of_distribution, joint_counts
+from oracles import charfunc_of_distribution, joint_counts, ring_charfunc_two_calls
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +293,27 @@ def test_ring_half_grid_is_the_route_at_those_phases(obs_builder, n, j, h, beta)
             assert _bits(f[-1].real) == _bits(direct[-1].real)
             f, direct = f[:-1], direct[:-1]
         assert _bits(f) == _bits(direct)
+
+
+# (J, h, beta): ordinary couplings, infinite temperature and the four corners
+# |beta J| = |beta h| = 700 of the envelope
+TWO_CALL_COUPLINGS = [(0.8, 0.35, 1.1), (0.7, -0.4, 0.0), (700.0, 700.0, 1.0),
+                      (700.0, -700.0, 1.0), (-700.0, 700.0, 1.0), (-700.0, -700.0, 1.0)]
+
+
+@pytest.mark.parametrize("n, j, h, beta",
+                         [(n, *c) for n in (2, 3, 20, 51, 1000) for c in TWO_CALL_COUPLINGS]
+                         + [(11, -20.0, 0.0, 1.0), (11, -20.0, 0.3, 1.0)])
+@pytest.mark.parametrize("obs_builder", [magnetization, kink_number])
+def test_ring_charfunc_is_the_two_call_ratio_bitwise(obs_builder, n, j, h, beta):
+    # Z(physical) leads the deformed array of the one transfer-matrix call; F
+    # keeps the bits of the ratio of two calls, on and off the standard grid
+    model, obs = ring(n, j=j, h=h, beta=beta), obs_builder(n)
+    on_grid = _grids(obs)
+    off_grid = (on_grid[0] * 1.02, np.linspace(0.05, 7.0, 37), np.array([0.0, np.pi, 1e-9]))
+    for thetas in on_grid + off_grid:
+        assert _bits(charfunc_values(model, obs, thetas)) == _bits(
+            ring_charfunc_two_calls(model, obs, thetas))
 
 
 @pytest.mark.parametrize("n, j, h, beta", [(9, 0.8, 0.35, 1.1), (12, 0.7, -0.4, 0.0),

@@ -542,6 +542,50 @@ def test_rerun_into_a_used_directory_writes_a_fresh_runs_bytes(tmp_path, capsys,
         assert (used / name).read_bytes() == before[name]
 
 
+@pytest.mark.parametrize("argv", [
+    ["repro", "fig2c", "--formats", "csv,json,svg"],
+    ["probe", "--model", "ring", "--obs", "kinks", "--N", "1000"],
+], ids=["repro", "probe-kinks-1000"])
+def test_short_writes_give_the_same_bytes(tmp_path, capsys, monkeypatch, argv):
+    # os.write may take fewer bytes than it is given; the writer loops until
+    # every byte is out
+    assert main(argv + ["--outdir", str(tmp_path / "whole")]) == EXIT_OK
+    whole = _written(tmp_path / "whole", capsys)
+    calls = []
+    write = cli.os.write
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return write(fd, bytes(data[:1000]))
+
+    monkeypatch.setattr(cli.os, "write", short_write)
+    assert main(argv + ["--outdir", str(tmp_path / "short")]) == EXIT_OK
+    assert _written(tmp_path / "short", capsys) == whole
+    assert max(calls) > 1000  # some file took more than one call
+
+
+def test_a_table_that_raises_leaves_its_files_old_bytes(tmp_path, capsys, monkeypatch):
+    # a thunk runs before its file is opened: the re-run stops at the table
+    # that raises, with exit code 1, and that file and the ones after it keep
+    # the first run's bytes
+    out = tmp_path / "out"
+    assert main(["repro", "fig2b", "--outdir", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def refuse(dist):
+        raise InputError("no table")
+
+    monkeypatch.setattr(cli, "_distribution_csv", refuse)
+    assert main(["repro", "fig2c", "--outdir", str(out)]) == EXIT_INPUT
+    assert "kinkprobe: error: no table" in capsys.readouterr().err
+    after = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert after.keys() == before.keys()
+    assert after["coherence.csv"] != before["coherence.csv"]  # fig2c's, written first
+    for name in ("distribution.csv", "cumulants.json"):
+        assert after[name] == before[name]
+
+
 def test_one_shared_parser_leaks_no_state_between_calls(tmp_path):
     assert cli.build_parser() is cli.build_parser()
 

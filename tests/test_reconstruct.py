@@ -5,10 +5,11 @@ import pytest
 
 from kinkprobe import (Distribution, EstimationError, GridMismatchError, InputError,
                        build_theta_grid, closed_cumulants, estimate_gate_error,
-                       exact_kink_mean, invert_dft, kink_number, magnetization,
-                       simulate_probe_shots, total_variation, validate_distribution)
+                       exact_kink_mean, gate_error_times, invert_dft, kink_number,
+                       magnetization, simulate_probe_shots, total_variation,
+                       validate_distribution)
 from kinkprobe.probe import default_time_grid
-from conftest import exact_record, record_of, ring
+from conftest import exact_record, longrange, record_of, ring
 
 
 def test_grid_sizes():
@@ -186,6 +187,39 @@ def test_estimate_gate_error_needs_full_period():
     record = simulate_probe_shots(model, obs, 0.01, times, None)
     with pytest.raises(EstimationError):
         estimate_gate_error(record)
+
+
+@pytest.mark.parametrize("eta", [-0.05, -0.02, 0.0, 0.02, 0.05])
+@pytest.mark.parametrize("make", [ring, longrange], ids=["ring", "longrange"])
+def test_windowed_estimator_record_gives_the_full_records_estimate(make, eta):
+    # gate_error_times keeps the full record's grid points from the last one
+    # below the window start on, so the estimate keeps its bits
+    model, obs, eps = make(20, h=0.1), magnetization(20), 0.01
+    full = np.linspace(0.0, 1.3 * math.pi / (eps * min(1.0, 1.0 + eta)), 4096)
+    times = gate_error_times(eps, eta)
+    assert np.array_equal(times, full[full.size - times.size:])
+    assert times[0] < 0.72 * (math.pi / eps) <= times[1]
+    assert estimate_gate_error(simulate_probe_shots(model, obs, eps, times, None, eta=eta)) == (
+        estimate_gate_error(simulate_probe_shots(model, obs, eps, full, None, eta=eta)))
+
+
+def test_windowed_estimator_record_keeps_a_fraction_of_the_grid():
+    assert gate_error_times(0.01, 0.02).size == 1828
+
+
+def test_estimate_gate_error_refuses_a_record_that_misses_the_window():
+    model, obs, eps = ring(20, h=0.1), magnetization(20), 0.01
+    times = 0.5 * gate_error_times(eps, 0.02)  # all of it below 0.72 pi / eps
+    record = simulate_probe_shots(model, obs, eps, times, None, eta=0.02)
+    with pytest.raises(EstimationError, match="window"):
+        estimate_gate_error(record)
+
+
+@pytest.mark.parametrize("eps, eta", [(0.0, 0.0), (math.nan, 0.0), (0.01, -1.0),
+                                      (0.01, math.inf)])
+def test_gate_error_times_refuse_a_bad_gate(eps, eta):
+    with pytest.raises(InputError):
+        gate_error_times(eps, eta)
 
 
 # ---------------------------------------------------------------------------
