@@ -1,13 +1,13 @@
 """Command-line frontend: model -> probe record -> distribution -> files.
 
 Outputs per run directory: effective-config.json (the resolved settings),
-coherence.csv (t, theta, sx, sy), distribution.csv (x, p; clipped),
+coherence.csv (t, theta, sx, sy), distribution.csv (x, p; Distribution.cleaned),
 cumulants.json and an optional plot.svg; sm-error adds coherence-distorted.csv,
 distribution-naive.csv and distribution-corrected.csv.  Every run reports
 through _report, from the record it inverted: cumulants.json holds the
 validation, numerical (of the unclipped inversion), closed and, with --oracle,
 oracle blocks beside the run's own keys; plot.svg stacks the coherence above
-the clipped distribution; the exit gate is that record's tolerance.  CSV floats
+the cleaned distribution; the exit gate is that record's tolerance.  CSV floats
 are '%.17g' and integers '%d'; a table of _BULK_ROWS rows or more is formatted
 in numpy chunks to the same bytes (_csv_table).  A re-run into a used directory
 overwrites each file it writes in place and leaves every other file as it was.
@@ -502,7 +502,7 @@ def _report(cfg: RunConfig, model, obs, record, raw, shown, tables: list, traces
     """The report every run writes, and its exit gate.
 
     ``record`` is the probe record inverted to ``raw``, and ``shown`` is the
-    clipped distribution the files hold.  cumulants.json holds ``keys`` and the
+    cleaned distribution the files hold.  cumulants.json holds ``keys`` and the
     shared blocks: the validation report and the cumulants of ``raw`` (clipping
     would bias them), the closed cumulants or the reason there are none, and,
     with ``cfg.oracle``, ``shown`` against the enumeration oracle.  plot.svg

@@ -2,8 +2,8 @@
 
 A Distribution stores the probabilities exactly as produced (shot noise can
 leave slightly negative entries); `validate_distribution` reports the
-defects, and `Distribution.cleaned` clips and renormalizes after the raw
-numbers have been recorded.
+defects, and `Distribution.cleaned` zeroes the forbidden values, clips and
+renormalizes after the raw numbers have been recorded.
 """
 
 from __future__ import annotations
@@ -51,8 +51,12 @@ class Distribution:
         return float(self.probs[idx])
 
     def cleaned(self) -> "Distribution":
-        """Clip negative entries to zero and renormalize (report first!)."""
-        p = np.clip(self.probs, 0.0, None)
+        """Set the forbidden values to 0, clip negative entries to 0 and renormalize.
+
+        Report first: validate_distribution reads the raw numbers, parity
+        defect included.
+        """
+        p = np.where(self.forbidden, 0.0, np.clip(self.probs, 0.0, None))
         total = p.sum()
         if total <= 0:
             raise InputError("distribution has no positive mass")
