@@ -9,15 +9,20 @@ validation, numerical (of the unclipped inversion), closed and, with --oracle,
 oracle blocks beside the run's own keys; plot.svg stacks the coherence above
 the cleaned distribution; the exit gate is that record's tolerance.  CSV floats
 are '%.17g' and integers '%d'; a table of _BULK_ROWS rows or more is formatted
-in numpy chunks to the same bytes (_csv_table).  A re-run into a used directory
-overwrites each file it writes in place and leaves every other file as it was.
-The argparse tree is built once per process.  Exit codes: 0 ok, 1 input error,
-2 validation-report defects above tolerance, 64 usage error.
+in numpy chunks to the same bytes (_csv_table).  Under glibc the first such
+table sets the process's allocator to keep the heap it frees
+(_keep_freed_heap): a process runs one pipeline, and each chunk then reuses
+the memory the last one freed instead of faulting it in again; no output
+changes.  A re-run into a used directory overwrites each file it writes in
+place and leaves every other file as it was.  The argparse tree is built once
+per process.  Exit codes: 0 ok, 1 input error, 2 validation-report defects
+above tolerance, 64 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
@@ -206,9 +211,37 @@ def _build_model_obs(cfg: RunConfig):
 
 
 _BULK_ROWS = 1000     # tables from this many rows up take the numpy route of _csv_table
-_CHUNK_CELLS = 8192   # values per numpy chunk
+_CHUNK_CELLS = 16384  # values per numpy chunk
 _TIE_BAND = 1e-6      # entries this close to a rounding tie take the % route
 _X_LO, _X_HI = -324, 308  # decimal exponents of the nonzero finite doubles
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Have glibc keep the heap it frees, for the rest of the process.
+
+    Each chunk of _csv_table's numpy route frees a few MB of temporaries.  By
+    default glibc hands that heap top back to the kernel, and the next chunk
+    faults it in again: 1,700 to 3,300 minor faults in one pass of the seven
+    exact N = 1e3 to 1e4 benchmark jobs, and 0 to 2 once this is set.  The
+    heap is then trimmed only when 64 MiB lie free at its top, and only blocks
+    of 16 MiB or more are mmapped.  Both are set, because fixing the trim
+    threshold alone also stops glibc raising its mmap threshold from 128 KiB,
+    so the larger temporaries would still be mmapped and faulted in on every
+    call.  A no-op where the C library is not glibc; it never raises.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        if not hasattr(libc, "gnu_get_libc_version"):
+            return
+        mallopt = libc.mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 16 << 20)
 
 
 @functools.cache
@@ -389,9 +422,13 @@ def _csv_table(header: str, ints, floats) -> bytes:
     distribution 2.5 ms instead of 6.0.  A process builds the numpy route's
     tables once, in 1 to 2.5 ms.  After that the route is the faster one from
     about 100 rows of the coherence and 350 of the distribution; a fresh
-    process writing both tables breaks even between 900 and 1500 rows.  Of
-    chunks of 2048 to 16384 values, 8192 ran fastest (both tables at 8001 and
-    10001 rows: 30, 27, 24 and 26 ms), and they keep the temporaries to a few MB.
+    process writing both tables breaks even between 900 and 1500 rows.  With
+    the heap kept (_keep_freed_heap), both tables at 8001 and 10001 rows took
+    16.1, 14.8, 13.9, 12.7 and 12.6 ms in chunks of 2048 to 32768 values.  In
+    two sets of ten alternating pairs of the benchmark's exact N = 1e3 to 1e4
+    jobs, chunks of 16384 beat 8192 in 9 of 10 pairs each (wall time -3% and
+    -7%), and 4096 lost 9 of 10 to 8192.  At 16384 a 10001-row coherence
+    table peaks at 2.7 MB of traced memory, against 1.7 MB at 8192.
     """
     ints = [np.asarray(c, dtype=np.int64) for c in ints]
     floats = [np.asarray(c, dtype=float) for c in floats]
@@ -403,6 +440,7 @@ def _csv_table(header: str, ints, floats) -> bytes:
         for k, c in enumerate(cols):
             cells[k::len(cols)] = c.tolist()
         return (header + line * n % tuple(cells)).encode("ascii")
+    _keep_freed_heap()
     step = _CHUNK_CELLS // len(cols)
     return b"".join([header.encode()] + [
         _csv_chunk([c[s:s + step] for c in ints], [c[s:s + step] for c in floats], line)

@@ -8,13 +8,19 @@ formatted in numpy chunks of ``cli._CHUNK_CELLS`` values.  Both routes must
 give the same bytes for any input, including -0.0, +-inf, nan, subnormals, the
 %g exponent switch points (1e16/1e17 and 1e-4/1e-5) and their neighbours,
 exact rounding ties and large integer supports, at the switch between the
-routes and at the chunk boundaries.
+routes and at the chunk boundaries.  The numpy route has glibc keep the heap
+its chunks free; where that cannot be set, the tables are written all the same.
 """
 
+import platform
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 from xml.sax.saxutils import escape
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -217,3 +223,93 @@ def test_stacked_figure_matches_the_sliced_chart_documents(m, k, data):
             _ref_document(_ref_line_chart(x, series, title="t", x_label="x", y_label="y")),
             _ref_document(_ref_bar_chart(support, h, title="P", x_label="x", y_label="P"))])
     assert got == want
+
+
+def _bulk_tables(m: int = 10001):
+    """A coherence record and a distribution of ``m`` rows, the numpy route's."""
+    theta = 2 * np.pi * np.arange(m) / m
+    record = SimpleNamespace(time_grid=theta / 0.02, theta=theta, sx=np.cos(3 * theta),
+                             sy=np.sin(3 * theta))
+    support = np.arange(m) - m // 2
+    probs = np.exp(-0.5 * (support / 40.0) ** 2)
+    return record, SimpleNamespace(support=support, probs=probs / probs.sum())
+
+
+@pytest.fixture
+def fresh_policy():
+    """Clear the allocator policy's cache before and after, so the next bulk
+    table sets the policy again through the real C library."""
+    cli._keep_freed_heap.cache_clear()
+    yield
+    cli._keep_freed_heap.cache_clear()
+
+
+def test_allocator_policy_is_set_once_per_process(monkeypatch, fresh_policy):
+    loaded, calls = [], []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    def cdll(name):
+        loaded.append(name)
+        return SimpleNamespace(gnu_get_libc_version=None, mallopt=mallopt)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    record, dist = _bulk_tables()
+    small = SimpleNamespace(support=dist.support[:cli._BULK_ROWS - 1],
+                            probs=dist.probs[:cli._BULK_ROWS - 1])
+    cli._distribution_csv(small)
+    assert loaded == []  # the % line leaves the allocator alone
+    for _ in range(3):
+        cli._coherence_csv(record)
+        cli._distribution_csv(dist)
+    assert len(loaded) == 1
+    assert calls == [(cli._M_TRIM_THRESHOLD, 64 << 20), (cli._M_MMAP_THRESHOLD, 16 << 20)]
+
+
+def _no_libc(name):
+    raise OSError("no C library here")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: SimpleNamespace(),
+                                  lambda name: SimpleNamespace(gnu_get_libc_version=None)],
+                         ids=["no-library", "not-glibc", "no-mallopt"])
+def test_bulk_tables_are_written_where_the_policy_cannot_be_set(monkeypatch, fresh_policy,
+                                                                cdll):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    record, dist = _bulk_tables()
+    assert cli._coherence_csv(record) == _ref_coherence_csv(record).encode("ascii")
+    assert cli._distribution_csv(dist) == _ref_distribution_csv(dist).encode("ascii")
+
+
+def _steady_faults() -> int:
+    """Minor faults of five writes of both bulk tables, after five warm writes
+    (the heap grows to its high-water mark in a few)."""
+    import resource
+
+    record, dist = _bulk_tables()
+
+    def write_both():
+        cli._coherence_csv(record)
+        cli._distribution_csv(dist)
+
+    for _ in range(5):
+        write_both()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        write_both()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's")
+def test_repeated_bulk_tables_reuse_the_freed_heap():
+    # in a fresh interpreter: once a large mmapped block is freed, glibc raises
+    # its own thresholds, and earlier tests in this process may have done that
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; "
+            "from test_writers import _steady_faults; print(_steady_faults())")
+    paths = [str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)]
+    child = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True,
+                           text=True, timeout=300, check=True)
+    # without the policy each pair faults its temporaries in again, ~900 pages
+    assert int(child.stdout) < 50
