@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`kinkprobe.spin_model`   -- energy and observable_values over spin arrays, enumeration oracle
-* :mod:`kinkprobe.partition`    -- partition_function: Z at real or complex couplings, Loschmidt amplitude
+* :mod:`kinkprobe.partition`    -- partition_function: log Z at real or complex couplings, Loschmidt amplitude
 * :mod:`kinkprobe.charfunc`     -- F(theta) (charfunc_values), closed and distribution cumulants
 * :mod:`kinkprobe.distribution` -- distributions, parity masks, validation and distances
 * :mod:`kinkprobe.reconstruct`  -- Fourier inversion of a probe record (invert_dft), gate-error estimate
@@ -17,7 +17,7 @@ from .charfunc import (CumulantFlavor, CumulantSet, charfunc_values, closed_cumu
 from .distribution import Distribution, DistributionReport, total_variation, validate_distribution
 from .errors import (EstimationError, GridMismatchError, InputError, KinkprobeError,
                      SizeError)
-from .partition import ScaledComplex, loschmidt_amplitude, partition_function
+from .partition import loschmidt_amplitude, partition_function
 from .probe import (ProbeRecord, circuit_phase, default_time_grid, gibbs_sampler,
                     simulate_probe_shots)
 from .quantum import (DiagonalEnsemble, PauliObservable, QuantumRegister,

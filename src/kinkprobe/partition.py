@@ -1,23 +1,23 @@
-"""Ising partition functions at real or complex couplings.
+"""Ising partition functions at real or complex couplings, as log Z.
 
-partition_function(model, A, B) is the one entry point: Z at A = beta*J and
-B = beta*h, either of which may be complex, for the model's kind and N.  The
-ring uses the 2x2 transfer matrix, whose eigenvalues read
+partition_function(model, A, B) is the one entry point: log Z at A = beta*J
+and B = beta*h, either of which may be complex, for the model's kind and N,
+as one complex number whose real part is log|Z| and whose imaginary part is
+a phase of Z (mod 2 pi).  A ratio of partition functions is thus the exp
+of a difference, and |A|, |B| up to 700 and N up to 1e4 never overflow.
+The ring uses the 2x2 transfer matrix, whose eigenvalues read
 
     lambda_pm = e^{A} cosh(B) +- e^{-A} sqrt(1 + e^{4A} sinh^2(B)),
 
 and Z = lambda_-^N + lambda_+^N.  The long-range model uses the explicit sum
 over the down-count sectors k; its log sector weights (_longrange_log_g)
-also give both long-range characteristic functions in charfunc.  All values
-are carried as (log_scale, value) pairs so that |A|, |B| up to 700 and N up
-to 1e4 never overflow; only ratios of partition functions are ever
-exponentiated without a scale.
+also give both long-range characteristic functions in charfunc.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,22 +26,6 @@ from .spin_model import ModelKind, ModelParams
 
 _TINY_LOG_BRACKET = -40.0  # below this log|N (1 + r)|, the odd-N bracket is N (1 + r)
 _DEAD_LOG_POWER = -800.0  # |r|^N below e^-800 rounds to exactly 0
-
-
-@dataclass(frozen=True)
-class ScaledComplex:
-    """value * exp(log_scale); log_scale is real, |value| stays O(1)."""
-
-    log_scale: float
-    value: complex
-
-    def ratio(self, other: "ScaledComplex") -> complex:
-        if other.value == 0:
-            raise ZeroDivisionError("ratio against a vanishing partition function")
-        return np.exp(self.log_scale - other.log_scale) * (self.value / other.value)
-
-    def log_abs(self) -> float:
-        return self.log_scale + float(np.log(np.abs(self.value)))
 
 
 def _scaled_lambdas(A, B):
@@ -152,31 +136,33 @@ def _longrange_log_g(n: int, A, B) -> tuple[np.ndarray, complex]:
     return logc + (m - m0) * (0.5 * A * (m + m0) + B), 0.5 * A * (m0 * m0 - n) + B * m0
 
 
-def _zlr_scaled(n: int, A, B) -> ScaledComplex:
-    """Long-range Z = C(N, N // 2) e^c sum_k g(k) as a stabilized sector sum.
+def _zlr_log(n: int, A, B) -> complex:
+    """Long-range log Z = log C(N, N // 2) + c + log sum_k g(k), a log-sum-exp.
 
-    See _longrange_log_g.  Every term is kept as log-magnitude plus phase and
-    shifted by the max exponent; log C(N, N // 2) joins the scale.
+    See _longrange_log_g.  The terms are shifted by their largest real log
+    weight before they are summed.
     """
     expo, c = _longrange_log_g(n, complex(A), complex(B))
     shift = float(expo.real.max())
-    s = np.exp(expo - shift).sum()
     half = n // 2
     log_central = math.lgamma(n + 1) - math.lgamma(half + 1) - math.lgamma(n - half + 1)
-    return ScaledComplex(log_scale=c.real + shift + log_central,
-                         value=np.exp(1j * c.imag) * s)
+    with np.errstate(divide="ignore"):
+        return complex(c + shift + log_central + np.log(np.exp(expo - shift).sum()))
 
 
-def partition_function(model: ModelParams, A, B) -> ScaledComplex:
-    """Z at A = beta*J and B = beta*h, either of which may be complex.
+def partition_function(model: ModelParams, A, B) -> complex:
+    """log Z at A = beta*J and B = beta*h, either of which may be complex.
 
     Reads only model.kind and model.N: the couplings come in as A and B, so
-    one call serves the physical and the analytically-continued Z alike.
+    one call serves the physical and the analytically-continued Z alike.  A
+    vanishing Z (a Lee-Yang zero) gives a real part of -inf, without a
+    warning, so the ratio Z / Z' = exp(log Z - log Z') reads 0.
     """
     if model.kind is ModelKind.RING:
         log_scale, value = _znn_scaled_arrays(model.N, A, B)
-        return ScaledComplex(float(log_scale[0]), complex(value[0]))
-    return _zlr_scaled(model.N, A, B)
+        with np.errstate(divide="ignore"):
+            return complex(log_scale[0] + np.log(value[0]))
+    return _zlr_log(model.N, A, B)
 
 
 def loschmidt_amplitude(model: ModelParams, t: float) -> complex:
@@ -188,4 +174,4 @@ def loschmidt_amplitude(model: ModelParams, t: float) -> complex:
     bc = model.beta + 1j * t
     num = partition_function(model, bc * model.J, bc * model.h)
     den = partition_function(model, model.beta * model.J, model.beta * model.h)
-    return num.ratio(den)
+    return cmath.exp(num - den)

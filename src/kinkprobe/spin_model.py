@@ -208,16 +208,12 @@ def energy(model: ModelParams, spins: np.ndarray) -> np.ndarray:
     return -model.J * (m * m - model.N) / 2.0 - model.h * m
 
 
+@dataclass(frozen=True)
 class OracleResult:
-    """Exact partition function and observable distribution from enumeration."""
+    """Exact log partition function and observable distribution from enumeration."""
 
-    def __init__(self, log_z: float, dist: Distribution):
-        self.log_z = log_z
-        self.dist = dist
-
-    @property
-    def z(self) -> float:
-        return math.exp(self.log_z)  # may overflow to inf for extreme parameters
+    log_z: float
+    dist: Distribution
 
 
 def enumerate_oracle(model: ModelParams, obs: ObservableSpec) -> OracleResult:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kinkprobe import (ScaledComplex, enumerate_oracle, loschmidt_amplitude, magnetization,
+from kinkprobe import (charfunc_values, enumerate_oracle, loschmidt_amplitude, magnetization,
                        partition_function)
 from kinkprobe.spin_model import _config_matrix, energy
 from conftest import longrange, random_couplings, ring
@@ -12,8 +12,7 @@ from conftest import longrange, random_couplings, ring
 
 def _z(model, a, b):
     """Z at A = a, B = b as one complex number; may overflow to inf."""
-    z = partition_function(model, a, b)
-    return z.value * cmath.exp(z.log_scale)
+    return cmath.exp(partition_function(model, a, b))
 
 
 def _transfer_eigenvalues(a, b):
@@ -73,9 +72,8 @@ def test_partition_infinite_temperature_limit():
 
 def test_no_overflow_at_extreme_arguments():
     for n, a, b in ((100, 700.0, 700.0), (10000, -700.0, 700.0)):
-        z = partition_function(ring(n), a, b)
-        assert np.isfinite(z.log_scale) and np.isfinite(abs(z.value))
-        assert abs(z.value) <= 1e300
+        log_z = partition_function(ring(n), a, b)
+        assert isinstance(log_z, complex) and cmath.isfinite(log_z)
 
 
 def test_scaled_spectrum_matches_literal_closed_form_up_to_branch(rng):
@@ -97,8 +95,8 @@ def test_scaled_spectrum_matches_literal_closed_form_up_to_branch(rng):
 def test_partition_real_inputs_stay_real(rng):
     for _ in range(20):
         j, h, beta = random_couplings(rng)
-        z = partition_function(ring(11), beta * j, beta * h)
-        assert abs(z.value.imag) <= 1e-12 * abs(z.value.real)
+        log_z = partition_function(ring(11), beta * j, beta * h)
+        assert abs(log_z.imag) <= 1e-12
 
 
 @pytest.mark.parametrize("make", [ring, longrange])
@@ -109,8 +107,8 @@ def test_partition_function_matches_oracle(make, rng):
         model = make(n, j=j, h=h, beta=beta)
         log_z = enumerate_oracle(model, magnetization(n)).log_z
         z = partition_function(model, beta * j, beta * h)
-        assert z.log_abs() == pytest.approx(log_z, rel=1e-10, abs=1e-10)
-        assert z.value.real > 0
+        assert z.real == pytest.approx(log_z, rel=1e-10, abs=1e-10)
+        assert cmath.exp(z).real > 0
 
 
 @pytest.mark.parametrize("bj", [-19.0, -700.0])
@@ -121,14 +119,14 @@ def test_frustrated_odd_ring_log_z_matches_oracle(bj):
         for h in (0.0, 0.3, -2.0):
             log_z = enumerate_oracle(ring(n, j=bj, h=h), magnetization(n)).log_z
             z = partition_function(ring(n), bj, h)
-            assert z.log_abs() == pytest.approx(log_z, rel=1e-13)
+            assert z.real == pytest.approx(log_z, rel=1e-13)
 
 
 def test_longrange_partition_small_cases():
     assert _z(longrange(3), 1e-12, 0.0).real == pytest.approx(8.0, rel=1e-9)
     z3 = partition_function(longrange(3), 0.1, 0.0)
     log_oracle = enumerate_oracle(longrange(3, beta=0.1), magnetization(3)).log_z
-    assert z3.log_abs() == pytest.approx(log_oracle, rel=1e-12)
+    assert z3.real == pytest.approx(log_oracle, rel=1e-12)
 
 
 def test_longrange_partition_against_highprec_sum():
@@ -141,8 +139,7 @@ def test_longrange_partition_against_highprec_sum():
     for term in sorted(terms):
         total += term
     log_ref = float(np.log(total)) + n * (n - 1) * beta * j / 2 + n * beta * h
-    assert np.isfinite(z.log_scale)
-    assert z.log_abs() == pytest.approx(log_ref, rel=1e-13)
+    assert z.real == pytest.approx(log_ref, rel=1e-13)
 
 
 def _spectral_amplitude(model, t):
@@ -183,6 +180,17 @@ def test_loschmidt_at_infinite_temperature_matches_spectral_sum(make, rng):
         assert loschmidt_amplitude(model, float(t)) == pytest.approx(expected, abs=1e-11)
 
 
-def test_ratio_against_a_vanishing_partition_function_raises():
-    with pytest.raises(ZeroDivisionError, match="vanishing partition function"):
-        ScaledComplex(0.0, 1.0).ratio(ScaledComplex(0.0, 0.0))
+@pytest.mark.parametrize("n,a", [(50, 1.0), (51, 1.0), (200, 0.5)])
+def test_ring_magnetization_vanishes_at_lee_yang_zeros(n, a):
+    # at h = 0 the ring Z(A, i theta) vanishes where
+    # cos theta_k = e^{-A} sqrt(2 sinh 2A) cos(pi (2k + 1) / (2N)), k = 0..N-1
+    ks = np.arange(n)
+    thetas = np.arccos(math.exp(-a) * math.sqrt(2 * math.sinh(2 * a))
+                       * np.cos(np.pi * (2 * ks + 1) / (2 * n)))
+    model = ring(n, j=a)
+    log_z0 = partition_function(model, a, 0.0)
+    f = charfunc_values(model, magnetization(n), thetas)
+    for theta, f_k in zip(thetas, f):
+        diff = partition_function(model, a, 1j * float(theta)) - log_z0
+        assert diff.real <= math.log(1e-12)
+        assert cmath.exp(diff) == pytest.approx(f_k, abs=1e-12)
