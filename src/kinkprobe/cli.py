@@ -180,9 +180,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.command == "repro":
         merged.update(PRESETS[args.preset])
         merged["preset"] = args.preset
-        merged.setdefault("command", "probe")
-    else:
-        merged["command"] = "probe"
     for key in RunConfig.__dataclass_fields__:
         if key in ("command", "preset"):
             continue  # fixed by the subcommand / preset above

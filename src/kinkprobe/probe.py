@@ -47,7 +47,7 @@ _CHAIN_BLOCK = 50  # proposals per banded kernel; min(N, 50) divides 100 * N
 
 @dataclass(frozen=True)
 class ProbeRecord:
-    """Probe coherence readout over a time grid: the samples of F at theta = 2 eps t."""
+    """Probe coherence over a time grid: F sampled at theta = 2 eps t, eps as _check_gate allows."""
 
     epsilon: float
     time_grid: np.ndarray
@@ -62,6 +62,7 @@ class ProbeRecord:
         if self.time_grid.ndim != 1 or not (
                 self.time_grid.shape == self.sx.shape == self.sy.shape):
             raise InputError("time grid and readouts must be 1-d arrays of equal length")
+        _check_gate(self.epsilon)
 
     @property
     def theta(self) -> np.ndarray:
@@ -80,16 +81,11 @@ def default_time_grid(obs: ObservableSpec, epsilon: float, *,
 
     t_j = theta_j / (2 eps (1 + eta)): with the gate error known in advance
     the pre-warped times make the accumulated phases land exactly on the
-    standard grid, so the corrected inversion is exact.  Times that overflow
-    (a subnormal eps) raise InputError.
+    standard grid, so the corrected inversion is exact.  A gate _check_gate
+    refuses (a subnormal eps, one near the float maximum) raises InputError.
     """
     _check_gate(epsilon, eta)
-    thetas = build_theta_grid(obs, points=points)
-    with np.errstate(over="ignore"):
-        times = thetas / (2.0 * epsilon * (1.0 + eta))
-    if not np.isfinite(times).all():
-        raise InputError(f"epsilon = {epsilon} is too small: the acquisition times overflow")
-    return times
+    return build_theta_grid(obs, points=points) / (2.0 * epsilon * (1.0 + eta))
 
 
 def circuit_phase(spins: np.ndarray, obs: ObservableSpec, epsilon: float,
@@ -304,10 +300,10 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
     pool) order, sigma_x before sigma_y.  So a fixed seed repeats the record
     bit for bit; the two routes give the same law, not the same bits.
     A built-in observable that does not cover all N sites, a term index
-    above N, a non-finite epsilon or eta, a shot count that is not an
-    integer in [1, 2**63 - 1] (a bool included), a custom observable with
-    shots=None, or, with shots, a seed that is not an integer >= 0 (a bool
-    included) raises InputError.
+    above N, a gate (eps, eta) that _check_gate refuses, a shot count that
+    is not an integer in [1, 2**63 - 1] (a bool included), a custom
+    observable with shots=None, or, with shots, a seed that is not an
+    integer >= 0 (a bool included) raises InputError.
     """
     _check_gate(epsilon, eta)
     check_term_count(model.N, obs)

@@ -57,21 +57,29 @@ def build_theta_grid(obs: ObservableSpec, *, points: int | None = None) -> np.nd
     return 2.0 * np.pi * np.arange(m) / m
 
 
-def _check_eta(eta: float) -> None:
-    """Refuse a gate error that is not finite or not above -1 (NaN included)."""
-    if not math.isfinite(eta):
-        raise InputError(f"eta must be finite, got {eta}")
-    if eta <= -1.0:
-        raise InputError("eta must exceed -1")
+def _check_gate(epsilon: float, eta: float = 0.0) -> float:
+    """Refuse a gate (eps, eta) whose probe times or phases leave the floats; return S.
 
-
-def _check_gate(epsilon: float, eta: float) -> None:
-    """Refuse a coupling strength or gate error outside eps > 0, eta > -1 (NaN included)."""
+    eps must be finite and positive, eta finite and above -1 (NaN fails).  The
+    longest time built, S = _RECORD_SPAN pi / (eps min(1, 1 + eta)), ends the
+    estimator record (the standard grid ends before pi / (eps (1 + eta))); S,
+    the phase rate 2 eps max(1, 1 + eta) and the largest phase, rate * S, must be finite.
+    """
     if not math.isfinite(epsilon):
         raise InputError(f"epsilon must be finite, got {epsilon}")
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
-    _check_eta(eta)
+    if not math.isfinite(eta):
+        raise InputError(f"eta must be finite, got {eta}")
+    if eta <= -1.0:
+        raise InputError("eta must exceed -1")
+    slowest = float(epsilon) * min(1.0, 1.0 + float(eta))  # Python floats: no numpy warning
+    span = _RECORD_SPAN * math.pi / slowest if slowest > 0.0 else math.inf
+    if not math.isfinite(span):
+        raise InputError(f"epsilon = {epsilon} is too small: the acquisition times overflow")
+    if not math.isfinite(2.0 * float(epsilon) * max(1.0, 1.0 + float(eta)) * span):
+        raise InputError(f"epsilon = {epsilon} (eta = {eta}) is too large: the phases overflow")
+    return span
 
 
 def invert_dft(record: "ProbeRecord", eta: float = 0.0) -> Distribution:
@@ -79,14 +87,15 @@ def invert_dft(record: "ProbeRecord", eta: float = 0.0) -> Distribution:
 
     Reads ``record.theta``, ``record.values`` (F at those phases) and
     ``record.observable``, which marks the values no configuration reaches.
-    A gate error eta (finite, above -1) stretches the phases by (1 + eta),
-    so they must satisfy theta_j (1 + eta) = 2 pi j / M: times pre-warped to
-    t_j = theta_j / (2 eps (1 + eta)), or the plain grid at eta = 0.  The
-    label is ``dft`` (eta = 0) or ``dft-eta-corrected``, then ``/probe-exact``
-    or ``/probe-shots`` by ``record.shots``.  The imaginary residue of each
+    A gate (``record.epsilon``, eta) that _check_gate refuses raises
+    InputError.  eta stretches the phases by (1 + eta), so they must satisfy
+    theta_j (1 + eta) = 2 pi j / M: times pre-warped to t_j = theta_j /
+    (2 eps (1 + eta)), or the plain grid at eta = 0.  The label is ``dft``
+    (eta = 0) or ``dft-eta-corrected``, then ``/probe-exact`` or
+    ``/probe-shots`` by ``record.shots``.  The imaginary residue of each
     amplitude is recorded and dropped; probabilities are returned unclipped.
     """
-    _check_eta(eta)
+    _check_gate(record.epsilon, eta)
     obs = record.observable
     if obs is None:
         raise InputError("no observable attached to the record")
@@ -111,15 +120,12 @@ def invert_dft(record: "ProbeRecord", eta: float = 0.0) -> Distribution:
 def gate_error_times(epsilon: float, eta: float) -> np.ndarray:
     """The acquisition times of the record estimate_gate_error reads.
 
-    The grid is _RECORD_POINTS times from 0 to 1.3 pi / (eps min(1, 1 + eta)),
-    which spans the recurrence for either sign of eta.  The estimator reads
-    only the samples from the window start 0.72 pi / eps on, and the one
-    before it, so only those times are returned: the same grid points, so the
-    estimate is that of the full record, bit for bit.
+    _RECORD_POINTS times from 0 to S = 1.3 pi / (eps min(1, 1 + eta)) span the
+    recurrence for either sign of eta.  The estimator reads the samples from
+    the window start 0.72 pi / eps on and the one before it, so only those
+    are returned: the full record's grid points, so its estimate, bit for bit.
     """
-    _check_gate(epsilon, eta)
-    span = _RECORD_SPAN * math.pi / (epsilon * min(1.0, 1.0 + eta))
-    t = np.linspace(0.0, span, _RECORD_POINTS)
+    t = np.linspace(0.0, _check_gate(epsilon, eta), _RECORD_POINTS)
     return t[np.searchsorted(t, _WINDOW_LO * (math.pi / epsilon)) - 1:]
 
 

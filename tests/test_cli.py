@@ -99,6 +99,9 @@ def test_infinite_temperature_matches_the_oracle(tmp_path, model, obs):
     (["--eta", "nan", "--shots", "10"], "eta must be finite, got nan"),
     (["--N", "4", "--eta", "-1", "--correct-eta"], "eta must exceed -1"),
     (["--eps", "1e-320"], "epsilon = 1e-320 is too small"),
+    # the phase rate 2 eps (1 + eta) overflows: at eta = 1 only the gates' rate does
+    (["--eps", "1e308"], "is too large"),
+    (["--eps", "5e307", "--eta", "1", "--shots", "10"], "is too large"),
     (["--model", "ring", "--J", "1e308", "--beta", "10"], "beta*J = 10.0 * 1e+308 overflows"),
     (["--model", "longrange", "--J", "1e308", "--beta", "10"], "beta*J"),
     (["--model", "ring", "--obs", "kinks", "--h", "1e308", "--beta", "10"], "beta*h"),
@@ -113,7 +116,8 @@ def test_infinite_temperature_matches_the_oracle(tmp_path, model, obs):
     (["--model", "ring", "--N", "8", "--J", "1e308"], "beta*J"),
     (["--model", "longrange", "--N", "8", "--h", "1e308", "--shots", "10"], "beta*h"),
 ], ids=["lr-beta-nan", "lr-J-nan", "lr-kinks-h-inf", "ring-beta-nan", "ring-J-inf",
-        "eps-nan", "eta-nan", "eta-minus-one-warped", "eps-subnormal", "ring-beta-J-inf",
+        "eps-nan", "eta-nan", "eta-minus-one-warped", "eps-subnormal", "eps-huge",
+        "eps-huge-gate-error-shots", "ring-beta-J-inf",
         "lr-beta-J-inf", "ring-kinks-beta-h-inf", "lr-kinks-beta-h-inf-shots",
         "lr-J-route-overflow", "lr-J-route-overflow-shots", "lr-kinks-J-route-overflow",
         "ring-J-route-overflow", "lr-h-route-overflow-shots"])

@@ -554,6 +554,14 @@ def test_probe_record_refuses_readouts_that_are_not_1d():
                     shots=None)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+def test_probe_record_refuses_an_eps_outside_the_gate_check(eps):
+    # estimate_gate_error divides by the record's eps
+    t = np.zeros(3)
+    with pytest.raises(InputError, match="epsilon must be"):
+        ProbeRecord(epsilon=eps, time_grid=t, sx=t, sy=t, shots=None)
+
+
 def test_custom_observable_through_shot_pipeline():
     # custom products have no analytic route; the sampled gate walk covers them
     from kinkprobe import custom_observable, invert_dft, total_variation

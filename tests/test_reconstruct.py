@@ -222,6 +222,27 @@ def test_gate_error_times_refuse_a_bad_gate(eps, eta):
         gate_error_times(eps, eta)
 
 
+@pytest.mark.parametrize("eps, eta, message", [
+    (1e-310, 0.0, "epsilon = 1e-310 is too small: the acquisition times overflow"),
+    (1e-300, -1.0 + 1e-15, "is too small"),  # the record spans pi / (eps (1 + eta))
+    (1e308, 0.0, "is too large: the phases overflow"),  # 2 eps = inf: all times theta / inf = 0
+    (5e307, 1.0, "is too large"),    # the gates' rate 2 eps (1 + eta) overflows
+    (0.01, 1e308, "is too large"),   # the phase rate is finite, the largest phase is not
+], ids=["eps-subnormal", "eta-near-minus-one", "eps-rate", "gate-rate", "eta-largest-phase"])
+def test_gate_check_refuses_times_and_phases_that_overflow(eps, eta, message):
+    with pytest.raises(InputError, match=message):
+        gate_error_times(eps, eta)
+    with pytest.raises(InputError, match=message):
+        default_time_grid(magnetization(3), eps, eta=eta)
+
+
+def test_gate_check_keeps_the_edges_of_the_envelope():
+    # the largest phase of the estimator record stays finite near either edge
+    assert np.isfinite(gate_error_times(1e-300, 0.0)).all()
+    assert np.isfinite(2.0 * 1e307 * gate_error_times(1e307, 0.0)).all()
+    assert np.isfinite(default_time_grid(magnetization(3), 1e307, eta=1.0)).all()
+
+
 # ---------------------------------------------------------------------------
 # the skew of a reconstruction
 # ---------------------------------------------------------------------------
