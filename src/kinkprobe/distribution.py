@@ -15,6 +15,17 @@ import numpy as np
 from .errors import InputError
 
 
+def moments(x: np.ndarray, p: np.ndarray) -> tuple[float, float, float]:
+    """Mean of integer values x (any order) under weights p, then moments 2 and 3 about it.
+
+    Moments about 0 would cancel at mean ~ N.  Sums are numpy's; BLAS dots' bits vary with threads.
+    """
+    mu = float((p * x).sum())
+    dev = x - mu
+    pd2 = p * dev * dev
+    return mu, float(pd2.sum()), float((pd2 * dev).sum())
+
+
 @dataclass(frozen=True)
 class Distribution:
     support: np.ndarray  # strictly increasing integers
@@ -38,11 +49,10 @@ class Distribution:
         object.__setattr__(self, "forbidden", f)
 
     def mean(self) -> float:
-        return float(self.probs @ self.support)
+        return moments(self.support, self.probs)[0]
 
     def variance(self) -> float:
-        mu = self.mean()
-        return float(self.probs @ (self.support - mu) ** 2)
+        return moments(self.support, self.probs)[1]
 
     def prob_of(self, x: int) -> float:
         idx = np.searchsorted(self.support, x)

@@ -62,7 +62,7 @@ class ProbeRecord:
         if self.time_grid.ndim != 1 or not (
                 self.time_grid.shape == self.sx.shape == self.sy.shape):
             raise InputError("time grid and readouts must be 1-d arrays of equal length")
-        _check_gate(self.epsilon)
+        _check_gate(self.epsilon, times=self.time_grid)
 
     @property
     def theta(self) -> np.ndarray:
@@ -300,15 +300,16 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
     pool) order, sigma_x before sigma_y.  So a fixed seed repeats the record
     bit for bit; the two routes give the same law, not the same bits.
     A built-in observable that does not cover all N sites, a term index
-    above N, a gate (eps, eta) that _check_gate refuses, a shot count that
+    above N, a gate (eps, eta) that _check_gate refuses, a time grid with a
+    non-finite time or phases that overflow, a shot count that
     is not an integer in [1, 2**63 - 1] (a bool included), a custom
     observable with shots=None, or, with shots, a seed that is not an
     integer >= 0 (a bool included) raises InputError.
     """
-    _check_gate(epsilon, eta)
+    t = np.asarray(time_grid, dtype=float)
+    _check_gate(epsilon, eta, t)
     check_term_count(model.N, obs)
     eps_eff = (1.0 + eta) * epsilon
-    t = np.asarray(time_grid, dtype=float)
 
     if shots is None:
         if obs.kind is ObsKind.CUSTOM:

@@ -103,7 +103,7 @@ class QuantumRegister:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.size != 1 << (self.n_sites + 1):
             raise InputError("register must have length 2^(N+1) (ancilla + system)")
-        if abs(np.linalg.norm(amp) - 1.0) > 1e-12:
+        if abs(math.sqrt((abs(amp) ** 2).sum()) - 1.0) > 1e-12:
             raise InputError("register must be normalized")
         object.__setattr__(self, "amplitudes", amp)
 
@@ -113,7 +113,7 @@ class QuantumRegister:
         psi = np.asarray(psi, dtype=complex)
         if psi.size != 1 << n_sites:
             raise InputError("system state must have length 2^N")
-        norm = np.linalg.norm(psi)
+        norm = math.sqrt((abs(psi) ** 2).sum())
         if norm == 0:
             raise InputError("system state must be non-zero")
         half = psi / (norm * math.sqrt(2.0))
@@ -157,9 +157,9 @@ def quantum_probe(state: QuantumRegister | DiagonalEnsemble, obs: ObservableSpec
     dim = 1 << n
     rot = np.exp(1j * theta * observable_values(_config_matrix(n, 0, dim), obs))
     if isinstance(state, DiagonalEnsemble):
-        f = state.probs @ rot
+        f = (state.probs * rot).sum()
     else:  # sigma_z + i sigma_y after the Hadamard is 2 <down| e^{i theta X} |up>
-        f = 2.0 * np.vdot(state.amplitudes[dim:], state.amplitudes[:dim] * rot)
+        f = 2.0 * (state.amplitudes[dim:].conj() * state.amplitudes[:dim] * rot).sum()
     return float(f.real), float(f.imag)
 
 

@@ -57,13 +57,14 @@ def build_theta_grid(obs: ObservableSpec, *, points: int | None = None) -> np.nd
     return 2.0 * np.pi * np.arange(m) / m
 
 
-def _check_gate(epsilon: float, eta: float = 0.0) -> float:
+def _check_gate(epsilon: float, eta: float = 0.0, times: np.ndarray | None = None) -> float:
     """Refuse a gate (eps, eta) whose probe times or phases leave the floats; return S.
 
     eps must be finite and positive, eta finite and above -1 (NaN fails).  The
     longest time built, S = _RECORD_SPAN pi / (eps min(1, 1 + eta)), ends the
     estimator record (the standard grid ends before pi / (eps (1 + eta))); S,
     the phase rate 2 eps max(1, 1 + eta) and the largest phase, rate * S, must be finite.
+    Caller ``times``, if given, must be finite, and so must rate * max |t|.
     """
     if not math.isfinite(epsilon):
         raise InputError(f"epsilon must be finite, got {epsilon}")
@@ -77,8 +78,16 @@ def _check_gate(epsilon: float, eta: float = 0.0) -> float:
     span = _RECORD_SPAN * math.pi / slowest if slowest > 0.0 else math.inf
     if not math.isfinite(span):
         raise InputError(f"epsilon = {epsilon} is too small: the acquisition times overflow")
-    if not math.isfinite(2.0 * float(epsilon) * max(1.0, 1.0 + float(eta)) * span):
+    rate = 2.0 * float(epsilon) * max(1.0, 1.0 + float(eta))
+    if not math.isfinite(rate * span):
         raise InputError(f"epsilon = {epsilon} (eta = {eta}) is too large: the phases overflow")
+    if times is not None:
+        if not np.isfinite(times).all():
+            raise InputError("the time grid must hold finite times only")
+        longest = float(np.abs(times).max(initial=0.0))
+        if not math.isfinite(rate * longest):
+            raise InputError(f"the time grid reaches t = {longest}, where the phases at "
+                             f"epsilon = {epsilon} (eta = {eta}) overflow")
     return span
 
 

@@ -562,6 +562,36 @@ def test_probe_record_refuses_an_eps_outside_the_gate_check(eps):
         ProbeRecord(epsilon=eps, time_grid=t, sx=t, sy=t, shots=None)
 
 
+_BAD_TIMES = pytest.mark.parametrize("t, message", [
+    (math.inf, "finite times only"),
+    (math.nan, "finite times only"),
+    (1e300, "the time grid reaches t = 1e[+]300"),  # the phase 2 eps t is 2e310
+], ids=["inf", "nan", "phase-overflow"])
+
+
+@_BAD_TIMES
+@pytest.mark.parametrize("shots", [None, 100], ids=["exact", "shots"])
+def test_simulate_probe_shots_refuses_a_time_grid_whose_phases_leave_the_floats(
+        t, message, shots):
+    with pytest.raises(InputError, match=message):
+        simulate_probe_shots(ring(4), magnetization(4), 1e10, [0.0, t], shots, seed=1)
+
+
+@_BAD_TIMES
+def test_probe_record_refuses_a_time_grid_whose_phases_leave_the_floats(t, message):
+    zeros = np.zeros(2)
+    with pytest.raises(InputError, match=message):
+        ProbeRecord(epsilon=1e10, time_grid=[0.0, t], sx=zeros, sy=zeros, shots=None)
+
+
+def test_time_grid_check_reads_the_gate_error():
+    # 2 eps t = 1e308 is finite; the distorted phase 2 eps (1 + eta) t is not
+    model, obs, t = ring(4), magnetization(4), [0.0, 5e297]
+    assert np.isfinite(simulate_probe_shots(model, obs, 1e10, t, None).theta).all()
+    with pytest.raises(InputError, match="eta = 1.0"):
+        simulate_probe_shots(model, obs, 1e10, t, None, eta=1.0)
+
+
 def test_custom_observable_through_shot_pipeline():
     # custom products have no analytic route; the sampled gate walk covers them
     from kinkprobe import custom_observable, invert_dft, total_variation
