@@ -72,6 +72,19 @@ def _check_magnitude(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _check_phases(obs: ObservableSpec, thetas: np.ndarray) -> None:
+    """Refuse phases theta whose products theta X with the observable's values overflow.
+
+    |X| <= |a| + |b| n, the larger of |lo| and |hi| of ``obs.value_bounds()``
+    without its integer check; the bound on the product is formed in Python
+    floats, so no numpy warning comes first.  A NaN phase is refused too.
+    """
+    widest = float(np.abs(thetas).max(initial=0.0))
+    reach = abs(float(obs.a)) + abs(float(obs.b)) * float(obs.n)
+    if not math.isfinite(widest * reach):
+        raise InputError(f"phases up to {widest} times values of X up to {reach} overflow")
+
+
 def _ring_charfunc(model: ModelParams, obs: ObservableSpec, thetas: np.ndarray) -> np.ndarray:
     """Z(deformed) / Z(physical) on the ring, both from one transfer-matrix call.
 
@@ -182,12 +195,18 @@ def _longrange_law(model: ModelParams, obs: ObservableSpec,
 
 
 def charfunc_values(model: ModelParams, obs: ObservableSpec, thetas) -> np.ndarray:
-    """F(theta) for an array of phases; dispatches on model and observable."""
+    """F(theta) for an array of phases; dispatches on model and observable.
+
+    A custom observable, a built-in one of another size, or phases whose
+    products with the observable's values overflow (_check_phases) raise
+    InputError.
+    """
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
     if obs.kind is ObsKind.CUSTOM:
         raise InputError("custom observables have no analytic route; "
                          "use the enumeration oracle or the probe simulator")
     check_term_count(model.N, obs)
+    _check_phases(obs, th)
     if model.kind is not ModelKind.RING:
         out = _sector_charfunc(*_longrange_law(model, obs), th)
     elif _on_grid(th):

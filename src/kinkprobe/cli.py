@@ -293,16 +293,14 @@ def _digit_quads():
     return np.stack(np.meshgrid(*[digits] * 4, indexing="ij"), -1).view("V4").ravel()
 
 
-def _digits(v, width: int):
-    """The low ``width`` (a multiple of 4) decimal digits of the integers
-    ``v >= 0`` as ASCII, shape (width, *v.shape)."""
-    groups = np.empty((width // 4,) + v.shape, np.int64)
-    for g in range(width // 4 - 1, -1, -1):
-        q = v // 10000
-        groups[g] = v - q * 10000
-        v = q
-    chars = _digit_quads().take(groups).view(np.uint8).reshape(groups.shape + (4,))
-    return np.moveaxis(chars, -1, 1).reshape((width,) + groups.shape[1:])
+def _digits(v, out) -> None:
+    """Write the low len(out) (a multiple of 4) decimal digits of the integers
+    ``v >= 0`` into ``out``, shape (len(out), *v.shape), as ASCII; ``v`` is
+    overwritten."""
+    quads, r = _digit_quads(), np.empty(v.shape, np.int64)
+    for g in range(len(out) - 4, -1, -4):
+        np.divmod(v, 10000, out=(v, r))
+        out[g:g + 4] = np.moveaxis(quads.take(r).view(np.uint8).reshape(r.shape + (4,)), -1, 0)
 
 
 def _round17(a):
@@ -318,25 +316,40 @@ def _round17(a):
     decimal exponent X comes from log10 and can be one off next to a power of
     ten.  D then falls outside [1e16, 1e17), or equals 1e16 for an ``a`` just
     below a power of ten, and the entry is flagged unless that rounds the same.
+    The sums and products are computed in place, so ``a`` is overwritten.
     """
     m, ex = np.frexp(a)
-    i = np.floor(np.log10(a)).astype(np.int32) - _X_LO
+    i = np.floor(np.log10(a, out=a), out=a).astype(np.int32)
+    i -= _X_LO
     thh, thl, tl, tb = _pow10_table()
     hh, hl = thh.take(i), thl.take(i)
-    p = m * (hh + hl)
-    c = m * 134217729.0
-    mh = c - (c - m)
-    ml = m - mh
-    err = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl  # m * (hh + hl) = p + err exactly
-    scale = np.ldexp(1.0, tb.take(i) + ex)
-    frac = (err + m * tl.take(i)) * scale
-    up = np.rint(frac)
-    whole = (p * scale).astype(np.int64)  # an integer once scaled past 2**53
-    D = whole + up.astype(np.int64)
-    outside = (D - 10**16).view(np.uint64) >= 9 * 10**16  # D not in [1e16, 1e17)
-    flagged = (np.abs(frac - up) > 0.5 - _TIE_BAND) | outside
+    p = np.add(hh, hl, out=a)
+    p *= m
+    mh = m * 134217729.0  # c
+    ml = mh - m
+    mh -= ml  # c - (c - m)
+    np.subtract(m, mh, out=ml)
+    err = mh * hh
+    err -= p
+    err += np.multiply(mh, hl, out=mh)
+    err += np.multiply(ml, hh, out=hh)
+    err += np.multiply(ml, hl, out=ml)  # m * (hh + hl) = p + err exactly
+    del mh, ml, hh
+    frac = tl.take(i)
+    frac *= m
+    frac += err
+    del m, err
+    scale = np.ldexp(1.0, tb.take(i) + ex, out=hl)
+    frac *= scale
+    p *= scale
+    D = p.astype(np.int64)  # an integer once scaled past 2**53
+    up = np.rint(frac, out=scale)
+    D += up.astype(np.int64)
+    frac -= up  # a * 10**(16 - X) - D
+    flagged = np.abs(frac, out=up) > 0.5 - _TIE_BAND
+    flagged |= (D - 10**16).view(np.uint64) >= 9 * 10**16  # D not in [1e16, 1e17)
     low = np.flatnonzero(D == 10**16)  # right unless a * 10**(16 - X) < 1e16 - 0.05
-    flagged.flat[low] |= (whole.flat[low] - 10**16) + frac.flat[low] < _TIE_BAND - 0.05
+    flagged.flat[low] |= frac.flat[low] < _TIE_BAND - 0.05
     return D, i, flagged
 
 
@@ -345,29 +358,39 @@ def _float_slots(x):
     NUL where there is no character, and the rows (n,) that hold an entry the
     slots may get wrong (flagged or not finite).  The slots of an entry: sign,
     '0.000' (5), the 17 digits with a point slot after each of the first 16,
-    'e+308' (5), separator."""
-    a = np.abs(x)
-    finite, zero = np.isfinite(a), a == 0
-    D, i, flagged = _round17(np.where(finite & ~zero, a, 1.0))
-    dig = np.empty((17,) + x.shape, np.uint8)
-    d0 = D // 10**16
-    dig[0] = ord("0") + d0 - zero  # a zero went through as 1.0, so its digits read 0000...
-    dig[1:] = _digits(D - d0 * 10**16, 16)
+    'e+308' (5), separator.  ``x`` is overwritten."""
+    neg, bad, zero = np.signbit(x), ~np.isfinite(x), x == 0
+    a = np.abs(x, out=x)
+    a[bad | zero] = 2.0  # D = 2e16 and X = 0, so a zero skips the fix-up of D = 1e16
+    D, i, flagged = _round17(a)
+    del a, x
+    flagged |= bad
+    slots = np.empty((i.shape[0], 45, i.shape[1]), np.uint8)
+    slots[:, 0] = neg * np.uint8(ord("-"))
+    d0 = np.empty_like(D)
+    np.divmod(D, 10**16, out=(d0, D))
+    d0[zero] = 0  # a zero's digits read 0000...
+    dig = slots[:, 6:39:2].transpose(1, 0, 2)  # (17, F, n)
+    dig[0] = d0
+    dig[0] += ord("0")
+    del d0
+    _digits(D, dig[1:])
+    del D
     point, fixed = _exponent_slots()
     pp = point.take(i)
     j = np.arange(17, dtype=np.int8)[:, None, None]
-    last = np.maximum(pp, ((dig != ord("0")) * (j + 1)).max(axis=0) - 1)  # last digit written
-    dig *= j <= last
-    slots = np.empty((x.shape[0], 45, x.shape[1]), np.uint8)
-    slots[:, 0] = np.signbit(x) * np.uint8(ord("-"))
-    ends = fixed.take(i).view(np.uint8).reshape(x.shape + (10,))
+    rank = np.not_equal(dig, ord("0"), out=np.empty(dig.shape, np.int8))
+    rank *= j + 1
+    last = np.maximum(pp, rank.max(axis=0) - 1)  # last digit written
+    dig *= np.less_equal(j, last, out=rank.view(bool))
+    del rank
+    np.equal(j[:16], np.where(last > pp, pp, -1), out=slots[:, 7:38:2].transpose(1, 0, 2))
+    slots[:, 7:38:2] *= np.uint8(ord("."))
+    ends = fixed.take(i).view(np.uint8).reshape(i.shape + (10,))
     slots[:, 1:6] = ends[..., :5].transpose(0, 2, 1)
-    slots[:, 6:39:2] = dig.transpose(1, 0, 2)
-    dot = (j[:16] == np.where(last > pp, pp, -1)) * np.uint8(ord("."))
-    slots[:, 7:38:2] = dot.transpose(1, 0, 2)
     slots[:, 39:44] = ends[..., 5:].transpose(0, 2, 1)
     slots[:, 44] = ord(",")
-    return slots, (flagged | ~finite).any(axis=0)
+    return slots, flagged.any(axis=0)
 
 
 def _int_slots(v):
@@ -378,10 +401,11 @@ def _int_slots(v):
     width = -(-len(str(int(mag.max()))) // 4) * 4
     slots = np.empty((width + 2,) + v.shape, np.uint8)
     slots[0] = neg * np.uint8(ord("-"))
-    dig = _digits(mag, width)
+    dig = slots[1:-1]
+    _digits(mag, dig)
     lead = dig != ord("0")
     lead[-1] = True
-    slots[1:-1] = dig * np.logical_or.accumulate(lead, axis=0)
+    dig *= np.logical_or.accumulate(lead, axis=0)
     slots[-1] = ord(",")
     return slots
 
@@ -389,15 +413,21 @@ def _int_slots(v):
 def _csv_chunk(ints, floats, line: str) -> bytes:
     """The lines of one chunk of _csv_table, as ASCII."""
     fslots, flagged = _float_slots(np.array(floats))
-    m = np.concatenate([_int_slots(v) for v in ints] + [fslots.reshape(-1, len(floats[0]))])
+    m = fslots.reshape(-1, len(floats[0]))
+    if ints:
+        m = np.concatenate([_int_slots(v) for v in ints] + [m])
+    del fslots
     m[-1] = ord("\n")
     rows = m[m.any(axis=1)].T  # slots no row uses are dropped before the transpose
+    del m
+    width, text = rows.shape[1], rows.tobytes()
+    del rows
     out, start = [], 0
     for r in np.flatnonzero(flagged):
-        out += [rows[start:r].tobytes().translate(None, b"\0"),
+        out += [text[start * width:r * width].translate(None, b"\0"),
                 (line % tuple(c[r].item() for c in ints + floats)).encode()]
         start = r + 1
-    out.append(rows[start:].tobytes().translate(None, b"\0"))
+    out.append(text[start * width:].translate(None, b"\0"))
     return b"".join(out)
 
 
@@ -415,8 +445,8 @@ def _csv_table(header: str, ints, floats) -> bytes:
     transpose without the NULs is the text.
 
     Measured on a shared 2-CPU Xeon (CPU time, best of 20 alternating runs):
-    at 10001 rows the coherence takes 6.3 ms instead of 21.0, the
-    distribution 2.5 ms instead of 6.0.  A process builds the numpy route's
+    at 10001 rows the coherence takes 5.6 ms instead of 19.2, the
+    distribution 2.0 ms instead of 4.6.  A process builds the numpy route's
     tables once, in 1 to 2.5 ms.  After that the route is the faster one from
     about 100 rows of the coherence and 350 of the distribution; a fresh
     process writing both tables breaks even between 900 and 1500 rows.  With
@@ -424,8 +454,13 @@ def _csv_table(header: str, ints, floats) -> bytes:
     16.1, 14.8, 13.9, 12.7 and 12.6 ms in chunks of 2048 to 32768 values.  In
     two sets of ten alternating pairs of the benchmark's exact N = 1e3 to 1e4
     jobs, chunks of 16384 beat 8192 in 9 of 10 pairs each (wall time -3% and
-    -7%), and 4096 lost 9 of 10 to 8192.  At 16384 a 10001-row coherence
-    table peaks at 2.7 MB of traced memory, against 1.7 MB at 8192.
+    -7%), and 4096 lost 9 of 10 to 8192.  The chunk kernel computes in place
+    and frees each array after its last use, so a coherence chunk holds about
+    74 bytes per value at its peak, 45 of them the slot matrix.  With it, 16384 beat
+    8192 in 9 of 10 more pairs (wall time -4%), and 8192 lowered the benchmark's
+    peak RSS by only 0.09 MB.  At 16384 the exact ring kink tables at N = 1e4
+    (10001 rows) peak at 1.54 MB of traced memory (1.41 MB at 8192) for the
+    coherence and 0.85 MB for the distribution.
     """
     ints = [np.asarray(c, dtype=np.int64) for c in ints]
     floats = [np.asarray(c, dtype=float) for c in floats]

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfunc import _check_magnitude, _longrange_law, _sector_charfunc, charfunc_values
+from .charfunc import (_check_magnitude, _check_phases, _longrange_law, _sector_charfunc,
+                       charfunc_values)
 from .errors import InputError
 from .partition import _log_binomials
 from .reconstruct import _check_gate, build_theta_grid
@@ -301,7 +302,8 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
     bit for bit; the two routes give the same law, not the same bits.
     A built-in observable that does not cover all N sites, a term index
     above N, a gate (eps, eta) that _check_gate refuses, a time grid with a
-    non-finite time or phases that overflow, a shot count that
+    non-finite time or phases that overflow, alone or against the values of
+    the observable (_check_phases), a shot count that
     is not an integer in [1, 2**63 - 1] (a bool included), a custom
     observable with shots=None, or, with shots, a seed that is not an
     integer >= 0 (a bool included) raises InputError.
@@ -310,6 +312,7 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
     _check_gate(epsilon, eta, t)
     check_term_count(model.N, obs)
     eps_eff = (1.0 + eta) * epsilon
+    _check_phases(obs, 2.0 * eps_eff * t)
 
     if shots is None:
         if obs.kind is ObsKind.CUSTOM:

@@ -585,11 +585,58 @@ def test_probe_record_refuses_a_time_grid_whose_phases_leave_the_floats(t, messa
 
 
 def test_time_grid_check_reads_the_gate_error():
-    # 2 eps t = 1e308 is finite; the distorted phase 2 eps (1 + eta) t is not
-    model, obs, t = ring(4), magnetization(4), [0.0, 5e297]
+    # 2 eps t = 1e308 is finite, and so is its product with |M| <= 1 (the product
+    # with a larger |X| overflows); the distorted phase 2 eps (1 + eta) t is not
+    model, obs, t = ring(1), magnetization(1), [0.0, 5e297]
     assert np.isfinite(simulate_probe_shots(model, obs, 1e10, t, None).theta).all()
     with pytest.raises(InputError, match="eta = 1.0"):
         simulate_probe_shots(model, obs, 1e10, t, None, eta=1.0)
+
+
+# finite phases whose products with the largest |X| overflow: 2 eps t max|X| = 2e309
+_PHASES_OVER_X = pytest.mark.parametrize("model, obs, t", [
+    (ring(10000, beta=0.5), kink_number(10000), 1e305),
+    (longrange(1000, h=1.0, beta=5e-4), magnetization(1000), 1e306),
+    (longrange(1000, h=1.0, beta=5e-4), kink_number(1000), 1e306),
+], ids=["ring-kinks", "longrange-magnetization", "longrange-kinks"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@_PHASES_OVER_X
+@pytest.mark.parametrize("shots", [None, 100], ids=["exact", "shots"])
+def test_simulate_probe_shots_refuses_phases_that_overflow_against_the_values(
+        model, obs, t, shots):
+    with pytest.raises(InputError, match="times values of X up to .* overflow"):
+        simulate_probe_shots(model, obs, 1.0, [0.0, t], shots, seed=1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@_PHASES_OVER_X
+def test_charfunc_refuses_phases_that_overflow_against_the_values(model, obs, t):
+    with pytest.raises(InputError, match="times values of X up to .* overflow"):
+        charfunc_values(model, obs, [0.0, 2.0 * t])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gate_walk_refuses_phases_that_overflow_against_the_values():
+    # 2 eps t = 2e10 is finite, and so is |X| <= 2e300; their product is not
+    obs = custom_observable(0.0, 1e300, [(1,), (2,)])
+    with pytest.raises(InputError, match="times values of X up to 2e[+]300 overflow"):
+        simulate_probe_shots(ring(2), obs, 1.0, [0.0, 1e10], 5, seed=1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shots", [None, 100], ids=["exact", "shots"])
+def test_phases_whose_products_with_the_values_stay_finite_are_evaluated(shots):
+    # theta N = 1.7e308 at the ring's largest kink number N: finite, so no refusal
+    # and no warning, though the phase keeps no digit of its value mod 2 pi
+    n = 10000
+    record = simulate_probe_shots(ring(n, beta=0.5), kink_number(n), 1.0,
+                                  [0.0, 1.7e308 / (2 * n)], shots, seed=1)
+    assert np.isfinite(record.values).all()
+    walk = simulate_probe_shots(ring(2), custom_observable(0.0, 1.0, [(1,), (2,)]), 1.0,
+                                [0.0, 1.7e308 / 4], 5, seed=1)
+    assert np.isfinite(walk.values).all()
 
 
 def test_custom_observable_through_shot_pipeline():
