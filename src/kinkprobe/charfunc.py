@@ -72,13 +72,16 @@ def _check_magnitude(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _check_phases(obs: ObservableSpec, thetas: np.ndarray) -> None:
+def _check_phases(obs: ObservableSpec, thetas) -> None:
     """Refuse phases theta whose products theta X with the observable's values overflow.
 
     |X| <= |a| + |b| n, the larger of |lo| and |hi| of ``obs.value_bounds()``
     without its integer check; the bound on the product is formed in Python
-    floats, so no numpy warning comes first.  A NaN phase is refused too.
+    floats, so no numpy warning comes first.  A NaN phase is refused too, and
+    so are phases of more than one dimension.
     """
+    if np.ndim(thetas) > 1:
+        raise InputError(f"phases must be a scalar or a 1-d array, got shape {np.shape(thetas)}")
     widest = float(np.abs(thetas).max(initial=0.0))
     reach = abs(float(obs.a)) + abs(float(obs.b)) * float(obs.n)
     if not math.isfinite(widest * reach):
@@ -197,9 +200,9 @@ def _longrange_law(model: ModelParams, obs: ObservableSpec,
 def charfunc_values(model: ModelParams, obs: ObservableSpec, thetas) -> np.ndarray:
     """F(theta) for an array of phases; dispatches on model and observable.
 
-    A custom observable, a built-in one of another size, or phases whose
-    products with the observable's values overflow (_check_phases) raise
-    InputError.
+    A custom observable, a built-in one of another size, or phases of more
+    than one dimension or whose products with the observable's values
+    overflow (_check_phases) raise InputError.
     """
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
     if obs.kind is ObsKind.CUSTOM:

@@ -227,6 +227,11 @@ def _keep_freed_heap() -> None:
     threshold alone also stops glibc raising its mmap threshold from 128 KiB,
     so the larger temporaries would still be mmapped and faulted in on every
     call.  A no-op where the C library is not glibc; it never raises.
+
+    It stays because deleting it was measured twice and lost both times:
+    without it a steady pass of those jobs took 1,494 minor faults against 0,
+    and the benchmark's wall time rose 5 to 6%; no chunk size from 2048 to
+    32768 values avoids the faults (293 to 1,411 per pass).
     """
     try:
         libc = ctypes.CDLL(None)
@@ -353,19 +358,33 @@ def _round17(a):
     return D, i, flagged
 
 
-def _float_slots(x):
-    """'%.17g' of each entry of x, shape (F, n), as ASCII slots (F, 45, n) with
-    NUL where there is no character, and the rows (n,) that hold an entry the
-    slots may get wrong (flagged or not finite).  The slots of an entry: sign,
+def _slot_matrix(ints, floats):
+    """One chunk of _csv_table as ASCII slots, one column per row, NUL where
+    there is no character, and the rows (n,) the slots may get wrong (a float
+    entry flagged or not finite).  Per ``ints`` column, '%d': sign, the digits
+    (as many as the column's largest magnitude needs, rounded up to a multiple
+    of 4) and separator; then per ``floats`` column, '%.17g' in 45 slots: sign,
     '0.000' (5), the 17 digits with a point slot after each of the first 16,
-    'e+308' (5), separator.  ``x`` is overwritten."""
+    'e+308' (5), separator.  The matrix is allocated once, after _round17 has
+    returned and freed its temporaries, and every slot is written in place."""
+    x = np.array(floats)
     neg, bad, zero = np.signbit(x), ~np.isfinite(x), x == 0
     a = np.abs(x, out=x)
     a[bad | zero] = 2.0  # D = 2e16 and X = 0, so a zero skips the fix-up of D = 1e16
     D, i, flagged = _round17(a)
     del a, x
     flagged |= bad
-    slots = np.empty((i.shape[0], 45, i.shape[1]), np.uint8)
+    widths = [-(-len(str(max(int(v.max()), -int(v.min())))) // 4) * 4 + 2 for v in ints]
+    m = np.empty((sum(widths) + 45 * len(floats), i.shape[1]), np.uint8)
+    k = 0
+    for v, w in zip(ints, widths):
+        m[k] = (v < 0) * np.uint8(ord("-"))
+        dig = m[k + 1:k + w - 1]
+        _digits(np.where(v < 0, 0 - v.view(np.uint64), v.view(np.uint64)), dig)  # -2**63 too
+        dig[:-1] *= np.logical_or.accumulate(dig[:-1] != ord("0"), axis=0)  # leading zeros
+        m[k + w - 1] = ord(",")
+        k += w
+    slots = m[k:].reshape(i.shape[0], 45, i.shape[1])
     slots[:, 0] = neg * np.uint8(ord("-"))
     d0 = np.empty_like(D)
     np.divmod(D, 10**16, out=(d0, D))
@@ -390,33 +409,12 @@ def _float_slots(x):
     slots[:, 1:6] = ends[..., :5].transpose(0, 2, 1)
     slots[:, 39:44] = ends[..., 5:].transpose(0, 2, 1)
     slots[:, 44] = ord(",")
-    return slots, flagged.any(axis=0)
-
-
-def _int_slots(v):
-    """'%d' of the int64 v, shape (n,), as ASCII slots (sign, digits, separator)
-    with NUL where there is no character, as in _float_slots."""
-    neg = v < 0
-    mag = np.where(neg, 0 - v.view(np.uint64), v.view(np.uint64))  # |v|, -2**63 included
-    width = -(-len(str(int(mag.max()))) // 4) * 4
-    slots = np.empty((width + 2,) + v.shape, np.uint8)
-    slots[0] = neg * np.uint8(ord("-"))
-    dig = slots[1:-1]
-    _digits(mag, dig)
-    lead = dig != ord("0")
-    lead[-1] = True
-    dig *= np.logical_or.accumulate(lead, axis=0)
-    slots[-1] = ord(",")
-    return slots
+    return m, flagged.any(axis=0)
 
 
 def _csv_chunk(ints, floats, line: str) -> bytes:
     """The lines of one chunk of _csv_table, as ASCII."""
-    fslots, flagged = _float_slots(np.array(floats))
-    m = fslots.reshape(-1, len(floats[0]))
-    if ints:
-        m = np.concatenate([_int_slots(v) for v in ints] + [m])
-    del fslots
+    m, flagged = _slot_matrix(ints, floats)
     m[-1] = ord("\n")
     rows = m[m.any(axis=1)].T  # slots no row uses are dropped before the transpose
     del m
@@ -458,9 +456,10 @@ def _csv_table(header: str, ints, floats) -> bytes:
     and frees each array after its last use, so a coherence chunk holds about
     74 bytes per value at its peak, 45 of them the slot matrix.  With it, 16384 beat
     8192 in 9 of 10 more pairs (wall time -4%), and 8192 lowered the benchmark's
-    peak RSS by only 0.09 MB.  At 16384 the exact ring kink tables at N = 1e4
+    peak RSS by only 0.09 MB.  Each chunk allocates one slot matrix, for its
+    int and float columns alike.  At 16384 the exact ring kink tables at N = 1e4
     (10001 rows) peak at 1.54 MB of traced memory (1.41 MB at 8192) for the
-    coherence and 0.85 MB for the distribution.
+    coherence and 0.75 MB for the distribution.
     """
     ints = [np.asarray(c, dtype=np.int64) for c in ints]
     floats = [np.asarray(c, dtype=float) for c in floats]

@@ -39,6 +39,8 @@ class Distribution:
         p = np.asarray(self.probs, dtype=float)
         if s.shape != p.shape or s.ndim != 1:
             raise InputError("support and probs must be 1-d arrays of equal length")
+        if s.size == 0:
+            raise InputError("a distribution needs at least one support value")
         if s.size > 1 and not np.all(np.diff(s) > 0):
             raise InputError("support must be strictly increasing")
         f = np.zeros(s.shape, bool) if self.forbidden is None else np.asarray(self.forbidden, bool)

@@ -156,8 +156,14 @@ def partition_function(model: ModelParams, A, B) -> complex:
     Reads only model.kind and model.N: the couplings come in as A and B, so
     one call serves the physical and the analytically-continued Z alike.  A
     vanishing Z (a Lee-Yang zero) gives a real part of -inf, without a
-    warning, so the ratio Z / Z' = exp(log Z - log Z') reads 0.
+    warning, so the ratio Z / Z' = exp(log Z - log Z') reads 0.  A and B
+    must keep 4 (|A| N^2 + |B| N) finite, the bound ModelParams puts on beta J
+    and beta h, or InputError is raised (a NaN fails too).
     """
+    a, b = complex(A), complex(B)  # Python floats: no numpy warning comes first
+    if not math.isfinite(4.0 * model.N * ((abs(a.real) + abs(a.imag)) * model.N
+                                          + abs(b.real) + abs(b.imag))):
+        raise InputError(f"log Z at A = {A}, B = {B} leaves the float range at N = {model.N}")
     if model.kind is ModelKind.RING:
         log_scale, value = _znn_scaled_arrays(model.N, A, B)
         with np.errstate(divide="ignore"):
@@ -169,8 +175,12 @@ def loschmidt_amplitude(model: ModelParams, t: float) -> complex:
     """Survival amplitude Z(beta + i t) / Z(beta) of the thermal superposition.
 
     Both partition functions come from the same engine; the continuation
-    replaces beta*J -> (beta + i t)*J and beta*h -> (beta + i t)*h.
+    replaces beta*J -> (beta + i t)*J and beta*h -> (beta + i t)*h.  A t that
+    is not finite, or one that takes those couplings past partition_function's
+    bound, raises InputError.
     """
+    if not math.isfinite(t):
+        raise InputError(f"t must be finite, got {t}")
     bc = model.beta + 1j * t
     num = partition_function(model, bc * model.J, bc * model.h)
     den = partition_function(model, model.beta * model.J, model.beta * model.h)

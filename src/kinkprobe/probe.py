@@ -302,11 +302,11 @@ def simulate_probe_shots(model: ModelParams, obs: ObservableSpec, epsilon: float
     bit for bit; the two routes give the same law, not the same bits.
     A built-in observable that does not cover all N sites, a term index
     above N, a gate (eps, eta) that _check_gate refuses, a time grid with a
-    non-finite time or phases that overflow, alone or against the values of
-    the observable (_check_phases), a shot count that
-    is not an integer in [1, 2**63 - 1] (a bool included), a custom
-    observable with shots=None, or, with shots, a seed that is not an
-    integer >= 0 (a bool included) raises InputError.
+    non-finite time, with more than one dimension or with phases that
+    overflow, alone or against the values of the observable (_check_phases),
+    a shot count that is not an integer in [1, 2**63 - 1] (a bool included),
+    a custom observable with shots=None, or, with shots, a seed that is not
+    an integer >= 0 (a bool included) raises InputError.
     """
     t = np.asarray(time_grid, dtype=float)
     _check_gate(epsilon, eta, t)

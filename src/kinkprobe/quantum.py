@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .charfunc import _check_phases
 from .errors import InputError, SizeError
 from .spin_model import (ModelParams, ObservableSpec, _config_matrix, _is_integer,
                          check_term_count, energy, observable_values)
@@ -87,8 +88,8 @@ class DiagonalEnsemble:
         p = np.asarray(self.probs, dtype=float)
         if p.size != 1 << self.n_sites:
             raise InputError("probability vector must have length 2^N")
-        if abs(p.sum() - 1.0) > 1e-9 or p.min() < -1e-12:
-            raise InputError("probabilities must be non-negative and sum to 1")
+        if not np.isfinite(p).all() or abs(p.sum() - 1.0) > 1e-9 or p.min() < -1e-12:
+            raise InputError("probabilities must be finite, non-negative and sum to 1")
         object.__setattr__(self, "probs", p)
 
 
@@ -103,8 +104,8 @@ class QuantumRegister:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.size != 1 << (self.n_sites + 1):
             raise InputError("register must have length 2^(N+1) (ancilla + system)")
-        if abs(math.sqrt((abs(amp) ** 2).sum()) - 1.0) > 1e-12:
-            raise InputError("register must be normalized")
+        if not np.isfinite(amp).all() or abs(math.sqrt((abs(amp) ** 2).sum()) - 1.0) > 1e-12:
+            raise InputError("register must be normalized, with finite amplitudes")
         object.__setattr__(self, "amplitudes", amp)
 
     @classmethod
@@ -144,7 +145,8 @@ def quantum_probe(state: QuantumRegister | DiagonalEnsemble, obs: ObservableSpec
     phase on basis state s is theta * X(s), X from observable_values.  A
     PauliObservable is refused with InputError (a z-type one is written with
     custom_observable), and so is a built-in observable that does not cover
-    all n sites or a term index above n.
+    all n sites, a term index above n, or a theta whose products with the
+    values of X overflow (_check_phases; a NaN theta too).
     """
     if not isinstance(obs, ObservableSpec):
         raise InputError("quantum_probe takes an ObservableSpec; write a z-type Pauli "
@@ -153,6 +155,7 @@ def quantum_probe(state: QuantumRegister | DiagonalEnsemble, obs: ObservableSpec
     if n > QUANTUM_SITES_LIMIT:
         raise SizeError(f"dense register limited to N <= {QUANTUM_SITES_LIMIT}")
     check_term_count(n, obs)
+    _check_phases(obs, [theta])
 
     dim = 1 << n
     rot = np.exp(1j * theta * observable_values(_config_matrix(n, 0, dim), obs))
@@ -185,7 +188,8 @@ def trotter_error_probe(obs: PauliObservable, theta: float, steps: int) -> float
     closed form cos(alpha) I + i sin(alpha) P with alpha = theta b / m; the
     exact exponential comes from an eigendecomposition of the dense X.
     Commuting terms give zero error at any m; non-commuting ones decay as
-    O(1/m).
+    O(1/m).  A theta whose product with |X| <= |a| + |b| (number of terms)
+    is not finite (a NaN theta too) raises InputError.
     """
     if obs.n_sites > TROTTER_SITES_LIMIT:
         raise SizeError(f"dense error probe limited to N <= {TROTTER_SITES_LIMIT}")
@@ -193,6 +197,9 @@ def trotter_error_probe(obs: PauliObservable, theta: float, steps: int) -> float
         raise InputError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise InputError("steps must be at least 1")
+    reach = abs(float(obs.a)) + abs(float(obs.b)) * len(obs.terms)  # Python floats
+    if not math.isfinite(abs(float(theta)) * reach):
+        raise InputError(f"theta = {theta} times values of X up to {reach} overflows")
     dim = 1 << obs.n_sites
     terms = [_term_matrix(t, obs.n_sites) for t in obs.terms]
     x = obs.a * np.eye(dim, dtype=complex) + obs.b * sum(terms)

@@ -82,6 +82,8 @@ class ModelParams:
 class ObservableSpec:
     """X = a + b * sum over the n `terms` of spin products; indices are 1-based.
 
+    a, b and the bound |a| + |b| n on |X| must be finite.
+
     A built-in is (kind, n), its terms built on first read; a custom one keeps ``custom_terms``.
     """
 
@@ -92,6 +94,10 @@ class ObservableSpec:
     custom_terms: tuple = ()
 
     def __post_init__(self):
+        # |X| <= |a| + |b| n, in Python floats: a NaN or an infinity fails too
+        if not math.isfinite(abs(float(self.a)) + abs(float(self.b)) * float(self.n)):
+            raise InputError(f"a and b must be finite, and so must |a| + |b| n; got "
+                             f"a = {self.a}, b = {self.b}, n = {self.n}")
         if self.kind is ObsKind.MAGNETIZATION:
             if (self.a, self.b) != (0.0, 1.0) or self.n < 0 or len(self.custom_terms):
                 raise InputError("magnetization tag requires a=0, b=1, N >= 0 and no "

@@ -871,3 +871,19 @@ def test_charfunc_refuses_a_route_that_breaks_the_unit_disc(monkeypatch):
                         lambda model, obs, thetas: np.full(thetas.shape, 1.1 + 0j))
     with pytest.raises(InputError, match=r"\|F\| = 1.1 exceeds 1"):
         charfunc_values(ring(4), magnetization(4), np.array([0.1, 0.2]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", [ring, longrange])
+def test_charfunc_refuses_phases_of_more_than_one_dimension(make):
+    # the ring route raised numpy's ValueError; the long-range one flattened the grid
+    with pytest.raises(InputError, match="scalar or a 1-d array, got shape"):
+        charfunc_values(make(4), magnetization(4), [[0.0, 1.0]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", [ring, longrange])
+def test_charfunc_takes_a_scalar_phase(make):
+    model, obs = make(4, h=0.3), magnetization(4)
+    np.testing.assert_array_equal(charfunc_values(model, obs, 0.5),
+                                  charfunc_values(model, obs, [0.5]))

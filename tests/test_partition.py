@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from kinkprobe import (charfunc_values, enumerate_oracle, loschmidt_amplitude, magnetization,
-                       partition_function)
+from kinkprobe import (InputError, charfunc_values, enumerate_oracle, loschmidt_amplitude,
+                       magnetization, partition_function)
 from kinkprobe.spin_model import _config_matrix, energy
 from conftest import longrange, random_couplings, ring
 
@@ -194,3 +194,35 @@ def test_ring_magnetization_vanishes_at_lee_yang_zeros(n, a):
         diff = partition_function(model, a, 1j * float(theta)) - log_z0
         assert diff.real <= math.log(1e-12)
         assert cmath.exp(diff) == pytest.approx(f_k, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", [ring, longrange])
+@pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
+def test_loschmidt_refuses_a_time_that_is_not_finite(make, t):
+    # the ring warned; the long-range model returned nan+nanj
+    with pytest.raises(InputError, match="t must be finite"):
+        loschmidt_amplitude(make(4, beta=0.5), t)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", [ring, longrange])
+@pytest.mark.parametrize("a, b", [(math.inf, 0.0), (0.5, math.nan), (0.5, 1e308j),
+                                  (complex(0.5, 1e307), 0.0)],
+                         ids=["inf-a", "nan-b", "overflowing-b", "overflowing-a"])
+def test_partition_function_refuses_couplings_that_leave_the_float_range(make, a, b):
+    with pytest.raises(InputError, match="leaves the float range at N = 4"):
+        partition_function(make(4), a, b)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", [ring, longrange])
+def test_loschmidt_refuses_a_time_whose_couplings_leave_the_float_range(make):
+    with pytest.raises(InputError, match="leaves the float range at N = 4"):
+        loschmidt_amplitude(make(4, beta=0.5), 1e307)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", [ring, longrange])
+def test_loschmidt_takes_a_large_finite_time(make):
+    assert abs(loschmidt_amplitude(make(4, beta=0.5), 1e300)) <= 1.0 + 1e-12

@@ -661,3 +661,13 @@ def test_custom_observable_through_shot_pipeline():
 def test_samplers_refuse_the_other_model(sampler, model, fragment):
     with pytest.raises(InputError, match=fragment):
         sampler(model)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("obs, shots", [(magnetization(4), None), (magnetization(4), 10),
+                                        (custom_observable(0.0, 1.0, [(1,), (2,)]), 10)],
+                         ids=["exact", "binomial", "gate-walk"])
+@pytest.mark.parametrize("make", [ring, longrange])
+def test_simulate_probe_shots_refuses_a_time_grid_of_more_than_one_dimension(make, obs, shots):
+    with pytest.raises(InputError, match="scalar or a 1-d array, got shape"):
+        simulate_probe_shots(make(4), obs, 0.1, [[0.0, 1.0]], shots, seed=1)

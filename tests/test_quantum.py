@@ -158,9 +158,40 @@ def test_trotter_probe_size_limit():
     (lambda: QuantumRegister.from_system_state(np.ones(3), 2), r"length 2\^N"),
     (lambda: QuantumRegister.from_system_state(np.zeros(4), 2), "must be non-zero"),
     (lambda: trotter_error_probe(noncommuting_test_observable(3), 0.5, 0), "at least 1"),
+    # a NaN state passed the norm checks, and quantum_probe read (nan, nan)
+    (lambda: DiagonalEnsemble(probs=np.full(4, np.nan), n_sites=2), "finite"),
+    (lambda: QuantumRegister(amplitudes=np.full(8, np.nan), n_sites=2), "finite amplitudes"),
 ], ids=["site-out-of-range", "unknown-axis", "one-site-test-observable",
         "ensemble-length", "ensemble-unnormalised", "register-length",
-        "register-unnormalised", "system-state-length", "zero-system-state", "zero-steps"])
+        "register-unnormalised", "system-state-length", "zero-system-state", "zero-steps",
+        "nan-ensemble", "nan-register"])
 def test_quantum_refusals(make, fragment):
     with pytest.raises(InputError, match=fragment):
         make()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("theta", [math.nan, math.inf, 1e308], ids=["nan", "inf", "1e308"])
+@pytest.mark.parametrize("state", ["ensemble", "register"])
+def test_quantum_probe_refuses_a_phase_that_overflows_against_the_values(state, theta):
+    # NaN read (nan, nan); 1e308 warned "overflow encountered in multiply"
+    state = (thermal_diagonal_ensemble(ring(4)) if state == "ensemble"
+             else QuantumRegister.from_basis_state(3, 4))
+    with pytest.raises(InputError, match="times values of X up to 4.0 overflow"):
+        quantum_probe(state, magnetization(4), theta)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -1e308], ids=["nan", "inf", "-1e308"])
+def test_trotter_error_probe_refuses_a_phase_that_overflows_against_the_values(theta):
+    # NaN raised numpy's LinAlgError, inf warned
+    with pytest.raises(InputError, match="times values of X up to 3.0 overflows"):
+        trotter_error_probe(noncommuting_test_observable(3), theta, 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quantum_probes_take_large_finite_phases():
+    # 1e307 |X| stays below the float maximum for |X| <= 4 and <= 3
+    sz, sy = quantum_probe(QuantumRegister.from_basis_state(0, 4), magnetization(4), 1e307)
+    assert sz * sz + sy * sy == pytest.approx(1.0)
+    assert math.isfinite(trotter_error_probe(noncommuting_test_observable(3), 1e307, 2))

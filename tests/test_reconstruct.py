@@ -367,3 +367,18 @@ def _flat(points, span):
 def test_gate_error_estimate_refusals(record, fragment):
     with pytest.raises(EstimationError, match=fragment):
         estimate_gate_error(record)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_distribution_refuses_an_empty_support():
+    # built, it made validate_distribution and total_variation raise numpy errors
+    # and distribution_cumulants return kappa = (0, 0, 0)
+    with pytest.raises(InputError, match="at least one support value"):
+        Distribution(support=[], probs=[])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_one_point_distribution_is_validated():
+    dist = Distribution(support=[3], probs=[1.0])
+    assert validate_distribution(dist).worst_defect() == 0.0
+    assert total_variation(dist, dist) == 0.0

@@ -314,3 +314,19 @@ def test_batch_energy_and_values_match_row_by_row(rng):
 def test_spin_model_refusals(make, fragment):
     with pytest.raises(InputError, match=fragment):
         make()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                  (1.0, -math.inf), (1e308, 1e308)],
+                         ids=["nan-a", "nan-b", "inf-a", "inf-b", "overflowing-bound"])
+def test_observable_refuses_coefficients_that_are_not_finite(a, b):
+    # built, such an X made value_bounds raise numpy's ValueError or OverflowError
+    with pytest.raises(InputError, match="a and b must be finite"):
+        custom_observable(a, b, [(1,), (2,)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_observable_with_large_finite_coefficients_is_built():
+    obs = custom_observable(1e300, 1e300, [(1,), (2,)])
+    assert obs.value_bounds() == (round(1e300 - 2e300), round(1e300 + 2e300))
